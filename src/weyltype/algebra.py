@@ -182,10 +182,6 @@ class Signature:
             raise DimensionMismatch(f"polynomial index {p} outside 1..{self.ell1}")
         return self.monomial(i=unit_index(self.ell, p, power), coeff=coeff)
 
-    def ambient_coordinate(self, alpha_coords, p: int) -> Fraction:
-        """The 0-based p-th ambient coordinate of the lattice point with given coords."""
-        return self.lattice.ambient(alpha_coords)[p]
-
     def to_dict(self) -> dict:
         return {"ell1": self.ell1, "ell2": self.ell2, "lattice": self.lattice.to_dict()}
 

@@ -8,6 +8,13 @@ Four families generate everything:
 * ``Sigma1``       -- the order-2 twist x^{a,i} d^mu -> -(-d)^mu . x^{a,i},
                       a bracket automorphism only.
 
+The first three, and the isomorphism maps of ``classification``, are algebra
+homomorphisms fixed by the images of x^alpha, x^{1_[p]} and d_q.  Each
+applies its generator table through the one extension ``_hom_extend``.
+sigma_tau and the isomorphism maps share the table builder for
+tau = (G, f); sigma_tau and sigma_v keep their table from the first apply
+on.  exp(ad u) is the table d_q -> d_q + [u, d_q] with A fixed, not a series.
+
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
 generating set alone, by peeling one family at a time.
@@ -24,19 +31,21 @@ from .algebra import (
     Element,
     Monomial,
     Signature,
+    derivation_apply,
     element_from_dict,
     element_to_dict,
     unit_index,
 )
 from .errors import (
     DimensionMismatch,
+    InvariantViolation,
     LatticeNotMapped,
     NotAnAutomorphism,
     NotInA,
     SignatureMismatch,
     Sigma1NotSupported,
 )
-from .lattice import BlockMatrix, Character, aut2_membership
+from .lattice import BlockMatrix, Character
 from .rationals import as_fraction, rational_str
 from .sampling import random_element
 
@@ -64,18 +73,18 @@ def generator_keys(sig: Signature) -> list[tuple]:
 
 def generator_element(sig: Signature, key: tuple) -> Element:
     kind = key[0]
+    zero = (0,) * sig.ell
     if kind == "one":
-        return sig.one()
-    if kind == "x":
-        _, k, s = key
-        coords = unit_index(sig.ell, k, s)
-        zero = (0,) * sig.ell
-        return Element(sig, {Monomial(coords, zero, zero): Fraction(1)})
-    if kind == "xi":
-        return sig.x_poly(key[1])
-    if kind == "d":
-        return sig.d(key[1])
-    raise KeyError(key)
+        m = Monomial(zero, zero, zero)
+    elif kind == "x":
+        m = Monomial(unit_index(sig.ell, key[1], key[2]), zero, zero)
+    elif kind == "xi":
+        m = Monomial(zero, unit_index(sig.ell, key[1]), zero)
+    elif kind == "d":
+        m = Monomial(zero, zero, unit_index(sig.ell, key[1]))
+    else:
+        raise KeyError(key)
+    return Element(sig, {m: Fraction(1)})
 
 
 def _gen_label(key: tuple) -> str:
@@ -102,18 +111,20 @@ def _gen_key_from_label(label: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# homomorphic extension along the fixed monomial factorization
+# homomorphic extension from a generator table
 # ---------------------------------------------------------------------------
 
 def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) -> Element:
     """Extend generator images multiplicatively over w.
 
-    Each monomial factors as x^alpha, then ascending polynomial generator
-    powers, then ascending derivation powers; the images are multiplied in
-    that fixed order.
+    The table is ``x_image``, a function from lattice coordinates alpha to
+    the image of x^alpha, plus the image lists of x^{1_[p]} and d_q.  Each
+    monomial factors as x^alpha, then ascending polynomial generator powers,
+    then ascending derivation powers; the images are multiplied in that
+    fixed order and summed into one term dict.
     """
     sig = w.signature
-    out = out_sig.zero()
+    out: dict = {}
     powers: dict = {}
 
     def power(tag, base: Element, k: int) -> Element:
@@ -131,8 +142,64 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
         for q in range(sig.ell):
             if mu[q]:
                 acc = acc * power(("d", q), d_images[q], mu[q])
-        out = out + acc.scale(c)
-    return out
+        for m, v in acc.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c * v
+    return Element(out_sig, out, _checked=True)
+
+
+def _fixed_x_image(sig: Signature):
+    """The x-part of a table that fixes every x^alpha."""
+    zero = (0,) * sig.ell
+    return lambda al: Element(sig, {Monomial(al, zero, zero): Fraction(1)}, _checked=True)
+
+
+def _lattice_map(src: Signature, dst: Signature, G: BlockMatrix) -> tuple:
+    """Target-lattice coordinates of b_k . G^{-1}, one row per source basis row.
+
+    Raises LatticeNotMapped unless Gamma_src . G^{-1} = Gamma_dst, so it is
+    the lattice check of both sigma_tau and the isomorphism maps.
+    """
+    g_inv = linalg.mat_inverse(G.entries)
+    rows = []
+    for b in src.lattice.basis:
+        coords = dst.lattice.coordinates(linalg.vec_mat(b, g_inv))
+        if coords is None:
+            raise LatticeNotMapped(
+                f"basis row {b} . G^-1 is not a point of the target lattice")
+        rows.append(coords)
+    if abs(linalg.mat_det(rows)) != 1:
+        raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")
+    return tuple(rows)
+
+
+def _moved_coords(coord_map: tuple, alpha_coords) -> tuple[int, ...]:
+    """Coordinates of alpha . G^{-1} from those of alpha."""
+    out = [0] * len(coord_map)
+    for k, n in enumerate(alpha_coords):
+        if n:
+            for j, x in enumerate(coord_map[k]):
+                out[j] += n * x
+    return tuple(out)
+
+
+def _tau_table(dst: Signature, G: BlockMatrix, f: Character, coord_map: tuple):
+    """Generator table of tau = (G, f): x^a -> f(a) x^{a G^{-1}}, the
+    polynomial row times (M^t)^{-1}, the derivation row times G."""
+    ell = dst.ell
+    zero = (0,) * ell
+
+    def x_image(alpha_coords) -> Element:
+        return Element(dst, {Monomial(_moved_coords(coord_map, alpha_coords), zero, zero):
+                             f.evaluate_coords(alpha_coords)}, _checked=True)
+
+    mt_inv = G.m_transpose_inverse()
+    x1_images = [Element(dst, {Monomial(zero, unit_index(ell, r + 1), zero): mt_inv[r][p]
+                               for r in range(dst.ell1)})
+                 for p in range(dst.ell1)]
+    d_images = [Element(dst, {Monomial(zero, zero, unit_index(ell, p + 1)): G.entries[p][q]
+                              for p in range(ell)})
+                for q in range(ell)]
+    return x_image, x1_images, d_images
 
 
 # ---------------------------------------------------------------------------
@@ -143,60 +210,29 @@ class TauAut:
     """sigma_tau for tau = (G, f): x^a -> f(a) x^{a G^{-1}}, derivation row
     times G, polynomial row times (M^t)^{-1}."""
 
-    __slots__ = ("signature", "G", "f", "_coord_map", "_x1_images", "_d_images")
+    __slots__ = ("signature", "G", "f", "_coord_map", "_images")
 
     def __init__(self, signature: Signature, G: BlockMatrix, f: Character):
         if (G.ell1, G.ell2) != (signature.ell1, signature.ell2):
             raise DimensionMismatch("block sizes differ from the signature")
         if f.lattice != signature.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        if not aut2_membership(signature.lattice, G):
-            raise LatticeNotMapped("Gamma . G != Gamma")
+        self._coord_map = _lattice_map(signature, signature, G)
         self.signature = signature
         self.G = G
         self.f = f
-        lattice = signature.lattice
-        g_inv = G.inverse()
-        rows = []
-        for b in lattice.basis:
-            coords = lattice.coordinates(g_inv.row_action(b))
-            assert coords is not None
-            rows.append(coords)
-        self._coord_map = tuple(rows)
-        mt_inv = G.m_transpose_inverse()
-        self._x1_images = [
-            _linear_combination(signature, "xi",
-                                {r: mt_inv[r][p] for r in range(signature.ell1)})
-            for p in range(signature.ell1)
-        ]
-        self._d_images = [
-            _linear_combination(signature, "d",
-                                {p: G.entries[p][q] for p in range(signature.ell)})
-            for q in range(signature.ell)
-        ]
+        self._images = None
 
     def star(self, alpha_coords) -> tuple[int, ...]:
         """Coordinates of tau*(alpha) = alpha . G^{-1}."""
-        ell = self.signature.ell
-        out = [0] * ell
-        for k, n in enumerate(alpha_coords):
-            if n:
-                row = self._coord_map[k]
-                for j in range(ell):
-                    out[j] += n * row[j]
-        return tuple(out)
-
-    def _x_image(self, alpha_coords) -> Element:
-        sig = self.signature
-        zero = (0,) * sig.ell
-        coeff = self.f.evaluate_coords(alpha_coords)
-        return Element(sig, {Monomial(self.star(alpha_coords), zero, zero): coeff})
+        return _moved_coords(self._coord_map, alpha_coords)
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        return _hom_extend(w, self.signature, self._x_image,
-                           self._x1_images, self._d_images)
+        if self._images is None:
+            self._images = _tau_table(self.signature, self.G, self.f, self._coord_map)
+        return _hom_extend(w, self.signature, *self._images)
 
     def inverse(self) -> "TauAut":
         lattice = self.signature.lattice
@@ -236,22 +272,13 @@ class TauAut:
         return f"TauAut(G={self.G.entries}, f={self.f})"
 
 
-def _linear_combination(sig: Signature, kind: str, coeffs: dict) -> Element:
-    zero = (0,) * sig.ell
-    terms = {}
-    for idx, c in coeffs.items():
-        if c == 0:
-            continue
-        if kind == "xi":
-            terms[Monomial(zero, unit_index(sig.ell, idx + 1), zero)] = c
-        else:
-            terms[Monomial(zero, zero, unit_index(sig.ell, idx + 1))] = c
-    return Element(sig, terms)
-
-
 class InnerExp:
     """sigma_u = exp(ad u) for u in A, stored with its constant term dropped
-    (sigma_{u+c} = sigma_u)."""
+    (sigma_{u+c} = sigma_u).
+
+    Its table fixes A and sends d_q to d_q + [u, d_q] = d_q - d_q(u): that
+    bracket lies in A, so (ad u)^2 kills d_q and the series stops there.
+    """
 
     __slots__ = ("signature", "u")
 
@@ -264,17 +291,14 @@ class InnerExp:
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        total = self.signature.zero()
-        term = w
-        s = 0
-        bound = (w.max_level() or 0) + 2
-        while term:
-            total = total + term
-            s += 1
-            if s > bound:
-                raise AssertionError("ad-series failed to terminate")
-            term = self.u.bracket(term) / s
-        return total
+        sig = self.signature
+        # built per call: one derivation pass over u is cheap, while a kept
+        # table would hold every d_q(u) for as long as the automorphism lives
+        d_images = [generator_element(sig, ("d", q))
+                    - derivation_apply(sig, unit_index(sig.ell, q), self.u)
+                    for q in range(1, sig.ell + 1)]
+        x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
+        return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
 
     def inverse(self) -> "InnerExp":
         return InnerExp(-self.u)
@@ -299,7 +323,7 @@ class ShiftV:
     """sigma_v: fixes every x^a, shifts the polynomial generator row by the
     first l1 slots of v and the derivation row by the last l2 slots."""
 
-    __slots__ = ("signature", "v")
+    __slots__ = ("signature", "v", "_images")
 
     def __init__(self, signature: Signature, v):
         vv = tuple(as_fraction(x) for x in v)
@@ -307,22 +331,20 @@ class ShiftV:
             raise DimensionMismatch("shift vector length differs from l")
         self.signature = signature
         self.v = vv
+        self._images = None
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
         sig = self.signature
-        zero = (0,) * sig.ell
-
-        def x_image(al):
-            return Element(sig, {Monomial(al, zero, zero): Fraction(1)})
-
-        x1_images = [sig.x_poly(p + 1) + sig.scalar(self.v[p])
-                     for p in range(sig.ell1)]
-        d_images = [sig.d(q + 1) + sig.scalar(self.v[q]) if q >= sig.ell1
-                    else sig.d(q + 1)
-                    for q in range(sig.ell)]
-        return _hom_extend(w, sig, x_image, x1_images, d_images)
+        if self._images is None:
+            x1_images = [generator_element(sig, ("xi", p + 1)) + sig.scalar(self.v[p])
+                         for p in range(sig.ell1)]
+            d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
+                        if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
+                        for q in range(sig.ell)]
+            self._images = (_fixed_x_image(sig), x1_images, d_images)
+        return _hom_extend(w, sig, *self._images)
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
@@ -490,7 +512,7 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut,
         for key in generator_keys(sig):
             gen = generator_element(sig, key)
             if result.apply(gen) != a.apply(b.apply(gen)):
-                raise AssertionError(f"group law violated on generator {key}")
+                raise InvariantViolation(f"group law violated on generator {key}")
     return result
 
 
@@ -676,9 +698,10 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
         G = BlockMatrix(sig.ell1, sig.ell2, entries)
     except Exception as exc:
         raise NotAnAutomorphism(f"derivation images give no block matrix: {exc}") from exc
-    if not aut2_membership(sig.lattice, G):
-        raise NotAnAutomorphism("derivation images do not stabilize the lattice")
-    tau_g = TauAut(sig, G, Character.trivial(sig.lattice))
+    try:
+        tau_g = TauAut(sig, G, Character.trivial(sig.lattice))
+    except LatticeNotMapped as exc:
+        raise NotAnAutomorphism("derivation images do not stabilize the lattice") from exc
     peel(tau_g.inverse(), NormalFormAut(tau_g, InnerExp.identity(sig),
                                         ShiftV.identity(sig)))
 

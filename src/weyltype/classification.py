@@ -4,7 +4,8 @@ Two algebras are isomorphic exactly when (l1, l2) agree and a block matrix G
 carries one lattice onto the other; the verifier builds the generator map
 that witnesses this and checks it exactly, while the bounded search
 enumerates unimodular coordinate changes and is explicitly allowed to give
-up with ``unknown``.
+up with ``unknown``.  The generator map is the table of tau = (G, f), built
+by the same code as sigma_tau and applied through the same extension.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .algebra import (
     filtration_data,
     unit_index,
 )
-from .automorphisms import _hom_extend, _linear_combination
+from .automorphisms import _hom_extend, _lattice_map, _tau_table
 from .errors import (
     HomomorphismCounterexample,
-    LatticeNotMapped,
+    InvariantViolation,
     NotInFD,
     SignatureMismatch,
     ZeroElement,
@@ -55,59 +56,28 @@ class IsoCandidate:
 class IsoMap:
     """A verified generator-image map between two algebras of the same shape."""
 
-    __slots__ = ("src", "dst", "candidate", "_coord_map", "_x1_images", "_d_images")
+    __slots__ = ("src", "dst", "candidate", "_images")
 
     def __init__(self, src: Signature, dst: Signature, candidate: IsoCandidate):
+        coord_map = _lattice_map(src, dst, candidate.G)
         self.src = src
         self.dst = dst
         self.candidate = candidate
-        G = candidate.G
-        g_inv = linalg.mat_inverse(G.entries)
-        rows = []
-        for b in src.lattice.basis:
-            coords = dst.lattice.coordinates(linalg.vec_mat(b, g_inv))
-            if coords is None:
-                raise LatticeNotMapped(
-                    f"basis row {b} . G^-1 is not a point of the target lattice")
-            rows.append(coords)
-        if abs(linalg.mat_det(tuple(tuple(Fraction(c) for c in r) for r in rows))) != 1:
-            raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")
-        self._coord_map = tuple(rows)
-        mt_inv = G.m_transpose_inverse()
-        self._x1_images = [
-            _linear_combination(dst, "xi",
-                                {r: mt_inv[r][p] for r in range(dst.ell1)})
-            for p in range(src.ell1)
-        ]
-        self._d_images = [
-            _linear_combination(dst, "d",
-                                {p: G.entries[p][q] for p in range(dst.ell)})
-            for q in range(src.ell)
-        ]
+        self._images = _tau_table(dst, candidate.G, candidate.f, coord_map)
 
     def x_image(self, alpha_coords) -> Element:
-        ell = self.dst.ell
-        out = [0] * ell
-        for k, n in enumerate(alpha_coords):
-            if n:
-                row = self._coord_map[k]
-                for j in range(ell):
-                    out[j] += n * row[j]
-        zero = (0,) * ell
-        coeff = self.candidate.f.evaluate_coords(alpha_coords)
-        return Element(self.dst, {Monomial(tuple(out), zero, zero): coeff})
-
-    def d_image(self, q: int) -> Element:
-        return self._d_images[q - 1]
+        return self._images[0](alpha_coords)
 
     def x1_image(self, p: int) -> Element:
-        return self._x1_images[p - 1]
+        return self._images[1][p - 1]
+
+    def d_image(self, q: int) -> Element:
+        return self._images[2][q - 1]
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.src:
             raise SignatureMismatch("element does not belong to the source algebra")
-        return _hom_extend(w, self.dst, self.x_image,
-                           self._x1_images, self._d_images)
+        return _hom_extend(w, self.dst, *self._images)
 
     def generator_table(self) -> dict:
         table = {}
@@ -242,7 +212,7 @@ def faithfulness_witness(sig: Signature, u: Element):
         probe = Element(sig, {Monomial(n, zero, zero): Fraction(1)})
         if act_on_A(u, probe):
             return sig.lattice.ambient(n)
-    raise AssertionError("grid bound violated; the element cannot be nonzero")
+    raise InvariantViolation("grid bound violated; the element cannot be nonzero")
 
 
 def witness_report(sig: Signature, u: Element) -> dict:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .algebra import Signature, element_to_dict
 from .automorphisms import (
@@ -38,22 +37,12 @@ class CliUsageError(WeylError):
     """Bad invocation: missing config, unreadable files, malformed flags."""
 
 
-@dataclass
-class SessionConfig:
-    signature: Signature
-    mode: str = MODE_LIE
-    seed: int = 0
-    bound: int = 2
-    trials: int = 100
-    json_output: bool = field(default=False)
-
-    @classmethod
-    def signature_from_file(cls, path: str) -> Signature:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        gens = [[as_fraction(x) for x in row] for row in data["gamma_generators"]]
-        ell1, ell2 = int(data["ell1"]), int(data["ell2"])
-        return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
+def _signature_from_file(path: str) -> Signature:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    gens = [[as_fraction(x) for x in row] for row in data["gamma_generators"]]
+    ell1, ell2 = int(data["ell1"]), int(data["ell2"])
+    return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
 
 
 def _resolve_seed(args) -> int:
@@ -125,7 +114,7 @@ def _require_signature(args) -> Signature:
     if not args.config:
         raise CliUsageError(
             "this command needs --config FILE (no implicit default algebra)")
-    return SessionConfig.signature_from_file(args.config)
+    return _signature_from_file(args.config)
 
 
 def _load_automorphism(path: str, mode: str | None):
@@ -208,8 +197,8 @@ def _dispatch(args) -> int:
         return _dispatch_aut(args)
 
     if command == "iso":
-        src = SessionConfig.signature_from_file(args.src)
-        dst = SessionConfig.signature_from_file(args.dst)
+        src = _signature_from_file(args.src)
+        dst = _signature_from_file(args.dst)
         result = iso_search_bounded(src, dst, bound=args.bound)
         payload = {"ok": True, **result.to_dict()}
         if "certificate" in payload:
@@ -225,7 +214,7 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "selftest":
-        sig = (SessionConfig.signature_from_file(args.config)
+        sig = (_signature_from_file(args.config)
                if args.config else desk_signature())
         names = [args.suite] if args.suite else None
         results = run_suites(sig, names, seed=_resolve_seed(args))

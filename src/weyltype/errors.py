@@ -61,6 +61,11 @@ class LatticeNotMapped(WeylError):
     """The candidate matrix does not carry the source lattice onto the target."""
 
 
+class InvariantViolation(WeylError):
+    """An internal consistency check failed: a defect of the package, not of
+    the input."""
+
+
 class HomomorphismCounterexample(WeylError):
     """A random product check found inputs on which the map fails."""
 

@@ -91,9 +91,6 @@ class Lattice:
             self._ambient_cache[coords] = cached
         return cached
 
-    def contains(self, v) -> bool:
-        return self.coordinates(v) is not None
-
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented

@@ -88,26 +88,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def mat_rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in m]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     """Row-style HNF of an integer matrix; returns the nonzero rows.
 

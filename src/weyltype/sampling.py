@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Element, Signature
+from .errors import InvariantViolation
 from .lattice import BlockMatrix, Character, Lattice, aut2_membership
 
 DEFAULT_GENERATORS = ((1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2)))
@@ -110,7 +111,8 @@ def enumerate_aut2(sig: Signature, bound: int = 2) -> list[BlockMatrix]:
             continue
         seen.add(entries)
         G = BlockMatrix(sig.ell1, sig.ell2, entries)
-        assert aut2_membership(lattice, G)
+        if not aut2_membership(lattice, G):
+            raise InvariantViolation(f"B^-1 N B = {entries} does not stabilize the lattice")
         found.append(G)
     _AUT2_CACHE[key] = found
     return found

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from weyltype import Lattice, Signature
@@ -19,6 +21,13 @@ def w10():
 def w01():
     """W(0, 1, Z): one semisimple derivation."""
     return Signature(0, 1, Lattice(1, [(1,)]))
+
+
+@pytest.fixture(scope="session")
+def rank3():
+    """W(1, 2, <e1, e2, e3, (1/2,1/2,0)>)."""
+    half = Fraction(1, 2)
+    return Signature(1, 2, Lattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (half, half, 0)]))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from weyltype import (
     decompose_automorphism,
     verify_automorphism,
 )
+from weyltype import automorphisms
 from weyltype.automorphisms import (
     MODE_ASSOC,
     MODE_LIE,
@@ -42,6 +43,16 @@ from weyltype.sampling import (
     random_element,
     random_shift_vector,
 )
+
+
+def _ad_series(u, w):
+    """sum_k (ad u)^k(w) / k!, truncated once (ad u)^k(w) vanishes."""
+    term = total = w
+    for k in range(1, (w.max_level() or 0) + 2):
+        term = u.bracket(term) / k
+        total = total + term
+    assert term.is_zero
+    return total
 
 
 class TestTauAut:
@@ -66,6 +77,12 @@ class TestTauAut:
         with pytest.raises(LatticeNotMapped):
             TauAut(z2, BlockMatrix(1, 1, [[2, 0], [0, 1]]),
                    Character.trivial(z2.lattice))
+
+    def test_images_built_on_first_apply(self, desk, monkeypatch):
+        monkeypatch.setattr(automorphisms, "_tau_table", None)
+        tau = TauAut(desk, BlockMatrix(1, 1, [[-1, 0], [0, 1]]),
+                     Character(desk.lattice, [2, 3]))
+        tau.inverse().compose(tau)
 
     def test_inverse_and_compose(self, desk):
         rng = random.Random(1)
@@ -124,6 +141,16 @@ class TestInnerExp:
             for _ in range((m.max_level() or 0) + 1):
                 cur = u.bracket(cur)
             assert cur == zero
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
+    def test_table_matches_ad_series(self, sig_name, request):
+        # the generator table against the truncated series on whole elements
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(17)
+        for _ in range(100):
+            u = random_A_element(sig, rng)
+            w = random_element(sig, rng, max_level=3)
+            assert InnerExp(u).apply(w) == _ad_series(u, w)
 
     def test_both_mode_verification(self, desk):
         # the acceptance suite runs the 100-pair check; keep the unit run light

@@ -9,6 +9,7 @@ from weyltype import (
     IsoCandidate,
     Lattice,
     Signature,
+    TauAut,
     act_on_A,
     classify_ad_behavior,
     faithfulness_witness,
@@ -17,6 +18,7 @@ from weyltype import (
     iso_verify,
     signature_invariants,
 )
+from weyltype import classification
 from weyltype.errors import (
     BlockShapeViolation,
     LatticeNotMapped,
@@ -63,6 +65,24 @@ class TestIsoVerify:
                             Character.trivial(z2.lattice))
         with pytest.raises(LatticeNotMapped):
             iso_verify(z2, z2, cand, trials=5)
+
+    def test_rejection_builds_no_images(self, z2, monkeypatch):
+        monkeypatch.setattr(classification, "_tau_table", None)
+        cand = IsoCandidate(BlockMatrix(1, 1, [[1, 0], [0, 2]]),
+                            Character.trivial(z2.lattice))
+        with pytest.raises(LatticeNotMapped):
+            iso_verify(z2, z2, cand, trials=5)
+
+    def test_self_map_equals_sigma_tau(self, desk):
+        # IsoMap and TauAut build their tables with the same code
+        rng = random.Random(2)
+        for t in range(10):
+            G, f = random_aut2(desk, rng), random_character(desk.lattice, rng)
+            iso = iso_verify(desk, desk, IsoCandidate(G, f), trials=5, seed=t)
+            tau = TauAut(desk, G, f)
+            for _ in range(5):
+                w = random_element(desk, rng)
+                assert iso.apply(w) == tau.apply(w)
 
     def test_block_shape_enforced_by_constructor(self):
         with pytest.raises(BlockShapeViolation):

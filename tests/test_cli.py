@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from weyltype import NormalFormAut, element_from_dict
+from weyltype import (
+    BlockMatrix,
+    Character,
+    InnerExp,
+    NormalFormAut,
+    ShiftV,
+    TauAut,
+    element_from_dict,
+)
 from weyltype.automorphisms import (
     MODE_LIE,
     FunctionalAut,
@@ -165,6 +173,24 @@ class TestAut:
         path.write_text(json.dumps(data))
         assert run_command(["aut", "decompose", "--aut", str(path)]) == 1
         assert "NotAnAutomorphism" in capsys.readouterr().err
+
+    def test_broken_group_law_exits_1_with_json_envelope(self, tmp_path, capsys,
+                                                          monkeypatch):
+        sig = desk_signature()
+        a = random_normal_form_aut(sig, random.Random(4), allow_eps=False)
+        b = NormalFormAut(TauAut(sig, BlockMatrix.identity(1, 1),
+                                 Character(sig.lattice, [2, 3])),
+                          InnerExp.identity(sig), ShiftV.identity(sig))
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a.to_dict()))
+        pb.write_text(json.dumps(b.to_dict()))
+        # a composite tau that drops b's character breaks the group law check
+        monkeypatch.setattr(TauAut, "compose", lambda self, other: self)
+        code = run_command(["aut", "compose", "--json", "--a", str(pa), "--b", str(pb)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["error"].startswith("InvariantViolation: group law violated")
 
     def test_apply_functional_form_file(self, tmp_path, config_file, capsys):
         sig = desk_signature()

@@ -157,8 +157,7 @@ class Signature:
     def monomial(self, alpha=None, i=None, mu=None, coeff=1) -> "Element":
         """Build coeff * x^{alpha,i} d^mu from an ambient lattice point alpha."""
         ell = self.ell
-        alpha = tuple(as_fraction(a) for a in (alpha if alpha is not None else (0,) * ell))
-        coords = self.lattice.coordinates(alpha)
+        coords = (0,) * ell if alpha is None else self.lattice.coordinates(alpha)
         if coords is None:
             raise NotMember(f"{alpha} is not a point of the lattice")
         i = tuple(i) if i is not None else (0,) * ell

@@ -1,11 +1,10 @@
-"""Isomorphism testing, the faithfulness witness, and adjoint-growth probes.
+"""Isomorphism decision, the faithfulness witness, and adjoint-growth probes.
 
-Two algebras are isomorphic exactly when (l1, l2) agree and a block matrix G
-carries one lattice onto the other; the verifier builds the generator map
-that witnesses this and checks it exactly, while the bounded search
-enumerates unimodular coordinate changes and is explicitly allowed to give
-up with ``unknown``.  The generator map is the table of tau = (G, f), built
-by the same code as sigma_tau and applied through the same extension.
+A finitely generated nondegenerate Gamma in Q^l is free of rank l, so two
+algebras are isomorphic exactly when (l1, l2) agree.  The decision builds the
+block matrix G that carries one E1-adapted lattice basis onto the other and
+certifies it with the verifier, which builds the generator map of (G, f) by
+the same code as sigma_tau and checks it exactly.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from .errors import (
     InvariantViolation,
     NotInFD,
     SignatureMismatch,
+    WeylError,
     ZeroElement,
 )
-from .lattice import BlockMatrix, Character
+from .lattice import BlockMatrix, Character, adapted_basis
 from .sampling import random_element
 
 
@@ -41,7 +41,7 @@ from .sampling import random_element
 # ---------------------------------------------------------------------------
 
 def signature_invariants(sig: Signature):
-    """The isomorphism invariants: (l1, l2) and the canonical lattice basis."""
+    """(l1, l2), the complete isomorphism invariant, and the canonical basis."""
     return (sig.ell1, sig.ell2, sig.lattice.basis)
 
 
@@ -134,11 +134,11 @@ def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
 
 @dataclass
 class IsoSearchResult:
-    status: str                      # "found" | "impossible" | "unknown"
+    status: str                      # "found" (G certified) | "impossible" ((l1, l2) differ)
     candidate: IsoCandidate | None = None
     iso: IsoMap | None = None
     reason: str = ""
-    tried: int = 0
+    tried: int = 0                   # certificates verified: 1, or 0 for "impossible"
 
     def to_dict(self) -> dict:
         from .rationals import rational_str
@@ -153,37 +153,27 @@ class IsoSearchResult:
         return out
 
 
-def iso_search_bounded(src: Signature, dst: Signature, bound: int,
+def iso_search_bounded(src: Signature, dst: Signature,
                        trials: int = 20) -> IsoSearchResult:
-    """Search unimodular coordinate changes with entries in [-bound, bound].
-
-    ``impossible`` is certified by the (l1, l2) invariant; ``unknown`` means
-    the budget ran out, not that no isomorphism exists.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    """Decide isomorphism: ``impossible`` when (l1, l2) differ, else ``found``
+    with G = A_dst^{-1} A_src from E1-adapted bases (so Gamma_src . G^{-1} =
+    Gamma_dst), certified by ``iso_verify``; a rejected G raises
+    InvariantViolation."""
     if (src.ell1, src.ell2) != (dst.ell1, dst.ell2):
         return IsoSearchResult(
             "impossible",
             reason=f"(l1, l2) = {(src.ell1, src.ell2)} != {(dst.ell1, dst.ell2)}")
-    tried = 0
-    basis = src.lattice.basis
-    dst_basis = dst.lattice.basis
-    for U in linalg.unimodular_matrices(src.ell, bound):
-        tried += 1
-        # B . G^-1 = U . B'  =>  G = B'^-1 U^-1 B
-        target = linalg.mat_mul(U, dst_basis)
-        g_entries = linalg.mat_mul(linalg.mat_inverse(target), basis)
-        try:
-            G = BlockMatrix(src.ell1, src.ell2, g_entries)
-            cand = IsoCandidate(G, Character.trivial(src.lattice))
-            iso = iso_verify(src, dst, cand, trials=trials)
-        except Exception:
-            continue
-        return IsoSearchResult("found", candidate=cand, iso=iso, tried=tried)
-    return IsoSearchResult("unknown",
-                           reason=f"no block candidate within bound {bound}",
-                           tried=tried)
+    a_src = adapted_basis(src.lattice, src.ell1)
+    a_dst = adapted_basis(dst.lattice, dst.ell1)
+    try:
+        G = BlockMatrix(src.ell1, src.ell2,
+                        linalg.mat_mul(linalg.mat_inverse(a_dst), a_src))
+        cand = IsoCandidate(G, Character.trivial(src.lattice))
+        iso = iso_verify(src, dst, cand, trials=trials)
+    except WeylError as exc:
+        raise InvariantViolation(
+            f"adapted-basis certificate rejected: {type(exc).__name__}: {exc}") from exc
+    return IsoSearchResult("found", candidate=cand, iso=iso, tried=1)
 
 
 # ---------------------------------------------------------------------------

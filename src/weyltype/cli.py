@@ -25,7 +25,7 @@ from .classification import iso_search_bounded
 from .errors import DimensionError, ExprSyntaxError, NotMember, WeylError
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
-from .rationals import as_fraction, rational_str
+from .rationals import as_fraction
 from .selftest import SUITES, run_suites
 from .sampling import desk_signature
 
@@ -94,10 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decompose.add_argument("--aut", required=True, metavar="FILE")
 
     p_iso = sub.add_parser("iso", parents=[common],
-                           help="bounded isomorphism search between two configs")
+                           help="decide isomorphism between two configs")
     p_iso.add_argument("--src", required=True, metavar="CFG")
     p_iso.add_argument("--dst", required=True, metavar="CFG")
-    p_iso.add_argument("--bound", type=int, default=2)
 
     p_self = sub.add_parser("selftest", parents=[common],
                             help="run the property suites")
@@ -199,18 +198,13 @@ def _dispatch(args) -> int:
     if command == "iso":
         src = _signature_from_file(args.src)
         dst = _signature_from_file(args.dst)
-        result = iso_search_bounded(src, dst, bound=args.bound)
+        result = iso_search_bounded(src, dst)
         payload = {"ok": True, **result.to_dict()}
-        if "certificate" in payload:
-            payload["G"] = payload["certificate"]["G"]
-        lines = [f"{result.status.upper()} after {result.tried} candidates"]
+        detail = result.reason
         if result.status == "found":
-            lines.append("G = " + "; ".join(
-                ",".join(rational_str(x) for x in row)
-                for row in result.candidate.G.entries))
-        elif result.reason:
-            lines.append(result.reason)
-        _emit(args, payload, "\n".join(lines))
+            payload["G"] = payload["certificate"]["G"]
+            detail = "G = " + "; ".join(",".join(row) for row in payload["G"])
+        _emit(args, payload, f"{result.status.upper()}\n{detail}")
         return 0
 
     if command == "selftest":

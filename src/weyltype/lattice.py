@@ -115,6 +115,20 @@ class Lattice:
                    [[as_fraction(x) for x in g] for g in data["generators"]])
 
 
+def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ...]:
+    """A Z-basis of Gamma whose first ``ell1`` rows span Gamma ∩ (Q^l1 x 0):
+    the row HNF of the column-reversed basis, with its last ``ell1`` rows
+    (zero past slot l1) moved to the front."""
+    ell = lattice.ambient_dim
+    if not 0 <= ell1 <= ell:
+        raise DimensionMismatch(f"l1 = {ell1} outside 0..{ell}")
+    scale = lattice.denominator
+    flipped = [[int(x * scale) for x in reversed(row)] for row in lattice.basis]
+    rows = [tuple(Fraction(x, scale) for x in reversed(row))
+            for row in linalg.hermite_normal_form(flipped)]
+    return tuple(rows[ell - ell1:] + rows[:ell - ell1])
+
+
 def lattice_from_generators(ambient_dim: int, generators) -> Lattice:
     return Lattice(ambient_dim, generators)
 

@@ -36,7 +36,3 @@ def parse_rational(text: str) -> Fraction:
 
 def vector_strs(vec) -> list[str]:
     return [rational_str(Fraction(x)) for x in vec]
-
-
-def parse_vector(items) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x) for x in items)

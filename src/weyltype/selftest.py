@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 
+from . import linalg
 from .algebra import (
     Element,
     Monomial,
@@ -250,16 +251,22 @@ def suite_iso(sig: Signature, seed: int) -> SuiteResult:
             iso_verify(sig, sig, cand, trials=trials, seed=seed + t)
         except WeylError as exc:
             return _fail("iso", f"candidate {t} rejected: {exc}")
-    other = Signature(2, 0, Lattice(2, ((1, 0), (0, 1))))
-    mismatch = iso_search_bounded(sig, other, bound=1)
-    if mismatch.status != "impossible":
-        return _fail("iso", "invariant mismatch not rejected")
-    self_search = iso_search_bounded(sig, sig, bound=1)
-    if self_search.status != "found":
-        return _fail("iso", "self search found nothing")
+    shape = (0, sig.ell) if sig.ell2 == 0 else (sig.ell, 0)
+    other = Signature(*shape, Lattice(sig.ell, linalg.identity(sig.ell)))
+    # on desk, <(1,0),(0,1/3)>: a target whose certificate is not the identity
+    axes = [list(row) for row in linalg.identity(sig.ell)]
+    axes[-1][-1] = Fraction(1, 3)
+    third = Signature(sig.ell1, sig.ell2, Lattice(sig.ell, axes))
+    try:
+        statuses = [iso_search_bounded(sig, dst).status for dst in (other, sig, third)]
+    except InvariantViolation as exc:
+        return _fail("iso", f"certificate rejected: {exc}")
+    if statuses != ["impossible", "found", "found"]:
+        return _fail("iso", f"decisions {statuses}, expected impossible, found, found")
     return SuiteResult("iso", True,
                        "20 candidates verified (100 products on the first), "
-                       "invariant rejection instant")
+                       "invariant rejection instant, certified self and "
+                       "cross-lattice maps")
 
 
 def suite_faithfulness(sig: Signature, seed: int) -> SuiteResult:

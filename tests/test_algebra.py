@@ -283,6 +283,24 @@ class TestElementBasics:
     def test_scalar_division(self, desk):
         assert desk.d(1) / 2 == desk.d(1, coeff=Fraction(1, 2))
 
+    @pytest.mark.parametrize("name", ["desk", "rank3"])
+    def test_generators_skip_coordinates(self, name, request, monkeypatch):
+        # alpha = 0 has zero coordinates in every lattice; no solve is needed
+        sig = request.getfixturevalue(name)
+        zero = (0,) * sig.ell
+
+        def no_solve(self, v):
+            raise AssertionError("coordinates solved for alpha = 0")
+
+        monkeypatch.setattr(type(sig.lattice), "coordinates", no_solve)
+        for k in (1, 3):
+            for q in range(1, sig.ell + 1):
+                expected = Element(sig, {Monomial(zero, zero, unit_index(sig.ell, q, k)): 2})
+                assert sig.d(q, k, coeff=2) == expected
+            for p in range(1, sig.ell1 + 1):
+                expected = Element(sig, {Monomial(zero, unit_index(sig.ell, p, k), zero): 1})
+                assert sig.x_poly(p, k) == expected
+
 
 class TestElementJson:
     def test_round_trip_bit_exact(self, desk):

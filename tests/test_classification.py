@@ -21,7 +21,9 @@ from weyltype import (
 from weyltype import classification
 from weyltype.errors import (
     BlockShapeViolation,
+    InvariantViolation,
     LatticeNotMapped,
+    NondegenerateViolation,
     NotInFD,
     SignatureMismatch,
     ZeroElement,
@@ -105,41 +107,126 @@ class TestIsoVerify:
             assert iso.apply(a * b) == iso.apply(a) * iso.apply(b)
 
 
+def _random_lattice(rng, ell):
+    while True:
+        gens = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ell)]
+                for _ in range(ell + 1)]
+        try:
+            return Lattice(ell, gens)
+        except NondegenerateViolation:
+            continue
+
+
+_TAU_TABLE = classification._tau_table
+THIRD = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
+
+
 class TestIsoSearch:
     def test_scaled_lattice_found(self):
         a = Signature(0, 2, Lattice(2, [(1, 0), (0, 1)]))
         b = Signature(0, 2, Lattice(2, [(Fraction(1, 2), 0), (0, 1)]))
-        result = iso_search_bounded(a, b, bound=1)
+        result = iso_search_bounded(a, b)
         assert result.status == "found"
+        assert result.tried == 1
         assert result.iso is not None
 
     def test_shape_mismatch_impossible(self, z2):
         other = Signature(2, 0, Lattice(2, [(1, 0), (0, 1)]))
-        result = iso_search_bounded(z2, other, bound=3)
+        result = iso_search_bounded(z2, other)
         assert result.status == "impossible"
         assert result.tried == 0
+        assert result.candidate is None
 
     def test_self_search_found(self, desk):
-        result = iso_search_bounded(desk, desk, bound=1)
+        result = iso_search_bounded(desk, desk)
         assert result.status == "found"
+        assert result.candidate.G.is_identity()
 
-    def test_block_constraint_needs_larger_bound(self):
-        # the only coordinate changes aligning these lattices with the block
-        # shape have an entry of size 2, so bound 1 must give up cleanly
+    def test_block_constraint_pair_found(self):
+        # dst meets Q x 0 in Z(2,0) and src in Z(1,0), so every block
+        # certificate rescales the first axis and has an entry of size 2
         src = Signature(1, 1, Lattice(2, [(1, 0), (0, 1)]))
         dst = Signature(1, 1, Lattice(2, [(1, Fraction(1, 2)), (0, 1)]))
-        narrow = iso_search_bounded(src, dst, bound=1)
-        assert narrow.status == "unknown"
-        assert narrow.tried > 0
-        wide = iso_search_bounded(src, dst, bound=2)
-        assert wide.status == "found"
-        assert wide.iso is not None
+        result = iso_search_bounded(src, dst)
+        assert result.status == "found"
+        iso_verify(src, dst, result.candidate, trials=20, seed=3)
 
     def test_cross_lattice_with_polynomial_slot(self):
         src = Signature(1, 1, Lattice(2, [(1, 0), (0, 1)]))
         dst = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 2))]))
-        result = iso_search_bounded(src, dst, bound=1)
+        result = iso_search_bounded(src, dst)
         assert result.status == "found"
+
+    def test_random_pairs_every_split(self):
+        rng = random.Random(2000)
+        splits = [(ell1, ell - ell1) for ell in range(1, 5) for ell1 in range(ell + 1)]
+        for n in range(60):
+            ell1, ell2 = splits[n % len(splits)]
+            src = Signature(ell1, ell2, _random_lattice(rng, ell1 + ell2))
+            dst = Signature(ell1, ell2, _random_lattice(rng, ell1 + ell2))
+            # generator relations only in the decision; the product law is
+            # re-checked once per pair (one random product at l1 = 4 can
+            # take seconds when the M block is dense)
+            result = iso_search_bounded(src, dst, trials=0)
+            assert result.status == "found", (n, src.lattice, dst.lattice)
+            assert result.tried == 1
+            iso_verify(src, dst, result.candidate, trials=1, seed=n + 1)
+
+    def test_presentation_invariance(self, desk):
+        rng = random.Random(9)
+        expected = iso_search_bounded(desk, THIRD).candidate.G
+        assert not expected.is_identity()
+        for _ in range(5):
+            gens = list(desk.lattice.generators)
+            rng.shuffle(gens)
+            a, b = gens[0], gens[1]
+            k = rng.randint(-3, 3)
+            gens[0] = tuple(x + k * y for x, y in zip(a, b))
+            gens.append(tuple(x - y for x, y in zip(a, b)))
+            remixed = Signature(1, 1, Lattice(2, gens))
+            assert iso_search_bounded(remixed, THIRD).candidate.G == expected
+
+
+def _raising_builder(*args):
+    raise LatticeNotMapped("builder defect")
+
+
+def _wrong_d_builder(dst, G, f, coord_map):
+    x_image, x1_images, d_images = _TAU_TABLE(dst, G, f, coord_map)
+    return x_image, x1_images, [d.scale(2) for d in d_images]
+
+
+BROKEN_BUILDERS = pytest.mark.parametrize(
+    "builder", [_raising_builder, _wrong_d_builder], ids=["raises", "wrong-d-image"])
+
+
+class TestBrokenCertificate:
+    """A defect in the table builder must fail loudly, never read as a
+    rejected candidate."""
+
+    @BROKEN_BUILDERS
+    def test_search_raises(self, desk, monkeypatch, builder):
+        monkeypatch.setattr(classification, "_tau_table", builder)
+        with pytest.raises(InvariantViolation):
+            iso_search_bounded(desk, THIRD)
+
+    @BROKEN_BUILDERS
+    def test_cli_exits_1_with_json_envelope(self, tmp_path, monkeypatch, capsys, builder):
+        import json
+        from weyltype.cli import run_command
+
+        monkeypatch.setattr(classification, "_tau_table", builder)
+        files = []
+        for name, gens in (("desk", [["1", "0"], ["0", "1"], ["1/2", "1/2"]]),
+                           ("third", [["1", "0"], ["0", "1/3"]])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"ell1": 1, "ell2": 1, "gamma_generators": gens}))
+            files.append(str(path))
+        code = run_command(["iso", "--json", "--src", files[0], "--dst", files[1]])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert "InvariantViolation" in payload["error"]
 
 
 class TestFaithfulnessWitness:
@@ -234,7 +321,7 @@ class TestJsonReports:
     def test_search_result_certificate(self, desk):
         import json
 
-        result = iso_search_bounded(desk, desk, bound=1)
+        result = iso_search_bounded(desk, desk)
         blob = json.dumps(result.to_dict())
         data = json.loads(blob)
         assert data["status"] == "found"

@@ -222,21 +222,35 @@ class TestIso:
         code = run_command(["iso", "--src", str(src), "--dst", str(dst)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "IMPOSSIBLE" in out
+        assert out == "IMPOSSIBLE\n(l1, l2) = (1, 1) != (2, 0)\n"
 
-    def test_found_reports_matrix(self, tmp_path, capsys):
+    @pytest.fixture()
+    def scaled_pair(self, tmp_path):
         src = tmp_path / "src.json"
         dst = tmp_path / "dst.json"
         src.write_text(json.dumps({"ell1": 0, "ell2": 2,
                                    "gamma_generators": [["1", "0"], ["0", "1"]]}))
         dst.write_text(json.dumps({"ell1": 0, "ell2": 2,
                                    "gamma_generators": [["1/2", "0"], ["0", "1"]]}))
-        code = run_command(["iso", "--src", str(src), "--dst", str(dst),
-                            "--bound", "1", "--json"])
+        return ["--src", str(src), "--dst", str(dst)]
+
+    def test_found_reports_matrix(self, scaled_pair, capsys):
+        code = run_command(["iso", *scaled_pair, "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "found"
-        assert "G" in payload
+        assert payload["tried"] == 1
+        assert payload["reason"] == ""
+        assert payload["G"] == [["2", "0"], ["0", "1"]]
+        assert payload["certificate"] == {"G": payload["G"], "f": ["1", "1"]}
+
+    def test_found_text(self, scaled_pair, capsys):
+        assert run_command(["iso", *scaled_pair]) == 0
+        assert capsys.readouterr().out == "FOUND\nG = 2,0; 0,1\n"
+
+    def test_bound_flag_is_usage_error(self, scaled_pair, capsys):
+        assert run_command(["iso", "--bound", "1", *scaled_pair]) == 2
+        capsys.readouterr()
 
 
 class TestSelftest:
@@ -259,6 +273,15 @@ class TestSelftest:
         first = capsys.readouterr().out
         assert run_command(["selftest", "--suite", "parser", "--seed", "11"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_iso_suite_without_derivation_slots(self, tmp_path, capsys):
+        # the suite's invariant-mismatch target must have another shape than
+        # the algebra, here (0, 2) for W(2, 0, Gamma)
+        cfg = tmp_path / "w20.json"
+        cfg.write_text(json.dumps({"ell1": 2, "ell2": 0,
+                                   "gamma_generators": [["1", "0"], ["0", "1/2"]]}))
+        assert run_command(["selftest", "--suite", "iso", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("PASS iso")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_command(["selftest", "--suite", "nope"]) == 2

@@ -23,7 +23,8 @@ from weyltype.errors import (
     SingularBasis,
     SingularMatrix,
 )
-from weyltype.linalg import unimodular_matrices, vec_mat
+from weyltype.lattice import adapted_basis
+from weyltype.linalg import mat_det, unimodular_matrices, vec_mat
 
 
 def _rows(lat):
@@ -67,6 +68,43 @@ class TestLatticeFromGenerators:
             remixed = lattice_from_generators(2, gens + [extra])
             assert remixed.basis == base.basis
             assert remixed == base
+
+
+ADAPTED_CASES = [
+    (2, [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))]),
+    (2, [(1, Fraction(1, 2)), (0, 1)]),
+    (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(1, 2), Fraction(1, 2), 0)]),
+    (3, [(Fraction(2, 3), 1, Fraction(-1, 2)), (0, Fraction(1, 4), 3), (1, 1, 1)]),
+    (4, [(1, 2, 0, Fraction(1, 3)), (0, Fraction(1, 2), 1, 0), (Fraction(3, 4), 0, 1, 1),
+         (0, 0, Fraction(1, 5), 2), (1, 1, 1, 1)]),
+]
+
+
+class TestAdaptedBasis:
+    @pytest.mark.parametrize("ell, gens", ADAPTED_CASES)
+    def test_first_rows_span_the_e1_part(self, ell, gens):
+        lat = Lattice(ell, gens)
+        for ell1 in range(ell + 1):
+            rows = adapted_basis(lat, ell1)
+            assert len(rows) == ell
+            assert Lattice(ell, rows) == lat
+            for row in rows[:ell1]:
+                assert all(x == 0 for x in row[ell1:])
+            # an invertible trailing block on the other rows forces every
+            # lattice point of Q^l1 x 0 into the span of the first l1 rows
+            trailing = tuple(row[ell1:] for row in rows[ell1:])
+            assert ell1 == ell or mat_det(trailing) != 0
+
+    def test_e1_part_of_a_skew_lattice(self):
+        # <(1,1/2),(0,1)> meets Q x 0 in Z(2,0); neither canonical row lies there
+        lat = Lattice(2, [(1, Fraction(1, 2)), (0, 1)])
+        assert adapted_basis(lat, 1)[0] == (2, 0)
+
+    def test_split_out_of_range(self):
+        lat = Lattice(2, [(1, 0), (0, 1)])
+        for ell1 in (-1, 3):
+            with pytest.raises(DimensionMismatch):
+                adapted_basis(lat, ell1)
 
 
 class TestCoordinates:

@@ -12,6 +12,13 @@ The product is the bilinear extension of
 
 with d_p acting on the commutative part as grading by the p-th ambient
 coordinate plus, for p <= l1, lowering of the polynomial index.
+
+The product runs on integers. Grading eigenvalues lie in (1/D)Z with
+D = lattice.denominator, so the d^lam tables hold numerators over D^|lam|
+and every coefficient of a . b is an integer over da * db * D^top, where
+da and db clear the coefficient denominators of a and b and top is the
+highest level in a. One Fraction is built per output term; the action on
+A and derivation_apply are the level-0 part of the same kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb
+from math import comb, lcm, prod
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -37,11 +45,6 @@ from .rationals import as_fraction, rational_str
 # ---------------------------------------------------------------------------
 # multi-indices
 # ---------------------------------------------------------------------------
-
-def level(mu) -> int:
-    """|mu|, the total derivation degree."""
-    return sum(mu)
-
 
 def multi_binomial(mu, nu) -> int:
     """Product of componentwise binomials; 0 as soon as some nu_p > mu_p."""
@@ -305,80 +308,83 @@ class Element:
 # derivation actions and the product
 # ---------------------------------------------------------------------------
 
-def _derive_A_terms(sig: Signature, terms: dict, p: int) -> dict:
-    """Apply the 0-based derivation d_p to A-part term data {(alpha, i): coeff}."""
-    out: dict = {}
-    lattice = sig.lattice
-    for (al, i), c in terms.items():
-        grade = lattice.ambient(al)[p]
-        if grade:
-            key = (al, i)
-            out[key] = out.get(key, Fraction(0)) + c * grade
-        if p < sig.ell1 and i[p] > 0:
-            low = list(i)
-            low[p] -= 1
-            key = (al, tuple(low))
-            out[key] = out.get(key, Fraction(0)) + c * i[p]
-    return {k: v for k, v in out.items() if v != 0}
+def _numerators(e: Element) -> tuple[int, dict]:
+    """(den, {monomial: integer numerator}) with every coefficient of e = n / den."""
+    den = lcm(*(c.denominator for c in e.terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in e.terms.items()}
 
 
-def _mul_elements(a: Element, b: Element) -> Element:
+def _d_lam(sig: Signature, memo: dict, al, grade, i0, lam) -> dict:
+    """d^lam(x^{al,i0}) as {i: n}, the coefficient of x^{al,i} being n / D^|lam|.
+
+    With ``grade`` = D * ambient(al), d_p multiplies n by grade[p] and lowers
+    i_p with the factor i_p * D. Memoized in ``memo`` under (al, i0, lam)."""
+    key = (al, i0, lam)
+    table = memo.get(key)
+    if table is not None:
+        return table
+    if not any(lam):
+        table = {i0: 1}
+    else:
+        p = next(idx for idx, v in enumerate(lam) if v)
+        prev = _d_lam(sig, memo, al, grade, i0, lam[:p] + (lam[p] - 1,) + lam[p + 1:])
+        g, lowers, D = grade[p], p < sig.ell1, sig.lattice.denominator
+        table = {}
+        for i, n in prev.items():
+            if g:
+                table[i] = table.get(i, 0) + n * g
+            if lowers and i[p]:
+                low = i[:p] + (i[p] - 1,) + i[p + 1:]
+                table[low] = table.get(low, 0) + n * i[p] * D
+        table = {i: n for i, n in table.items() if n}
+    memo[key] = table
+    return table
+
+
+def _mul_elements(a: Element, b: Element, action: bool = False) -> Element:
+    """a . b, or with ``action`` (b in A) its level-0 part: the lam = mu
+    terms, which make up the action of a on b. Each lam is scaled by
+    binom(mu, lam) * D^(top - |lam|) onto the common denominator."""
     a._require_same(b)
     sig = a.signature
+    if not a.terms or not b.terms:
+        return sig.zero()
+    ell1, lattice = sig.ell1, sig.lattice
+    da, a_num = _numerators(a)
+    db, b_num = _numerators(b)
+    top = a.max_level()
+    powers = [lattice.denominator ** k for k in range(top + 1)]
+    b_terms = []
+    for (al, i, mu), n in b_num.items():
+        grade = lattice.grades(al)
+        # d_p^k(x^{al,i}) vanishes past the polynomial index when the grading
+        # eigenvalue is zero, so cap the expansion there
+        caps = tuple(top if g else (i[p] if p < ell1 else 0) for p, g in enumerate(grade))
+        b_terms.append((al, i, mu, n, grade, caps))
     out: dict = {}
     memo: dict = {}
-
-    def derived(mkey, lam):
-        # d^lam of b's A-part, built one derivation at a time and memoized
-        entry = memo.get((mkey, lam))
-        if entry is None:
-            if not any(lam):
-                entry = {mkey: Fraction(1)}
-            else:
-                p = next(idx for idx, v in enumerate(lam) if v)
-                prev = list(lam)
-                prev[p] -= 1
-                entry = _derive_A_terms(sig, derived(mkey, tuple(prev)), p)
-            memo[(mkey, lam)] = entry
-        return entry
-
-    for (al1, i1, mu1), c1 in a.terms.items():
-        for (al2, i2, mu2), c2 in b.terms.items():
-            amb2 = sig.lattice.ambient(al2)
-            # d_p^k(x^{al2,i2}) vanishes past the polynomial index when the
-            # grading eigenvalue is zero, so cap the expansion there
-            bounds = tuple(
-                mu1[p] if amb2[p] != 0
-                else (min(mu1[p], i2[p]) if p < sig.ell1 else 0)
-                for p in range(sig.ell))
-            c12 = c1 * c2
-            for lam in _bounded_multi_indices(bounds):
-                table = derived((al2, i2), lam)
+    for (al1, i1, mu1), n1 in a_num.items():
+        for al2, i2, mu2, n2, grade, caps in b_terms:
+            alpha = tuple(map(add, al1, al2))
+            mu12 = tuple(map(add, mu1, mu2))
+            n12 = n1 * n2
+            lams = (mu1,) if action else _bounded_multi_indices(map(min, mu1, caps))
+            for lam in lams:
+                table = _d_lam(sig, memo, al2, grade, i2, lam)
                 if not table:
                     continue
-                mu_out = tuple(m1 + m2 - l for m1, m2, l in zip(mu1, mu2, lam))
-                base = c12 * multi_binomial(mu1, lam)
-                for (al, i), q in table.items():
-                    key = Monomial(tuple(x + y for x, y in zip(al1, al)),
-                                   tuple(x + y for x, y in zip(i1, i)),
-                                   mu_out)
-                    out[key] = out.get(key, Fraction(0)) + base * q
-    return Element(sig, out, _checked=True)
+                mu_out = tuple(map(sub, mu12, lam))
+                base = n12 * prod(map(comb, mu1, lam)) * powers[top - sum(lam)]
+                for i, n in table.items():
+                    key = Monomial(alpha, tuple(map(add, i1, i)), mu_out)
+                    out[key] = out.get(key, 0) + base * n
+    den = da * db * powers[top]
+    return Element(sig, {m: Fraction(n, den) for m, n in out.items() if n}, _checked=True)
 
 
 def derivation_apply(sig: Signature, lam, target: Element) -> Element:
     """Apply d^lam to an element of A; the result stays in A."""
-    if not target.in_A():
-        raise NotInA("target must have no derivation part")
-    if len(lam) != sig.ell:
-        raise DimensionMismatch("multi-index length differs from l")
-    terms = {(m.alpha, m.i): c for m, c in target.terms.items()}
-    for p, k in enumerate(lam):
-        for _ in range(k):
-            terms = _derive_A_terms(sig, terms, p)
-    zero_mu = (0,) * sig.ell
-    return Element(sig, {Monomial(al, i, zero_mu): c for (al, i), c in terms.items()},
-                   _checked=True)
+    return act_on_A(sig.monomial(mu=lam), target)
 
 
 def act_on_A(w: Element, a: Element) -> Element:
@@ -386,21 +392,7 @@ def act_on_A(w: Element, a: Element) -> Element:
     w._require_same(a)
     if not a.in_A():
         raise NotInA("the acted-on element must lie in A")
-    sig = w.signature
-    a_terms = {(m.alpha, m.i): c for m, c in a.terms.items()}
-    out: dict = {}
-    zero_mu = (0,) * sig.ell
-    for (al, i, mu), c in w.terms.items():
-        derived = dict(a_terms)
-        for p, k in enumerate(mu):
-            for _ in range(k):
-                derived = _derive_A_terms(sig, derived, p)
-        for (al2, i2), q in derived.items():
-            key = Monomial(tuple(x + y for x, y in zip(al, al2)),
-                           tuple(x + y for x, y in zip(i, i2)),
-                           zero_mu)
-            out[key] = out.get(key, Fraction(0)) + c * q
-    return Element(sig, out, _checked=True)
+    return _mul_elements(w, a, action=True)
 
 
 def change_D_basis(sig: Signature, C, w: Element) -> Element:
@@ -483,12 +475,14 @@ def element_to_dict(e: Element) -> dict:
 
 def element_from_dict(data: dict, signature: Signature | None = None) -> Element:
     sig = signature if signature is not None else Signature.from_dict(data["signature"])
-    out = sig.zero()
+    out: dict = {}
     for t in data["terms"]:
-        out = out + sig.monomial(
+        term = sig.monomial(
             alpha=[as_fraction(x) for x in t["alpha"]],
             i=[int(x) for x in t["i"]],
             mu=[int(x) for x in t["mu"]],
             coeff=as_fraction(t["coeff"]),
         )
-    return out
+        for m, c in term.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return Element(sig, out, _checked=True)

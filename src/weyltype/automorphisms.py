@@ -292,11 +292,13 @@ class InnerExp:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
         sig = self.signature
-        # built per call: one derivation pass over u is cheap, while a kept
-        # table would hold every d_q(u) for as long as the automorphism lives
-        d_images = [generator_element(sig, ("d", q))
-                    - derivation_apply(sig, unit_index(sig.ell, q), self.u)
-                    for q in range(1, sig.ell + 1)]
+        # built per call and only for the d_q that occur in w: a derivation
+        # pass over u is cheap, while a kept table would hold every d_q(u)
+        # for as long as the automorphism lives
+        used = {q for m in w.terms for q, k in enumerate(m.mu) if k}
+        d_images = [generator_element(sig, ("d", q + 1))
+                    - derivation_apply(sig, unit_index(sig.ell, q + 1), self.u)
+                    if q in used else None for q in range(sig.ell)]
         x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
         return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
 
@@ -374,13 +376,13 @@ def apply_sigma1(sig: Signature, w: Element) -> Element:
     if w.signature != sig:
         raise SignatureMismatch("element belongs to a different algebra")
     zero = (0,) * sig.ell
-    out = sig.zero()
+    out: dict = {}
     for (al, i, mu), c in w.terms.items():
-        d_part = Element(sig, {Monomial(zero, zero, mu): Fraction(1)})
+        d_part = Element(sig, {Monomial(zero, zero, mu): -c * (-1) ** sum(mu)})
         a_part = Element(sig, {Monomial(al, i, zero): Fraction(1)})
-        sign = -((-1) ** sum(mu))
-        out = out + (d_part * a_part).scale(c * sign)
-    return out
+        for m, v in (d_part * a_part).terms.items():
+            out[m] = out.get(m, Fraction(0)) + v
+    return Element(sig, out, _checked=True)
 
 
 class Sigma1:

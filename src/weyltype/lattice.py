@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -32,7 +33,7 @@ class Lattice:
     """A rank-l subgroup of Q^l with a canonical Z-basis (rows of ``basis``)."""
 
     __slots__ = ("ambient_dim", "generators", "basis", "denominator",
-                 "_inverse", "_ambient_cache")
+                 "integer_basis", "_inverse")
 
     def __init__(self, ambient_dim: int, generators):
         if ambient_dim < 1:
@@ -62,8 +63,9 @@ class Lattice:
         self.generators = gens
         self.basis = basis
         self.denominator = denominator
+        # the integer grading rows denominator * basis
+        self.integer_basis = tuple(tuple(int(x * denominator) for x in row) for row in basis)
         self._inverse = None
-        self._ambient_cache = {}
 
     @property
     def basis_inverse(self):
@@ -82,14 +84,16 @@ class Lattice:
             return None
         return tuple(int(c) for c in coords)
 
+    def grades(self, coords) -> tuple[int, ...]:
+        """denominator * the lattice point with the given integer basis coordinates."""
+        if len(coords) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"{len(coords)} coordinates in ambient dimension {self.ambient_dim}")
+        return tuple(sum(map(mul, coords, column)) for column in zip(*self.integer_basis))
+
     def ambient(self, coords) -> tuple[Fraction, ...]:
         """The lattice point with the given integer basis coordinates."""
-        coords = tuple(coords)
-        cached = self._ambient_cache.get(coords)
-        if cached is None:
-            cached = linalg.vec_mat(tuple(Fraction(c) for c in coords), self.basis)
-            self._ambient_cache[coords] = cached
-        return cached
+        return tuple(Fraction(n, self.denominator) for n in self.grades(coords))
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -122,9 +126,8 @@ def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ..
     ell = lattice.ambient_dim
     if not 0 <= ell1 <= ell:
         raise DimensionMismatch(f"l1 = {ell1} outside 0..{ell}")
-    scale = lattice.denominator
-    flipped = [[int(x * scale) for x in reversed(row)] for row in lattice.basis]
-    rows = [tuple(Fraction(x, scale) for x in reversed(row))
+    flipped = [row[::-1] for row in lattice.integer_basis]
+    rows = [tuple(Fraction(x, lattice.denominator) for x in reversed(row))
             for row in linalg.hermite_normal_form(flipped)]
     return tuple(rows[ell - ell1:] + rows[:ell - ell1])
 

@@ -7,6 +7,8 @@ import pytest
 
 from weyltype import (
     Element,
+    Lattice,
+    Signature,
     act_on_A,
     alternating_binomial_sum,
     change_D_basis,
@@ -122,6 +124,131 @@ class TestProduct:
     def test_signature_mismatch(self, w10, w01):
         with pytest.raises(SignatureMismatch):
             w10.one() * w01.one()
+
+
+# The Fraction product the integer kernel replaced, kept as the reference:
+# one Fraction multiply and add per (term pair, lam, table entry).
+
+def _ref_derive_A_terms(sig, terms, p):
+    out = {}
+    for (al, i), c in terms.items():
+        grade = sig.lattice.ambient(al)[p]
+        if grade:
+            out[(al, i)] = out.get((al, i), Fraction(0)) + c * grade
+        if p < sig.ell1 and i[p] > 0:
+            low = list(i)
+            low[p] -= 1
+            key = (al, tuple(low))
+            out[key] = out.get(key, Fraction(0)) + c * i[p]
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_mul(a, b):
+    sig = a.signature
+    out, memo = {}, {}
+
+    def derived(mkey, lam):
+        entry = memo.get((mkey, lam))
+        if entry is None:
+            if not any(lam):
+                entry = {mkey: Fraction(1)}
+            else:
+                p = next(idx for idx, v in enumerate(lam) if v)
+                prev = list(lam)
+                prev[p] -= 1
+                entry = _ref_derive_A_terms(sig, derived(mkey, tuple(prev)), p)
+            memo[(mkey, lam)] = entry
+        return entry
+
+    for (al1, i1, mu1), c1 in a.terms.items():
+        for (al2, i2, mu2), c2 in b.terms.items():
+            amb2 = sig.lattice.ambient(al2)
+            bounds = tuple(
+                mu1[p] if amb2[p] != 0
+                else (min(mu1[p], i2[p]) if p < sig.ell1 else 0)
+                for p in range(sig.ell))
+            for lam in cartesian(*(range(b + 1) for b in bounds)):
+                mu_out = tuple(m1 + m2 - l for m1, m2, l in zip(mu1, mu2, lam))
+                base = c1 * c2 * multi_binomial(mu1, lam)
+                for (al, i), q in derived((al2, i2), lam).items():
+                    key = Monomial(tuple(x + y for x, y in zip(al1, al)),
+                                   tuple(x + y for x, y in zip(i1, i)), mu_out)
+                    out[key] = out.get(key, Fraction(0)) + base * q
+    return Element(sig, out, _checked=True)
+
+
+def _ref_act_on_A(w, a):
+    sig = w.signature
+    out = {}
+    zero = (0,) * sig.ell
+    for (al, i, mu), c in w.terms.items():
+        derived = {(m.alpha, m.i): q for m, q in a.terms.items()}
+        for p, k in enumerate(mu):
+            for _ in range(k):
+                derived = _ref_derive_A_terms(sig, derived, p)
+        for (al2, i2), q in derived.items():
+            key = Monomial(tuple(x + y for x, y in zip(al, al2)),
+                           tuple(x + y for x, y in zip(i, i2)), zero)
+            out[key] = out.get(key, Fraction(0)) + c * q
+    return Element(sig, out, _checked=True)
+
+
+F = Fraction
+KERNEL_CASES = {
+    # (l1, l2), generators, lattice denominator
+    "z2-(1,1)-D1": (1, 1, [(1, 0), (0, 1)], 1),
+    "rank3-(1,2)-D2": (1, 2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 2), F(1, 2), 0)], 2),
+    "(2,1)-D12": (2, 1, [(F(1, 3), 0, 0), (0, 1, F(1, 4)), (0, 0, 1)], 12),
+    "(0,2)-D35": (0, 2, [(1, 0), (F(1, 5), F(1, 7))], 35),
+    "(2,0)-D35": (2, 0, [(1, 0), (F(1, 5), F(1, 7))], 35),
+    "(2,0)-D2": (2, 0, [(F(1, 2), 0), (0, 1)], 2),
+}
+
+
+def _same(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestIntegerKernel:
+    """Product, bracket, derivation_apply and act_on_A against the Fraction
+    reference on seeded random elements of levels 0..5."""
+
+    @pytest.fixture(params=sorted(KERNEL_CASES), scope="class")
+    def case(self, request):
+        ell1, ell2, gens, den = KERNEL_CASES[request.param]
+        sig = Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
+        assert sig.lattice.denominator == den
+        rng = random.Random(sorted(KERNEL_CASES).index(request.param))
+        elems = [sig.zero(), sig.one(), sig.scalar(F(-3, 4))]
+        elems += [random_element(sig, rng, max_terms=rng.randint(1, 3),
+                                 max_level=rng.randint(0, 5)) for _ in range(14)]
+        elems.append(random_element(sig, rng, max_terms=2, max_level=5))
+        return sig, elems
+
+    def test_product_and_bracket(self, case):
+        sig, elems = case
+        rng = random.Random(20)
+        for a in elems:
+            for b in rng.sample(elems, 6) + [elems[0], elems[2]]:
+                ab, ba = _ref_mul(a, b), _ref_mul(b, a)
+                _same(a * b, ab)
+                assert list((a * b).terms) == list(ab.terms)
+                _same(a.bracket(b), ab - ba)
+
+    def test_action_and_derivation_apply(self, case):
+        sig, elems = case
+        rng = random.Random(21)
+        targets = [sig.zero(), sig.scalar(F(5, 2))] + [
+            random_element(sig, rng, max_level=0) for _ in range(6)]
+        for w in elems:
+            for a in targets:
+                _same(act_on_A(w, a), _ref_act_on_A(w, a))
+        for a in targets:
+            for _ in range(4):
+                lam = tuple(rng.randint(0, 5) for _ in range(sig.ell))
+                d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
+                _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
 
 
 class TestBracket:

@@ -132,6 +132,25 @@ class TestCoordinates:
             n = (rng.randint(-4, 4), rng.randint(-4, 4))
             assert lat.coordinates(lat.ambient(n)) == n
 
+    def test_ambient_is_stateless(self):
+        lat = lattice_from_generators(2, [(1, 0), (Fraction(1, 5), Fraction(1, 7))])
+        assert "_ambient_cache" not in Lattice.__slots__
+        assert lat.integer_basis == ((7, 5), (0, 25))
+        state = {s: getattr(lat, s) for s in Lattice.__slots__}
+        rng = random.Random(4)
+        for _ in range(20):
+            n = (rng.randint(-4, 4), rng.randint(-4, 4))
+            point = lat.ambient(n)
+            assert point == vec_mat(n, lat.basis)
+            assert all(type(x) is Fraction for x in point)
+            assert lat.grades(n) == tuple(x * lat.denominator for x in point)
+        assert {s: getattr(lat, s) for s in Lattice.__slots__} == state
+
+    def test_ambient_dimension_mismatch(self):
+        lat = lattice_from_generators(2, [(1, 0), (0, 1)])
+        with pytest.raises(DimensionMismatch):
+            lat.ambient((1, 0, 0))
+
 
 class TestDualBasis:
     def test_standard_unit_vectors(self):

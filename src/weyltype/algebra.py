@@ -19,6 +19,12 @@ and every coefficient of a . b is an integer over da * db * D^top, where
 da and db clear the coefficient denominators of a and b and top is the
 highest level in a. One Fraction is built per output term; the action on
 A and derivation_apply are the level-0 part of the same kernel.
+
+A left term with mu = 0 needs no Leibniz sum: u . v d^nu = (uv) d^nu, so
+the kernel attaches it by a plain convolution of numerators (``_convolve``),
+the same loop the homomorphic extension of ``automorphisms`` uses.  The
+bracket runs a . b and b . a, the latter with the opposite sign, in one
+pass over one numerator dict over da * db * D^max(top_a, top_b).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
 )
 from . import linalg
 from .lattice import Lattice
-from .rationals import as_fraction, rational_str
+from .rationals import as_fraction, point_str, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +144,21 @@ class Signature:
     def check_monomial(self, m: Monomial):
         ell = self.ell
         if len(m.alpha) != ell or len(m.i) != ell or len(m.mu) != ell:
-            raise DimensionMismatch(f"monomial {m} does not match l = {ell}")
-        if any(x < 0 for x in m.i) or any(x < 0 for x in m.mu):
-            raise ValueError(f"negative exponent in {m}")
-        if any(m.i[p] for p in range(self.ell1, ell)):
             raise DimensionMismatch(
-                f"polynomial index of {m} extends past slot {self.ell1}")
+                f"monomial with {self._monomial_text(m)} does not match l = {ell}")
+        if any(x < 0 for x in m.i) or any(x < 0 for x in m.mu):
+            raise ValueError(f"negative exponent in the monomial with {self._monomial_text(m)}")
+        if any(m.i[p] for p in range(self.ell1, ell)):
+            raise DimensionMismatch(f"polynomial index of the monomial with "
+                                    f"{self._monomial_text(m)} extends past slot {self.ell1}")
+
+    def _monomial_text(self, m: Monomial) -> str:
+        """alpha as a lattice point (its coordinates if their count is off), i and mu."""
+        if len(m.alpha) == self.ell:
+            alpha = point_str(self.lattice.ambient(m.alpha))
+        else:
+            alpha = f"at lattice coordinates {point_str(m.alpha)}"
+        return f"alpha {alpha}, i {point_str(m.i)}, mu {point_str(m.mu)}"
 
     # -- element constructors ------------------------------------------------
 
@@ -162,7 +177,7 @@ class Signature:
         ell = self.ell
         coords = (0,) * ell if alpha is None else self.lattice.coordinates(alpha)
         if coords is None:
-            raise NotMember(f"{alpha} is not a point of the lattice")
+            raise NotMember(f"{point_str(alpha)} is not a point of the lattice")
         i = tuple(i) if i is not None else (0,) * ell
         mu = tuple(mu) if mu is not None else (0,) * ell
         m = Monomial(coords, i, mu)
@@ -270,8 +285,8 @@ class Element:
         return self.scale(Fraction(1) / as_fraction(other))
 
     def bracket(self, other: "Element") -> "Element":
-        """The commutator self . other - other . self."""
-        return _mul_elements(self, other) - _mul_elements(other, self)
+        """The commutator self . other - other . self, in one kernel pass."""
+        return _mul_elements(self, other, bracket=True)
 
     # -- structure queries ------------------------------------------------------
 
@@ -341,29 +356,42 @@ def _d_lam(sig: Signature, memo: dict, al, grade, i0, lam) -> dict:
     return table
 
 
-def _mul_elements(a: Element, b: Element, action: bool = False) -> Element:
-    """a . b, or with ``action`` (b in A) its level-0 part: the lam = mu
-    terms, which make up the action of a on b. Each lam is scaled by
-    binom(mu, lam) * D^(top - |lam|) onto the common denominator."""
-    a._require_same(b)
-    sig = a.signature
-    if not a.terms or not b.terms:
-        return sig.zero()
+def _convolve(out: dict, al, i, n: int, terms) -> None:
+    """Add n * x^{al,i} . t for every (t, n_t) in ``terms`` to ``out``.
+
+    Left multiplication by an element of A has no Leibniz part:
+    x^{al,i} . x^{al2,i2} d^mu = x^{al+al2, i+i2} d^mu, so the numerators
+    just multiply.  The product kernel and ``_hom_extend`` both attach
+    their A-parts through this one loop."""
+    for (al2, i2, mu2), n2 in terms:
+        key = Monomial(tuple(map(add, al, al2)), tuple(map(add, i, i2)), mu2)
+        out[key] = out.get(key, 0) + n * n2
+
+
+def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
+                powers: list, scale: int = 1, action: bool = False) -> None:
+    """Add scale * a . b, or with ``action`` its level-0 part, to ``out`` as
+    numerators over D^top (top = len(powers) - 1, at least the level of a).
+
+    A left term with mu = 0 is a convolution; the others run the Leibniz
+    sum, each lam scaled by binom(mu, lam) * D^(top - |lam|)."""
     ell1, lattice = sig.ell1, sig.lattice
-    da, a_num = _numerators(a)
-    db, b_num = _numerators(b)
-    top = a.max_level()
-    powers = [lattice.denominator ** k for k in range(top + 1)]
-    b_terms = []
-    for (al, i, mu), n in b_num.items():
-        grade = lattice.grades(al)
-        # d_p^k(x^{al,i}) vanishes past the polynomial index when the grading
-        # eigenvalue is zero, so cap the expansion there
-        caps = tuple(top if g else (i[p] if p < ell1 else 0) for p, g in enumerate(grade))
-        b_terms.append((al, i, mu, n, grade, caps))
-    out: dict = {}
-    memo: dict = {}
+    top = len(powers) - 1
+    b_terms = None
     for (al1, i1, mu1), n1 in a_num.items():
+        n1 *= scale
+        if not any(mu1):
+            _convolve(out, al1, i1, n1 * powers[top], b_num.items())
+            continue
+        if b_terms is None:
+            b_terms = []
+            for (al, i, mu), n in b_num.items():
+                grade = lattice.grades(al)
+                # d_p^k(x^{al,i}) vanishes past the polynomial index when the
+                # grading eigenvalue is zero, so cap the expansion there
+                caps = tuple(top if g else (i[p] if p < ell1 else 0)
+                             for p, g in enumerate(grade))
+                b_terms.append((al, i, mu, n, grade, caps))
         for al2, i2, mu2, n2, grade, caps in b_terms:
             alpha = tuple(map(add, al1, al2))
             mu12 = tuple(map(add, mu1, mu2))
@@ -378,8 +406,32 @@ def _mul_elements(a: Element, b: Element, action: bool = False) -> Element:
                 for i, n in table.items():
                     key = Monomial(alpha, tuple(map(add, i1, i)), mu_out)
                     out[key] = out.get(key, 0) + base * n
-    den = da * db * powers[top]
+
+
+def _from_numerators(sig: Signature, out: dict, den: int) -> Element:
+    """The element with coefficients n / den, one Fraction per nonzero term."""
     return Element(sig, {m: Fraction(n, den) for m, n in out.items() if n}, _checked=True)
+
+
+def _mul_elements(a: Element, b: Element, action: bool = False,
+                  bracket: bool = False) -> Element:
+    """a . b; with ``action`` (b in A) its level-0 part, the lam = mu terms,
+    which make up the action of a on b; with ``bracket`` a . b - b . a in one
+    pass, over da * db * D^max(top_a, top_b) and with one d^lam memo."""
+    a._require_same(b)
+    sig = a.signature
+    if not a.terms or not b.terms:
+        return sig.zero()
+    da, a_num = _numerators(a)
+    db, b_num = _numerators(b)
+    top = max(a.max_level(), b.max_level()) if bracket else a.max_level()
+    powers = [sig.lattice.denominator ** k for k in range(top + 1)]
+    out: dict = {}
+    memo: dict = {}
+    _accumulate(out, memo, sig, a_num, b_num, powers, action=action)
+    if bracket:
+        _accumulate(out, memo, sig, b_num, a_num, powers, scale=-1)
+    return _from_numerators(sig, out, da * db * powers[top])
 
 
 def derivation_apply(sig: Signature, lam, target: Element) -> Element:

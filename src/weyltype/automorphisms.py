@@ -11,9 +11,13 @@ Four families generate everything:
 The first three, and the isomorphism maps of ``classification``, are algebra
 homomorphisms fixed by the images of x^alpha, x^{1_[p]} and d_q.  Each
 applies its generator table through the one extension ``_hom_extend``.
-sigma_tau and the isomorphism maps share the table builder for
-tau = (G, f); sigma_tau and sigma_v keep their table from the first apply
-on.  exp(ad u) is the table d_q -> d_q + [u, d_q] with A fixed, not a series.
+Every table sends x^alpha and x^{1_[p]} into A, so the image of
+x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of A times the
+product of the d_q-image powers; the extension builds each D(mu) once per
+call and attaches the A-part by an integer convolution.  sigma_tau and the
+isomorphism maps share the table builder for tau = (G, f); sigma_tau and
+sigma_v keep their table from the first apply on.  exp(ad u) is the table
+d_q -> d_q + [u, d_q] with A fixed, not a series.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
@@ -25,12 +29,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import (
     Element,
     Monomial,
     Signature,
+    _convolve,
+    _from_numerators,
+    _numerators,
     derivation_apply,
     element_from_dict,
     element_to_dict,
@@ -46,7 +54,7 @@ from .errors import (
     Sigma1NotSupported,
 )
 from .lattice import BlockMatrix, Character
-from .rationals import as_fraction, rational_str
+from .rationals import as_fraction, point_str, rational_str
 from .sampling import random_element
 
 MODE_LIE = "lie"
@@ -118,14 +126,21 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
     """Extend generator images multiplicatively over w.
 
     The table is ``x_image``, a function from lattice coordinates alpha to
-    the image of x^alpha, plus the image lists of x^{1_[p]} and d_q.  Each
-    monomial factors as x^alpha, then ascending polynomial generator powers,
-    then ascending derivation powers; the images are multiplied in that
-    fixed order and summed into one term dict.
+    the image of x^alpha, plus the image lists of x^{1_[p]} and d_q.  The
+    image of x^{alpha,i} d^mu is A(alpha,i) . D(mu): A(alpha,i) is the image
+    of x^alpha times the ascending powers of the x^{1_[p]} images, an element
+    of A, and D(mu) the ascending powers of the d_q images multiplied left to
+    right, built once per distinct mu.  Left multiplication by an element of
+    A is a convolution, so every A-part is built and attached on integer
+    numerators over one common denominator, with one Fraction per output
+    term.  By associativity this is the ordered product of the images.  It
+    needs the x- and xi-images in A and raises InvariantViolation otherwise.
     """
     sig = w.signature
-    out: dict = {}
+    zero = (0,) * sig.ell
     powers: dict = {}
+    xi_parts: dict = {}
+    d_parts: dict = {zero: (1, {Monomial(zero, zero, zero): 1})}
 
     def power(tag, base: Element, k: int) -> Element:
         cached = powers.get((tag, k))
@@ -134,17 +149,40 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
             powers[(tag, k)] = cached
         return cached
 
+    def a_part(e: Element, gen: tuple) -> tuple[int, dict]:
+        if not e.in_A():
+            raise InvariantViolation(f"the table's image of generator {gen} is not in A")
+        return _numerators(e)
+
+    parts = []
     for (al, i, mu), c in w.terms.items():
-        acc = x_image(al)
+        den, a_num = a_part(x_image(al), ("x", al))
         for p in range(sig.ell1):
             if i[p]:
-                acc = acc * power(("xi", p), x1_images[p], i[p])
-        for q in range(sig.ell):
-            if mu[q]:
-                acc = acc * power(("d", q), d_images[q], mu[q])
-        for m, v in acc.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c * v
-    return Element(out_sig, out, _checked=True)
+                xi = xi_parts.get((p, i[p]))
+                if xi is None:
+                    xi = xi_parts[(p, i[p])] = a_part(
+                        power(("xi", p), x1_images[p], i[p]), ("xi", p + 1))
+                prod_num: dict = {}
+                for (al1, i1, _), n in a_num.items():
+                    _convolve(prod_num, al1, i1, n, xi[1].items())
+                den, a_num = den * xi[0], prod_num
+        d_part = d_parts.get(mu)
+        if d_part is None:
+            d_mu = None
+            for q in range(sig.ell):
+                if mu[q]:
+                    d_q = power(("d", q), d_images[q], mu[q])
+                    d_mu = d_q if d_mu is None else d_mu * d_q
+            d_part = d_parts[mu] = _numerators(d_mu)
+        parts.append((c, den * d_part[0], a_num, d_part[1]))
+    common = lcm(*(c.denominator * den for c, den, _, _ in parts))
+    out: dict = {}
+    for c, den, a_num, d_num in parts:
+        scale = c.numerator * (common // (c.denominator * den))
+        for (al, i, _), n in a_num.items():
+            _convolve(out, al, i, scale * n, d_num.items())
+    return _from_numerators(out_sig, out, common)
 
 
 def _fixed_x_image(sig: Signature):
@@ -162,10 +200,11 @@ def _lattice_map(src: Signature, dst: Signature, G: BlockMatrix) -> tuple:
     g_inv = linalg.mat_inverse(G.entries)
     rows = []
     for b in src.lattice.basis:
-        coords = dst.lattice.coordinates(linalg.vec_mat(b, g_inv))
+        image = linalg.vec_mat(b, g_inv)
+        coords = dst.lattice.coordinates(image)
         if coords is None:
-            raise LatticeNotMapped(
-                f"basis row {b} . G^-1 is not a point of the target lattice")
+            raise LatticeNotMapped(f"basis row {point_str(b)} . G^-1 = {point_str(image)} "
+                                   "is not a point of the target lattice")
         rows.append(coords)
     if abs(linalg.mat_det(rows)) != 1:
         raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")

@@ -22,7 +22,7 @@ from .errors import (
     SingularBasis,
     SingularMatrix,
 )
-from .rationals import as_fraction, rational_str, vector_strs
+from .rationals import as_fraction, point_str, rational_str, vector_strs
 
 
 def _lcm(a: int, b: int) -> int:
@@ -259,16 +259,20 @@ class Character:
         return cls(lattice, (Fraction(1),) * lattice.ambient_dim)
 
     def evaluate_coords(self, coords) -> Fraction:
-        out = Fraction(1)
+        num = den = 1
         for v, n in zip(self.values, coords):
-            if n:
-                out *= v ** n
-        return out
+            if n > 0:
+                num *= v.numerator ** n
+                den *= v.denominator ** n
+            elif n < 0:
+                num *= v.denominator ** -n
+                den *= v.numerator ** -n
+        return Fraction(num, den)
 
     def evaluate(self, alpha) -> Fraction:
         coords = self.lattice.coordinates(alpha)
         if coords is None:
-            raise NotMember(f"{alpha} is not a lattice point")
+            raise NotMember(f"{point_str(alpha)} is not a lattice point")
         return self.evaluate_coords(coords)
 
     def is_trivial(self) -> bool:

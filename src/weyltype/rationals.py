@@ -36,3 +36,8 @@ def parse_rational(text: str) -> Fraction:
 
 def vector_strs(vec) -> list[str]:
     return [rational_str(Fraction(x)) for x in vec]
+
+
+def point_str(vec) -> str:
+    """A vector as rational text, e.g. "(1/3, 0)"."""
+    return "(" + ", ".join(vector_strs(vec)) + ")"

@@ -250,6 +250,28 @@ class TestIntegerKernel:
                 d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
                 _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
 
+    def test_level_zero_left_terms(self, case):
+        """Left terms with mu = 0 take the kernel's convolution path: a wholly
+        in A, a mixing level-0 and higher terms in either order, and the
+        action of such a w."""
+        sig, elems = case
+        rng = random.Random(22)
+        in_A = [a for a in (random_element(sig, rng, max_level=0) for _ in range(8)) if a][:4]
+        raised = [random_element(sig, rng, max_level=4) * sig.d(sig.ell) for _ in range(4)]
+        mixed = [lo + hi for lo, hi in zip(in_A, raised)] + [hi + lo for lo, hi in zip(in_A, raised)]
+        assert all(any(not any(m.mu) for m in a.terms) and not a.in_A() for a in mixed)
+        for a in in_A + mixed:
+            for b in elems:
+                ab = _ref_mul(a, b)
+                _same(a * b, ab)
+                assert list((a * b).terms) == list(ab.terms)
+                _same(a.bracket(b), ab - _ref_mul(b, a))
+                _same(b.bracket(a), _ref_mul(b, a) - ab)
+        targets = [sig.zero(), sig.scalar(F(2, 3))] + in_A
+        for w in in_A + mixed:
+            for a in targets:
+                _same(act_on_A(w, a), _ref_act_on_A(w, a))
+
 
 class TestBracket:
     def test_derivation_against_lattice_point(self, desk):

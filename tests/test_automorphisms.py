@@ -22,7 +22,9 @@ from weyltype import (
     decompose_automorphism,
     verify_automorphism,
 )
-from weyltype import automorphisms
+from weyltype import automorphisms, classification
+from weyltype.algebra import Element
+from weyltype.classification import iso_search_bounded
 from weyltype.automorphisms import (
     MODE_ASSOC,
     MODE_LIE,
@@ -31,6 +33,7 @@ from weyltype.automorphisms import (
     random_normal_form_aut,
 )
 from weyltype.errors import (
+    InvariantViolation,
     LatticeNotMapped,
     NotAnAutomorphism,
     NotInA,
@@ -74,7 +77,7 @@ class TestTauAut:
             assert tau.apply(w01.x((n,))) == w01.x((n,), coeff=Fraction(2) ** n)
 
     def test_requires_lattice_stabilizer(self, z2):
-        with pytest.raises(LatticeNotMapped):
+        with pytest.raises(LatticeNotMapped, match=r"basis row \(1, 0\) \. G\^-1 = \(1/2, 0\) "):
             TauAut(z2, BlockMatrix(1, 1, [[2, 0], [0, 1]]),
                    Character.trivial(z2.lattice))
 
@@ -483,3 +486,119 @@ class TestAutomorphismJson:
         assert data["eps"] == 0
         assert data["tau"]["G"] == [["1", "0"], ["0", "1"]]
         assert data["v"] == ["0", "0"]
+
+
+def _ref_hom_extend(w, out_sig, x_image, x1_images, d_images):
+    """The ordered-product extension _hom_extend replaced: per term, the
+    x-image times ascending x^{1_[p]}-image powers times ascending d_q-image
+    powers, multiplied left to right and summed with Fraction arithmetic."""
+    sig = w.signature
+    out = {}
+    powers = {}
+
+    def power(tag, base, k):
+        cached = powers.get((tag, k))
+        if cached is None:
+            cached = base if k == 1 else power(tag, base, k - 1) * base
+            powers[(tag, k)] = cached
+        return cached
+
+    for (al, i, mu), c in w.terms.items():
+        acc = x_image(al)
+        for p in range(sig.ell1):
+            if i[p]:
+                acc = acc * power(("xi", p), x1_images[p], i[p])
+        for q in range(sig.ell):
+            if mu[q]:
+                acc = acc * power(("d", q), d_images[q], mu[q])
+        for m, v in acc.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c * v
+    return Element(out_sig, out, _checked=True)
+
+
+def _same(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _hom_elements(sig, seed):
+    """The zero element, scalars and random elements of levels 0..5 with
+    polynomial parts."""
+    rng = random.Random(seed)
+    elems = [sig.zero(), sig.one(), sig.scalar(Fraction(-5, 3))]
+    for level in range(6):
+        elems += [random_element(sig, rng, max_terms=rng.randint(1, 3), max_level=level)
+                  for _ in range(2)]
+    return elems
+
+
+class TestHomExtend:
+    """_hom_extend against the ordered-product extension, through every
+    generator-table caller and on random tables."""
+
+    @pytest.fixture(params=["desk", "rank3"])
+    def sig(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def _block_matrix(sig, rng):
+        # a fixed G at rank 3: drawing one there scans 3^9 matrices
+        if sig.ell == 3:
+            return BlockMatrix(1, 2, [[-1, 0, 0], [0, -1, 0], [1, 2, 1]])
+        return random_aut2(sig, rng)
+
+    def _check_apply(self, monkeypatch, apply, elems):
+        got = [apply(w) for w in elems]
+        with monkeypatch.context() as mp:
+            mp.setattr(automorphisms, "_hom_extend", _ref_hom_extend)
+            mp.setattr(classification, "_hom_extend", _ref_hom_extend)
+            want = [apply(w) for w in elems]
+        for g, w in zip(got, want):
+            _same(g, w)
+
+    def test_families_match_ordered_product(self, sig, monkeypatch):
+        rng = random.Random(40)
+        elems = _hom_elements(sig, 41)
+        tau = TauAut(sig, self._block_matrix(sig, rng), random_character(sig.lattice, rng))
+        u = InnerExp(random_A_element(sig, rng))
+        v = ShiftV(sig, random_shift_vector(sig, rng))
+        for aut in (tau, u, v, NormalFormAut(tau, u, v, 0), NormalFormAut(tau, u, v, 1)):
+            self._check_apply(monkeypatch, aut.apply, elems)
+
+    def test_iso_map_between_signatures(self, desk, monkeypatch):
+        third = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
+        iso = iso_search_bounded(desk, third, trials=1).iso
+        assert iso.dst != iso.src
+        self._check_apply(monkeypatch, iso.apply, _hom_elements(desk, 42))
+
+    def test_random_tables(self, sig):
+        """A-valued x- and xi-images, d-images of any level that need not
+        commute."""
+        rng = random.Random(43)
+        for _ in range(4):
+            x_cache = {}
+
+            def x_image(al):
+                if al not in x_cache:
+                    x_cache[al] = random_A_element(sig, random.Random(str(al)), max_terms=2)
+                return x_cache[al]
+
+            x1_images = [random_A_element(sig, rng, max_terms=2) for _ in range(sig.ell1)]
+            d_images = [random_element(sig, rng, max_terms=2, max_level=2)
+                        for _ in range(sig.ell)]
+            assert any(a * b != b * a for a in d_images for b in d_images)
+            for w in _hom_elements(sig, rng.randint(0, 99)):
+                _same(automorphisms._hom_extend(w, sig, x_image, x1_images, d_images),
+                      _ref_hom_extend(w, sig, x_image, x1_images, d_images))
+
+    def test_rejects_images_outside_A(self, desk):
+        fixed = automorphisms._fixed_x_image(desk)
+        x1_images = [desk.x_poly(1)]
+        d_images = [desk.d(1), desk.d(2)]
+        w = desk.x((1, 0), (2, 0)) * desk.d(1)
+        with pytest.raises(InvariantViolation):
+            automorphisms._hom_extend(w, desk, lambda al: fixed(al) + desk.d(2),
+                                      x1_images, d_images)
+        with pytest.raises(InvariantViolation):
+            automorphisms._hom_extend(w, desk, fixed, [desk.x_poly(1) * desk.d(1)],
+                                      d_images)

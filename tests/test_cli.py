@@ -58,6 +58,16 @@ class TestEval:
         assert run_command(["eval", "--config", config_file, "d1 *"]) == 2
         assert "expected" in capsys.readouterr().err
 
+    def test_lattice_errors_print_rational_points(self, config_file, capsys):
+        assert run_command(["eval", "--config", config_file, "x[(1/3,0);(0,0)]"]) == 2
+        err = capsys.readouterr().err
+        assert "(1/3, 0) is not a point of the lattice" in err
+        assert "Fraction(" not in err
+        assert run_command(["eval", "--config", config_file, "x[(1,0);(0,1)]"]) != 0
+        err = capsys.readouterr().err
+        assert "alpha (1, 0), i (0, 1), mu (0, 0) extends past slot 1" in err
+        assert "Monomial(" not in err and "Fraction(" not in err
+
     def test_wrong_dimension_exits_2(self, config_file, capsys):
         assert run_command(["eval", "--config", config_file, "x[(1)]"]) == 2
         capsys.readouterr()

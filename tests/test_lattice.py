@@ -293,7 +293,7 @@ class TestCharacter:
     def test_non_member_rejected(self):
         lat = lattice_from_generators(1, [(1,)])
         f = Character(lat, [2])
-        with pytest.raises(NotMember):
+        with pytest.raises(NotMember, match=r"^\(1/2\) is not a lattice point$"):
             char_eval(f, (Fraction(1, 2),))
 
 

@@ -22,7 +22,9 @@ A and derivation_apply are the level-0 part of the same kernel.
 
 A left term with mu = 0 needs no Leibniz sum: u . v d^nu = (uv) d^nu, so
 the kernel attaches it by a plain convolution of numerators (``_convolve``),
-the same loop the homomorphic extension of ``automorphisms`` uses.  The
+the same loop the homomorphic extension of ``automorphisms`` uses.  A right
+term in F[D] is the mirror case, u d^mu . d^nu = u d^{mu+nu}, which makes
+every product of derivation polynomials a plain convolution.  The
 bracket runs a . b and b . a, the latter with the opposite sign, in one
 pass over one numerator dict over da * db * D^max(top_a, top_b).
 """
@@ -374,7 +376,11 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
     numerators over D^top (top = len(powers) - 1, at least the level of a).
 
     A left term with mu = 0 is a convolution; the others run the Leibniz
-    sum, each lam scaled by binom(mu, lam) * D^(top - |lam|)."""
+    sum, each lam scaled by binom(mu, lam) * D^(top - |lam|).  A right term
+    in F[D] (alpha = 0, i = 0) is the mirror case: d^lam kills it unless
+    lam = 0, so x^{al,i} d^mu . d^nu = x^{al,i} d^{mu+nu} is attached
+    directly, without grades, caps or d^lam tables, and in action mode it
+    contributes nothing."""
     ell1, lattice = sig.ell1, sig.lattice
     top = len(powers) - 1
     b_terms = None
@@ -386,6 +392,10 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
         if b_terms is None:
             b_terms = []
             for (al, i, mu), n in b_num.items():
+                if not any(al) and not any(i):
+                    if not action:
+                        b_terms.append((al, i, mu, n, None, None))
+                    continue
                 grade = lattice.grades(al)
                 # d_p^k(x^{al,i}) vanishes past the polynomial index when the
                 # grading eigenvalue is zero, so cap the expansion there
@@ -393,9 +403,13 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                              for p, g in enumerate(grade))
                 b_terms.append((al, i, mu, n, grade, caps))
         for al2, i2, mu2, n2, grade, caps in b_terms:
-            alpha = tuple(map(add, al1, al2))
             mu12 = tuple(map(add, mu1, mu2))
             n12 = n1 * n2
+            if grade is None:
+                key = Monomial(al1, i1, mu12)
+                out[key] = out.get(key, 0) + n12 * powers[top]
+                continue
+            alpha = tuple(map(add, al1, al2))
             lams = (mu1,) if action else _bounded_multi_indices(map(min, mu1, caps))
             for lam in lams:
                 table = _d_lam(sig, memo, al2, grade, i2, lam)

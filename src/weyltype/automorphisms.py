@@ -19,6 +19,12 @@ isomorphism maps share the table builder for tau = (G, f); sigma_tau and
 sigma_v keep their table from the first apply on.  exp(ad u) is the table
 d_q -> d_q + [u, d_q] with A fixed, not a series.
 
+sigma_tau holds its lattice motion as the integer unimodular matrix N in
+canonical lattice coordinates, so its group law (compose, inverse, identity)
+is integer matrix algebra; the Fraction lattice check that derives N runs
+only for a G given from outside (a constructor call, a normal-form file,
+decomposition step (1), the samplers) and for the isomorphism maps.
+
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
 generating set alone, by peeling one family at a time.
@@ -45,6 +51,7 @@ from .algebra import (
     unit_index,
 )
 from .errors import (
+    BlockShapeViolation,
     DimensionMismatch,
     InvariantViolation,
     LatticeNotMapped,
@@ -52,6 +59,7 @@ from .errors import (
     NotInA,
     SignatureMismatch,
     Sigma1NotSupported,
+    SingularMatrix,
 )
 from .lattice import BlockMatrix, Character
 from .rationals import as_fraction, point_str, rational_str
@@ -247,16 +255,24 @@ def _tau_table(dst: Signature, G: BlockMatrix, f: Character, coord_map: tuple):
 
 class TauAut:
     """sigma_tau for tau = (G, f): x^a -> f(a) x^{a G^{-1}}, derivation row
-    times G, polynomial row times (M^t)^{-1}."""
+    times G, polynomial row times (M^t)^{-1}.
 
-    __slots__ = ("signature", "G", "f", "_coord_map", "_images")
+    The primary data is the integer unimodular matrix N of the lattice motion
+    in canonical coordinates, star(n) = n . N, together with the character f.
+    ``compose`` multiplies the N, ``inverse`` inverts N over the integers and
+    reads the inverse character off its rows, and ``identity`` takes N = I;
+    none of them solves for lattice coordinates.  Only a G supplied from
+    outside goes through the lattice check ``_lattice_map``, which derives N.
+    """
 
-    def __init__(self, signature: Signature, G: BlockMatrix, f: Character):
+    __slots__ = ("signature", "G", "f", "N", "_images")
+
+    def __init__(self, signature: Signature, G: BlockMatrix, f: Character, _N=None):
         if (G.ell1, G.ell2) != (signature.ell1, signature.ell2):
             raise DimensionMismatch("block sizes differ from the signature")
         if f.lattice != signature.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        self._coord_map = _lattice_map(signature, signature, G)
+        self.N = _lattice_map(signature, signature, G) if _N is None else _N
         self.signature = signature
         self.G = G
         self.f = f
@@ -264,43 +280,46 @@ class TauAut:
 
     def star(self, alpha_coords) -> tuple[int, ...]:
         """Coordinates of tau*(alpha) = alpha . G^{-1}."""
-        return _moved_coords(self._coord_map, alpha_coords)
+        return _moved_coords(self.N, alpha_coords)
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
         if self._images is None:
-            self._images = _tau_table(self.signature, self.G, self.f, self._coord_map)
+            self._images = _tau_table(self.signature, self.G, self.f, self.N)
         return _hom_extend(w, self.signature, *self._images)
 
     def inverse(self) -> "TauAut":
-        lattice = self.signature.lattice
-        g_inv = self.G.inverse()
-        values = []
-        for b in lattice.basis:
-            image = self.G.row_action(b)
-            values.append(1 / self.f.evaluate(image))
-        return TauAut(self.signature, g_inv, Character(lattice, values))
+        """(G^{-1}, f'): the rows of N^{-1} are the coordinates of b_k . G,
+        and f'(b_k) = 1 / f(b_k . G)."""
+        n_inv = linalg.integer_inverse(self.N)
+        if n_inv is None:
+            raise InvariantViolation(f"lattice matrix {self.N} is not unimodular")
+        values = [1 / self.f.evaluate_coords(row) for row in n_inv]
+        return TauAut(self.signature, self.G.inverse(),
+                      Character(self.signature.lattice, values), _N=n_inv)
 
     def compose(self, other: "TauAut") -> "TauAut":
-        """tau_self after tau_other: G multiplies left-to-right, the character
-        picks up the other's lattice motion."""
-        lattice = self.signature.lattice
-        values = []
-        for k, b in enumerate(lattice.basis):
-            coords = (0,) * k + (1,) + (0,) * (lattice.ambient_dim - k - 1)
-            moved = other.star(coords)
-            values.append(other.f.evaluate_coords(coords) * self.f.evaluate_coords(moved))
+        """tau_self after tau_other: G multiplies left-to-right, N right-to-left,
+        and the character picks up the other's lattice motion."""
+        values = [v * self.f.evaluate_coords(moved)
+                  for v, moved in zip(other.f.values, other.N)]
         return TauAut(self.signature, self.G.mul(other.G),
-                      Character(lattice, values))
+                      Character(self.signature.lattice, values),
+                      _N=linalg.mat_mul(other.N, self.N))
 
     def is_identity(self) -> bool:
         return self.G.is_identity() and self.f.is_trivial()
 
     @classmethod
     def identity(cls, sig: Signature) -> "TauAut":
-        return cls(sig, BlockMatrix.identity(sig.ell1, sig.ell2),
-                   Character.trivial(sig.lattice))
+        return cls.from_character(sig, Character.trivial(sig.lattice))
+
+    @classmethod
+    def from_character(cls, sig: Signature, f: Character) -> "TauAut":
+        """(I, f), the character alone, with N = I."""
+        return cls(sig, BlockMatrix.identity(sig.ell1, sig.ell2), f,
+                   _N=linalg.integer_identity(sig.ell))
 
     def __eq__(self, other):
         if not isinstance(other, TauAut):
@@ -602,9 +621,6 @@ class FunctionalAut:
                   for key in generator_keys(sig)}
         return cls(sig, mode, images)
 
-    def image(self, key: tuple) -> Element:
-        return self.images[key]
-
     def as_normal_form(self) -> NormalFormAut:
         if self._normal_form is None:
             self._normal_form = decompose_automorphism(self, _force_lie=True)
@@ -737,7 +753,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
     entries = tuple(tuple(g_cols[q][p] for q in range(ell)) for p in range(ell))
     try:
         G = BlockMatrix(sig.ell1, sig.ell2, entries)
-    except Exception as exc:
+    except (BlockShapeViolation, DimensionMismatch, SingularMatrix) as exc:
         raise NotAnAutomorphism(f"derivation images give no block matrix: {exc}") from exc
     try:
         tau_g = TauAut(sig, G, Character.trivial(sig.lattice))
@@ -814,7 +830,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
                 f"images of x^{{+-b_{k}}} violate multiplicativity")
         f_values.append(coeffs[1] / c0)
     f = Character(sig.lattice, f_values)
-    tau_f = TauAut(sig, BlockMatrix.identity(sig.ell1, sig.ell2), f)
+    tau_f = TauAut.from_character(sig, f)
     peel(tau_f.inverse(), NormalFormAut(tau_f, InnerExp.identity(sig),
                                         ShiftV.identity(sig)))
 

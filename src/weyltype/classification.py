@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 
 from . import linalg
 from .algebra import (
@@ -180,12 +179,27 @@ def iso_search_bounded(src: Signature, dst: Signature,
 # faithfulness witness
 # ---------------------------------------------------------------------------
 
+def _simplex(ell: int, bound: int):
+    """The points n >= 0 of Z^ell with |n| <= bound, lazily in (|n|, n) order."""
+    def parts(total: int, slots: int):
+        if slots == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in parts(total - first, slots - 1):
+                yield (first,) + rest
+
+    for total in range(bound + 1):
+        yield from parts(total, ell)
+
+
 def faithfulness_witness(sig: Signature, u: Element):
     """A lattice point alpha with u(x^alpha) != 0 for nonzero u in F[D].
 
-    Scans alpha = sum n_q b_q over the grid 0 <= n_q <= level(u) in graded
-    lexicographic order; a nonzero derivation polynomial of level L cannot
-    vanish on the whole (L+1)^l grid.
+    Walks alpha = sum n_q b_q over the simplex n >= 0, |n| <= level(u) in
+    graded lexicographic order.  u acts on x^alpha by a nonzero polynomial
+    of degree at most L = level(u) in n, and no such polynomial vanishes on
+    that whole simplex, so at most C(L + l, l) points are probed.
     """
     if u.signature != sig:
         raise SignatureMismatch("element belongs to a different algebra")
@@ -193,16 +207,14 @@ def faithfulness_witness(sig: Signature, u: Element):
         raise ZeroElement("the zero element acts trivially everywhere")
     if not u.in_FD():
         raise NotInFD("witness search expects a pure derivation polynomial")
-    ell = sig.ell
     degree = u.max_level()
-    zero = (0,) * ell
-    grid = sorted(_cartesian(range(degree + 1), repeat=ell),
-                  key=lambda n: (sum(n), n))
-    for n in grid:
+    zero = (0,) * sig.ell
+    for n in _simplex(sig.ell, degree):
         probe = Element(sig, {Monomial(n, zero, zero): Fraction(1)})
         if act_on_A(u, probe):
             return sig.lattice.ambient(n)
-    raise InvariantViolation("grid bound violated; the element cannot be nonzero")
+    raise InvariantViolation(f"no witness on the simplex n >= 0, |n| <= {degree}; "
+                             "the element cannot be nonzero")
 
 
 def witness_report(sig: Signature, u: Element) -> dict:

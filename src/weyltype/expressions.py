@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import Element, Signature
 from .errors import DimensionError, ExprSyntaxError
-from .rationals import rational_str
+from .rationals import point_str, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +214,11 @@ class _Parser:
                 raw = (Fraction(0),) * self.sig.ell
             if len(raw) != self.sig.ell:
                 raise DimensionError(pos, f"expected {self.sig.ell} entries, got {len(raw)}")
+            if any(raw[self.sig.ell1:]):
+                raise DimensionError(pos, f"polynomial index of the monomial with alpha "
+                                          f"{point_str(alpha)}, i {point_str(raw)}, mu "
+                                          f"{point_str((0,) * self.sig.ell)} extends past "
+                                          f"slot {self.sig.ell1}")
             i = tuple(int(x) for x in raw)
         self.take("RBRACK")
         return GenX(alpha, i)

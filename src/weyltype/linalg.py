@@ -27,6 +27,10 @@ def identity(n: int) -> Matrix:
     )
 
 
+def integer_identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
@@ -86,6 +90,18 @@ def mat_inverse(m: Matrix) -> Matrix:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return tuple(tuple(row[n:]) for row in rows)
+
+
+def integer_inverse(m) -> tuple[tuple[int, ...], ...] | None:
+    """The inverse of a square integer matrix, or None unless it is itself an
+    integer matrix (that is, unless m is unimodular)."""
+    try:
+        inv = mat_inverse(m)
+    except SingularMatrix:
+        return None
+    if any(x.denominator != 1 for row in inv for x in row):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:

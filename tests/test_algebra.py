@@ -29,7 +29,7 @@ from weyltype.errors import (
     SingularMatrix,
 )
 from weyltype.linalg import transpose
-from weyltype.sampling import random_element
+from weyltype.sampling import random_element, random_fd_element
 
 
 class TestMultiBinomial:
@@ -271,6 +271,33 @@ class TestIntegerKernel:
         for w in in_A + mixed:
             for a in targets:
                 _same(act_on_A(w, a), _ref_act_on_A(w, a))
+
+    def test_derivation_polynomial_right_factors(self, case):
+        """Right terms in F[D] (alpha = 0, i = 0) take the kernel's d^nu
+        path: b wholly in F[D], b mixing such terms with others in either
+        order, and action targets with a constant term."""
+        sig, elems = case
+        rng = random.Random(23)
+        in_FD = [random_fd_element(sig, rng, max_degree=3, max_terms=3) for _ in range(4)]
+        others = [a for a in (random_element(sig, rng, max_level=3) for _ in range(12))
+                  if any(any(m.alpha) or any(m.i) for m in a.terms)][:4]
+        mixed = [d + o for d, o in zip(in_FD, others)] + [o + d for d, o in zip(in_FD, others)]
+        assert all(not b.in_FD() and any(not any(m.alpha) and not any(m.i) for m in b.terms)
+                   for b in mixed)
+        for b in in_FD + mixed:
+            for a in elems:
+                ab = _ref_mul(a, b)
+                _same(a * b, ab)
+                assert list((a * b).terms) == list(ab.terms)
+                _same(a.bracket(b), ab - _ref_mul(b, a))
+        targets = [sig.scalar(F(7, 3))] + [
+            sig.scalar(F(-1, 2)) + random_element(sig, rng, max_level=0) for _ in range(4)]
+        for w in elems + in_FD + mixed:
+            for a in targets:
+                _same(act_on_A(w, a), _ref_act_on_A(w, a))
+            for lam in (unit_index(sig.ell, 1), unit_index(sig.ell, sig.ell, 2)):
+                d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
+                _same(derivation_apply(sig, lam, targets[-1]), _ref_act_on_A(d_lam, targets[-1]))
 
 
 class TestBracket:

@@ -22,8 +22,9 @@ from weyltype import (
     decompose_automorphism,
     verify_automorphism,
 )
-from weyltype import automorphisms, classification
+from weyltype import automorphisms, classification, linalg
 from weyltype.algebra import Element
+from weyltype.lattice import adapted_basis
 from weyltype.classification import iso_search_bounded
 from weyltype.automorphisms import (
     MODE_ASSOC,
@@ -105,6 +106,85 @@ class TestTauAut:
         tau = TauAut(desk, random_aut2(desk, rng), random_character(desk.lattice, rng))
         assert verify_automorphism(tau, trials=100, seed=3, mode=MODE_ASSOC).passed
         assert verify_automorphism(tau, trials=100, seed=3, mode=MODE_LIE).passed
+
+
+RANK4 = Signature(2, 2, Lattice(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                     (Fraction(1, 2), 0, Fraction(1, 3), Fraction(1, 2))]))
+
+
+def _aut2_generators(sig):
+    """Fixed members of Aut2(Gamma): A^{-1} U A for the E1-adapted basis A and
+    block lower-triangular integer U, a sign flip or a transvection per slot
+    pair (row r may add row t only when r >= l1 or t < l1)."""
+    A = adapted_basis(sig.lattice, sig.ell1)
+    a_inv = linalg.mat_inverse(A)
+
+    def unit(r, t, value):
+        U = [list(row) for row in linalg.integer_identity(sig.ell)]
+        U[r][t] = value
+        return U
+
+    units = [unit(r, r, -1) for r in range(sig.ell)]
+    units += [unit(r, t, 1) for r in range(sig.ell) for t in range(sig.ell)
+              if t != r and (r >= sig.ell1 or t < sig.ell1)]
+    return [BlockMatrix(sig.ell1, sig.ell2, linalg.mat_mul(a_inv, linalg.mat_mul(U, A)))
+            for U in units]
+
+
+def _ref_inverse_character(tau):
+    """f'(b_k) = 1 / f(b_k . G), with b_k . G solved in Fraction coordinates."""
+    lattice = tau.signature.lattice
+    return Character(lattice, [1 / tau.f.evaluate(tau.G.row_action(b)) for b in lattice.basis])
+
+
+def _ref_compose_character(a, b):
+    """(a after b)(b_k) = f_b(b_k) f_a(b_k . G_b^{-1}), in Fraction coordinates."""
+    lattice = a.signature.lattice
+    g_inv = b.G.inverse()
+    return Character(lattice, [b.f.evaluate(bk) * a.f.evaluate(linalg.vec_mat(bk, g_inv.entries))
+                               for bk in lattice.basis])
+
+
+class TestIntegerTau:
+    """TauAut keeps the integer lattice matrix N through compose and inverse."""
+
+    @pytest.fixture(params=["desk", "rank3", "rank4"])
+    def sig(self, request):
+        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+
+    def test_chains_keep_lattice_matrix_and_character(self, sig):
+        rng = random.Random(60)
+        gens = _aut2_generators(sig)
+        tau = TauAut.identity(sig)
+        for _ in range(12):
+            step = rng.randrange(3)
+            if step == 2:
+                result, want_f = tau.inverse(), _ref_inverse_character(tau)
+            else:
+                other = TauAut(sig, rng.choice(gens), random_character(sig.lattice, rng))
+                a, b = (tau, other) if step else (other, tau)
+                result, want_f = a.compose(b), _ref_compose_character(a, b)
+            assert result.N == automorphisms._lattice_map(sig, sig, result.G)
+            assert all(type(x) is int for row in result.N for x in row)
+            assert result.f == want_f
+            tau = result
+        assert not tau.is_identity()
+        assert tau.compose(tau.inverse()).is_identity()
+
+    def test_group_law_needs_no_lattice_solve(self, sig, monkeypatch):
+        rng = random.Random(61)
+        gens = _aut2_generators(sig)
+        a = TauAut(sig, gens[0], random_character(sig.lattice, rng))
+        b = TauAut(sig, gens[-1], random_character(sig.lattice, rng))
+        monkeypatch.setattr(automorphisms, "_lattice_map", None)
+        a.compose(b).inverse().compose(TauAut.identity(sig))
+        TauAut.from_character(sig, random_character(sig.lattice, rng)).inverse()
+
+    def test_inverse_rejects_non_unimodular_matrix(self, desk):
+        G, f = BlockMatrix.identity(1, 1), Character.trivial(desk.lattice)
+        for N in (((2, 0), (0, 1)), ((1, 1), (1, 1))):
+            with pytest.raises(InvariantViolation, match="not unimodular"):
+                TauAut(desk, G, f, _N=N).inverse()
 
 
 class TestInnerExp:
@@ -394,6 +474,15 @@ class TestDecompose:
         images[("d", 1)] = desk.d(1) + desk.d(2, 2)
         with pytest.raises(NotAnAutomorphism):
             decompose_automorphism(FunctionalAut(desk, MODE_LIE, images))
+
+    def test_rejects_derivation_images_without_block_matrix(self, desk):
+        phi = FunctionalAut.from_aut(NormalFormAut.identity(desk))
+        # d2 -> d1 + d2 fills the upper-right block; d1 -> 0 makes M singular
+        for key, image in ((("d", 2), desk.d(1) + desk.d(2)), (("d", 1), desk.zero())):
+            images = dict(phi.images)
+            images[key] = image
+            with pytest.raises(NotAnAutomorphism, match="give no block matrix"):
+                decompose_automorphism(FunctionalAut(desk, MODE_LIE, images))
 
     def test_rejects_bad_unit_scale(self, desk):
         phi = FunctionalAut.from_aut(NormalFormAut.identity(desk))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from weyltype import (
     signature_invariants,
 )
 from weyltype import classification
+from weyltype.algebra import Element, Monomial, unit_index
 from weyltype.errors import (
     BlockShapeViolation,
     InvariantViolation,
@@ -28,7 +31,7 @@ from weyltype.errors import (
     SignatureMismatch,
     ZeroElement,
 )
-from weyltype.sampling import random_aut2, random_character, random_element
+from weyltype.sampling import random_aut2, random_character, random_element, random_fd_element
 
 
 class TestSignatureInvariants:
@@ -261,6 +264,54 @@ class TestFaithfulnessWitness:
         alpha = faithfulness_witness(desk, u)
         coords = desk.lattice.coordinates(alpha)
         assert coords is not None and all(0 <= n <= 2 for n in coords)
+
+
+def _grid_witness(sig, u):
+    """The scan faithfulness_witness replaced: sort the whole (L+1)^l grid by
+    (|n|, n) and return the first point where u acts nontrivially."""
+    zero = (0,) * sig.ell
+    grid = sorted(itertools.product(range(u.max_level() + 1), repeat=sig.ell),
+                  key=lambda n: (sum(n), n))
+    for n in grid:
+        if act_on_A(u, Element(sig, {Monomial(n, zero, zero): Fraction(1)})):
+            return sig.lattice.ambient(n)
+    pytest.fail("no witness on the grid")
+
+
+class TestSimplexWitness:
+    @pytest.mark.parametrize("name", ["desk", "rank3"])
+    def test_matches_grid_scan(self, name, request):
+        sig = request.getfixturevalue(name)
+        rng = random.Random(50)
+        for _ in range(40):
+            u = random_fd_element(sig, rng, max_degree=4, max_terms=5)
+            # without its constant term u no longer acts at the origin
+            for w in (u, u.without_constant()):
+                if w:
+                    assert faithfulness_witness(sig, w) == _grid_witness(sig, w)
+
+    def test_probe_count_within_simplex(self, monkeypatch):
+        ell = bound = 8
+        sig = Signature(0, ell, Lattice(ell, [unit_index(ell, k) for k in range(1, ell + 1)]))
+        # d1 (d1 - 1) ... (d1 - 7) vanishes unless n_1 >= 8: the witness is
+        # the last point of the simplex, (8, 0, ..., 0)
+        u = sig.one()
+        for k in range(bound):
+            u = u * (sig.d(1) - sig.scalar(k))
+        probes = []
+
+        def counting(w, a):
+            probes.append(a)
+            return act_on_A(w, a)
+
+        monkeypatch.setattr(classification, "act_on_A", counting)
+        assert faithfulness_witness(sig, u) == (bound,) + (0,) * (ell - 1)
+        assert len(probes) == math.comb(bound + ell, ell)
+
+    def test_exhausted_simplex_names_its_bound(self, desk, monkeypatch):
+        monkeypatch.setattr(classification, "act_on_A", lambda w, a: desk.zero())
+        with pytest.raises(InvariantViolation, match=r"simplex n >= 0, \|n\| <= 2"):
+            faithfulness_witness(desk, desk.d(1, 2))
 
 
 class TestClassifyAdBehavior:

@@ -68,6 +68,12 @@ class TestEval:
         assert "alpha (1, 0), i (0, 1), mu (0, 0) extends past slot 1" in err
         assert "Monomial(" not in err and "Fraction(" not in err
 
+    def test_polynomial_index_past_l1_exits_2(self, config_file, capsys):
+        assert run_command(["eval", "--config", config_file, "x[(1,0);(0,1)]"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("parse error: line 1, column 9: polynomial index of the monomial "
+                       "with alpha (1, 0), i (0, 1), mu (0, 0) extends past slot 1\n")
+
     def test_wrong_dimension_exits_2(self, config_file, capsys):
         assert run_command(["eval", "--config", config_file, "x[(1)]"]) == 2
         capsys.readouterr()

@@ -47,7 +47,7 @@ from .errors import (
 )
 from . import linalg
 from .lattice import Lattice
-from .rationals import as_fraction, point_str, rational_str
+from .rationals import as_fraction, int_from_json, point_str, rational_from_json, rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class Signature:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Signature":
-        return cls(int(data["ell1"]), int(data["ell2"]),
+        return cls(int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2"),
                    Lattice.from_dict(data["lattice"]))
 
 
@@ -544,10 +544,10 @@ def element_from_dict(data: dict, signature: Signature | None = None) -> Element
     out: dict = {}
     for t in data["terms"]:
         term = sig.monomial(
-            alpha=[as_fraction(x) for x in t["alpha"]],
-            i=[int(x) for x in t["i"]],
-            mu=[int(x) for x in t["mu"]],
-            coeff=as_fraction(t["coeff"]),
+            alpha=[rational_from_json(x) for x in t["alpha"]],
+            i=[int_from_json(x, "i") for x in t["i"]],
+            mu=[int_from_json(x, "mu") for x in t["mu"]],
+            coeff=rational_from_json(t["coeff"]),
         )
         for m, c in term.terms.items():
             out[m] = out.get(m, Fraction(0)) + c

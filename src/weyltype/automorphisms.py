@@ -8,22 +8,21 @@ Four families generate everything:
 * ``Sigma1``       -- the order-2 twist x^{a,i} d^mu -> -(-d)^mu . x^{a,i},
                       a bracket automorphism only.
 
-The first three, and the isomorphism maps of ``classification``, are algebra
-homomorphisms fixed by the images of x^alpha, x^{1_[p]} and d_q.  Each
-applies its generator table through the one extension ``_hom_extend``.
-Every table sends x^alpha and x^{1_[p]} into A, so the image of
-x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of A times the
-product of the d_q-image powers; the extension builds each D(mu) once per
-call and attaches the A-part by an integer convolution.  sigma_tau and the
-isomorphism maps share the table builder for tau = (G, f); sigma_tau and
-sigma_v keep their table from the first apply on.  exp(ad u) is the table
+The first three are algebra homomorphisms fixed by the images of x^alpha,
+x^{1_[p]} and d_q.  Each applies its generator table through the one
+extension ``_hom_extend``.  Every table sends x^alpha and x^{1_[p]} into A,
+so the image of x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of
+A times the product of the d_q-image powers; the extension builds each D(mu)
+once per call and attaches the A-part by an integer convolution.  sigma_tau
+and sigma_v keep their table from the first apply on.  exp(ad u) is the table
 d_q -> d_q + [u, d_q] with A fixed, not a series.
 
-sigma_tau holds its lattice motion as the integer unimodular matrix N in
-canonical lattice coordinates, so its group law (compose, inverse, identity)
-is integer matrix algebra; the Fraction lattice check that derives N runs
-only for a G given from outside (a constructor call, a normal-form file,
-decomposition step (1), the samplers) and for the isomorphism maps.
+``TauAut`` is the only (G, f) map; with another target algebra it is the
+isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
+``classification.iso_verify`` certifies.  Its group law is integer algebra
+on the lattice matrix N; the Fraction check ``lattice.lattice_motion`` that
+derives N runs only for a G given from outside (a constructor call, a
+normal-form file, decomposition step (1), the samplers, the iso decision).
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
@@ -61,8 +60,8 @@ from .errors import (
     Sigma1NotSupported,
     SingularMatrix,
 )
-from .lattice import BlockMatrix, Character
-from .rationals import as_fraction, point_str, rational_str
+from .lattice import BlockMatrix, Character, lattice_motion
+from .rationals import as_fraction, int_from_json, rational_str, vector_from_json
 from .sampling import random_element
 
 MODE_LIE = "lie"
@@ -199,26 +198,6 @@ def _fixed_x_image(sig: Signature):
     return lambda al: Element(sig, {Monomial(al, zero, zero): Fraction(1)}, _checked=True)
 
 
-def _lattice_map(src: Signature, dst: Signature, G: BlockMatrix) -> tuple:
-    """Target-lattice coordinates of b_k . G^{-1}, one row per source basis row.
-
-    Raises LatticeNotMapped unless Gamma_src . G^{-1} = Gamma_dst, so it is
-    the lattice check of both sigma_tau and the isomorphism maps.
-    """
-    g_inv = linalg.mat_inverse(G.entries)
-    rows = []
-    for b in src.lattice.basis:
-        image = linalg.vec_mat(b, g_inv)
-        coords = dst.lattice.coordinates(image)
-        if coords is None:
-            raise LatticeNotMapped(f"basis row {point_str(b)} . G^-1 = {point_str(image)} "
-                                   "is not a point of the target lattice")
-        rows.append(coords)
-    if abs(linalg.mat_det(rows)) != 1:
-        raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")
-    return tuple(rows)
-
-
 def _moved_coords(coord_map: tuple, alpha_coords) -> tuple[int, ...]:
     """Coordinates of alpha . G^{-1} from those of alpha."""
     out = [0] * len(coord_map)
@@ -257,55 +236,74 @@ class TauAut:
     """sigma_tau for tau = (G, f): x^a -> f(a) x^{a G^{-1}}, derivation row
     times G, polynomial row times (M^t)^{-1}.
 
-    The primary data is the integer unimodular matrix N of the lattice motion
-    in canonical coordinates, star(n) = n . N, together with the character f.
-    ``compose`` multiplies the N, ``inverse`` inverts N over the integers and
-    reads the inverse character off its rows, and ``identity`` takes N = I;
-    none of them solves for lattice coordinates.  Only a G supplied from
-    outside goes through the lattice check ``_lattice_map``, which derives N.
+    It maps W(signature) to W(target), by default the same algebra; with
+    Gamma . G^{-1} = Gamma' it is an isomorphism onto W(l1, l2, Gamma').
+
+    The primary data is the integer unimodular matrix N of the lattice motion,
+    source to target canonical coordinates, and the character f on the source
+    lattice.  ``compose`` multiplies the N, ``inverse`` inverts N over the
+    integers and reads the inverse character off its rows, and ``identity``
+    takes N = I.  Only a G supplied from outside goes through the lattice
+    check ``lattice_motion``, which derives N.
     """
 
-    __slots__ = ("signature", "G", "f", "N", "_images")
+    __slots__ = ("signature", "target", "G", "f", "N", "_images")
 
-    def __init__(self, signature: Signature, G: BlockMatrix, f: Character, _N=None):
+    def __init__(self, signature: Signature, G: BlockMatrix, f: Character,
+                 target: Signature | None = None, _N=None):
+        target = signature if target is None else target
+        if (target.ell1, target.ell2) != (signature.ell1, signature.ell2):
+            raise SignatureMismatch("(l1, l2) invariants differ")
         if (G.ell1, G.ell2) != (signature.ell1, signature.ell2):
             raise DimensionMismatch("block sizes differ from the signature")
         if f.lattice != signature.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        self.N = _lattice_map(signature, signature, G) if _N is None else _N
+        self.N = lattice_motion(signature.lattice, target.lattice, G) if _N is None else _N
         self.signature = signature
+        self.target = target
         self.G = G
         self.f = f
         self._images = None
 
-    def star(self, alpha_coords) -> tuple[int, ...]:
-        """Coordinates of tau*(alpha) = alpha . G^{-1}."""
-        return _moved_coords(self.N, alpha_coords)
+    def _table(self):
+        if self._images is None:
+            self._images = _tau_table(self.target, self.G, self.f, self.N)
+        return self._images
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        if self._images is None:
-            self._images = _tau_table(self.signature, self.G, self.f, self.N)
-        return _hom_extend(w, self.signature, *self._images)
+        return _hom_extend(w, self.target, *self._table())
+
+    def generator_table(self) -> dict:
+        """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
+        x_image, x1_images, d_images = self._table()
+        ell = self.signature.ell
+        table = {f"x+{k}": x_image(unit_index(ell, k)) for k in range(1, ell + 1)}
+        table.update((f"xi{p}", e) for p, e in enumerate(x1_images, 1))
+        table.update((f"d{q}", e) for q, e in enumerate(d_images, 1))
+        return table
 
     def inverse(self) -> "TauAut":
-        """(G^{-1}, f'): the rows of N^{-1} are the coordinates of b_k . G,
-        and f'(b_k) = 1 / f(b_k . G)."""
+        """(G^{-1}, f') from target to signature: the rows of N^{-1} are the
+        coordinates of c_k . G for the target basis rows c_k, and
+        f'(c_k) = 1 / f(c_k . G)."""
         n_inv = linalg.integer_inverse(self.N)
         if n_inv is None:
             raise InvariantViolation(f"lattice matrix {self.N} is not unimodular")
         values = [1 / self.f.evaluate_coords(row) for row in n_inv]
-        return TauAut(self.signature, self.G.inverse(),
-                      Character(self.signature.lattice, values), _N=n_inv)
+        return TauAut(self.target, self.G.inverse(),
+                      Character(self.target.lattice, values), self.signature, _N=n_inv)
 
     def compose(self, other: "TauAut") -> "TauAut":
         """tau_self after tau_other: G multiplies left-to-right, N right-to-left,
         and the character picks up the other's lattice motion."""
+        if other.target != self.signature:
+            raise SignatureMismatch("the inner map does not land in the outer map's algebra")
         values = [v * self.f.evaluate_coords(moved)
                   for v, moved in zip(other.f.values, other.N)]
-        return TauAut(self.signature, self.G.mul(other.G),
-                      Character(self.signature.lattice, values),
+        return TauAut(other.signature, self.G.mul(other.G),
+                      Character(other.signature.lattice, values), self.target,
                       _N=linalg.mat_mul(other.N, self.N))
 
     def is_identity(self) -> bool:
@@ -324,7 +322,8 @@ class TauAut:
     def __eq__(self, other):
         if not isinstance(other, TauAut):
             return NotImplemented
-        return (self.signature, self.G, self.f) == (other.signature, other.G, other.f)
+        return ((self.signature, self.target, self.G, self.f)
+                == (other.signature, other.target, other.G, other.f))
 
     def __repr__(self):
         return f"TauAut(G={self.G.entries}, f={self.f})"
@@ -471,6 +470,8 @@ class NormalFormAut:
 
     def __post_init__(self):
         sig = self.tau.signature
+        if self.tau.target != sig:
+            raise SignatureMismatch("sigma_tau of a normal form must map the algebra to itself")
         if self.u.signature != sig or self.v.signature != sig:
             raise SignatureMismatch("normal form factors disagree on the algebra")
         if self.eps not in (0, 1):
@@ -520,11 +521,11 @@ class NormalFormAut:
         u_elem = element_from_dict(data["u"], signature)
         sig = u_elem.signature
         G = BlockMatrix(sig.ell1, sig.ell2,
-                        [[as_fraction(x) for x in row] for row in data["tau"]["G"]])
-        f = Character(sig.lattice, [as_fraction(x) for x in data["tau"]["f"]])
-        v = ShiftV(sig, [as_fraction(x) for x in data["v"]])
+                        [vector_from_json(row, sig.ell, "G row") for row in data["tau"]["G"]])
+        f = Character(sig.lattice, vector_from_json(data["tau"]["f"], sig.ell, "f"))
+        v = ShiftV(sig, vector_from_json(data["v"], sig.ell, "v"))
         return cls(TauAut(sig, G, f), InnerExp(u_elem), v,
-                   int(data.get("eps", 0)), data.get("mode", MODE_LIE))
+                   int_from_json(data.get("eps", 0), "eps"), data.get("mode", MODE_LIE))
 
 
 def conjugated_shift(tau: TauAut, v: ShiftV) -> tuple[InnerExp, ShiftV]:

@@ -3,13 +3,13 @@
 A finitely generated nondegenerate Gamma in Q^l is free of rank l, so two
 algebras are isomorphic exactly when (l1, l2) agree.  The decision builds the
 block matrix G that carries one E1-adapted lattice basis onto the other and
-certifies it with the verifier, which builds the generator map of (G, f) by
-the same code as sigma_tau and checks it exactly.
+certifies it with the verifier.  The isomorphism is sigma_tau between two
+algebras, a ``TauAut`` whose target is the second one; the verifier checks its
+generator table and runs its product law through ``verify_automorphism``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ from .algebra import (
     filtration_data,
     unit_index,
 )
-from .automorphisms import _hom_extend, _lattice_map, _tau_table
+from .automorphisms import MODE_ASSOC, TauAut, verify_automorphism
 from .errors import (
     HomomorphismCounterexample,
     InvariantViolation,
@@ -32,7 +32,6 @@ from .errors import (
     ZeroElement,
 )
 from .lattice import BlockMatrix, Character, adapted_basis
-from .sampling import random_element
 
 
 # ---------------------------------------------------------------------------
@@ -52,82 +51,44 @@ class IsoCandidate:
     f: Character
 
 
-class IsoMap:
-    """A verified generator-image map between two algebras of the same shape."""
-
-    __slots__ = ("src", "dst", "candidate", "_images")
-
-    def __init__(self, src: Signature, dst: Signature, candidate: IsoCandidate):
-        coord_map = _lattice_map(src, dst, candidate.G)
-        self.src = src
-        self.dst = dst
-        self.candidate = candidate
-        self._images = _tau_table(dst, candidate.G, candidate.f, coord_map)
-
-    def x_image(self, alpha_coords) -> Element:
-        return self._images[0](alpha_coords)
-
-    def x1_image(self, p: int) -> Element:
-        return self._images[1][p - 1]
-
-    def d_image(self, q: int) -> Element:
-        return self._images[2][q - 1]
-
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.src:
-            raise SignatureMismatch("element does not belong to the source algebra")
-        return _hom_extend(w, self.dst, *self._images)
-
-    def generator_table(self) -> dict:
-        table = {}
-        for k in range(1, self.src.ell + 1):
-            table[f"x+{k}"] = self.x_image(unit_index(self.src.ell, k))
-        for p in range(1, self.src.ell1 + 1):
-            table[f"xi{p}"] = self.x1_image(p)
-        for q in range(1, self.src.ell + 1):
-            table[f"d{q}"] = self.d_image(q)
-        return table
-
-
 def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
-               trials: int = 100, seed: int = 0) -> IsoMap:
-    """Build the generator map for the candidate and check it exactly.
+               trials: int = 100, seed: int = 0) -> TauAut:
+    """Build sigma_tau from src to dst for the candidate and check it exactly.
 
-    Checks the duality relations on generators and the multiplicative law on
-    ``trials`` random products; raises on any violation.
+    Checks the duality relations on the generator table and, through
+    ``verify_automorphism``, the multiplicative law on ``trials`` random
+    products; raises on any violation.
     """
-    if (src.ell1, src.ell2) != (dst.ell1, dst.ell2):
-        raise SignatureMismatch("(l1, l2) invariants differ")
-    iso = IsoMap(src, dst, cand)
+    iso = TauAut(src, cand.G, cand.f, dst)
+    table = iso.generator_table()
 
     one = dst.one()
     for p in range(1, src.ell + 1):
+        d_image = table[f"d{p}"]
         for q in range(1, src.ell1 + 1):
-            acted = act_on_A(iso.d_image(p), iso.x1_image(q))
+            acted = act_on_A(d_image, table[f"xi{q}"])
             expected = one.scale(1 if p == q else 0)
             if acted != expected:
                 raise HomomorphismCounterexample(
                     f"duality fails on d{p}, x^(1_[{q}])",
                     lhs=acted, rhs=expected)
         for k in range(1, src.ell + 1):
-            alpha = unit_index(src.ell, k)
-            lhs = act_on_A(iso.d_image(p), iso.x_image(alpha))
-            grade = src.lattice.ambient(alpha)[p - 1]
-            rhs = iso.x_image(alpha).scale(grade)
+            x_image = table[f"x+{k}"]
+            lhs = act_on_A(d_image, x_image)
+            grade = src.lattice.ambient(unit_index(src.ell, k))[p - 1]
+            rhs = x_image.scale(grade)
             if lhs != rhs:
                 raise HomomorphismCounterexample(
                     f"derivation action fails on d{p}, basis row {k}",
                     lhs=lhs, rhs=rhs)
 
-    rng = random.Random(seed)
-    for trial in range(1, trials + 1):
-        a = random_element(src, rng)
-        b = random_element(src, rng)
-        lhs = iso.apply(a * b)
-        rhs = iso.apply(a) * iso.apply(b)
-        if lhs != rhs:
+    if trials > 0:
+        report = verify_automorphism(iso, trials, seed, MODE_ASSOC)
+        if not report.passed:
+            ce = report.counterexample
             raise HomomorphismCounterexample(
-                f"product law fails at trial {trial}", a=a, b=b, lhs=lhs, rhs=rhs)
+                f"product law fails at trial {ce['trial']}",
+                a=ce["a"], b=ce["b"], lhs=ce["lhs"], rhs=ce["rhs"])
     return iso
 
 
@@ -135,7 +96,7 @@ def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
 class IsoSearchResult:
     status: str                      # "found" (G certified) | "impossible" ((l1, l2) differ)
     candidate: IsoCandidate | None = None
-    iso: IsoMap | None = None
+    iso: TauAut | None = None
     reason: str = ""
     tried: int = 0                   # certificates verified: 1, or 0 for "impossible"
 
@@ -215,23 +176,6 @@ def faithfulness_witness(sig: Signature, u: Element):
             return sig.lattice.ambient(n)
     raise InvariantViolation(f"no witness on the simplex n >= 0, |n| <= {degree}; "
                              "the element cannot be nonzero")
-
-
-def witness_report(sig: Signature, u: Element) -> dict:
-    """JSON-ready certificate: the witness point, its coordinates, and the
-    nonzero value of the action there."""
-    from .algebra import element_to_dict
-    from .rationals import rational_str
-
-    alpha = faithfulness_witness(sig, u)
-    coords = sig.lattice.coordinates(alpha)
-    zero = (0,) * sig.ell
-    probe = Element(sig, {Monomial(coords, zero, zero): Fraction(1)})
-    return {
-        "alpha": [rational_str(x) for x in alpha],
-        "coords": list(coords),
-        "value": element_to_dict(act_on_A(u, probe)),
-    }
 
 
 # ---------------------------------------------------------------------------

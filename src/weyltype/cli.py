@@ -25,7 +25,7 @@ from .classification import iso_search_bounded
 from .errors import DimensionError, ExprSyntaxError, NotMember, WeylError
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
-from .rationals import as_fraction
+from .rationals import int_from_json, vector_from_json
 from .selftest import SUITES, run_suites
 from .sampling import desk_signature
 
@@ -37,11 +37,18 @@ class CliUsageError(WeylError):
     """Bad invocation: missing config, unreadable files, malformed flags."""
 
 
-def _signature_from_file(path: str) -> Signature:
+def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    gens = [[as_fraction(x) for x in row] for row in data["gamma_generators"]]
-    ell1, ell2 = int(data["ell1"]), int(data["ell2"])
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a JSON {type(data).__name__}, expected an object")
+    return data
+
+
+def _signature_from_file(path: str) -> Signature:
+    data = _read_json_object(path)
+    ell1, ell2 = int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2")
+    gens = [vector_from_json(row, ell1 + ell2, "generator") for row in data["gamma_generators"]]
     return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
 
 
@@ -117,8 +124,7 @@ def _require_signature(args) -> Signature:
 
 
 def _load_automorphism(path: str, mode: str | None):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json_object(path)
     if "images" in data:
         aut = FunctionalAut.from_dict(data)
         if mode is not None and mode != aut.mode:

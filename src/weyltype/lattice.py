@@ -17,12 +17,14 @@ from .errors import (
     BlockShapeViolation,
     DimensionMismatch,
     EmptyGenerators,
+    LatticeNotMapped,
     NondegenerateViolation,
     NotMember,
     SingularBasis,
     SingularMatrix,
 )
-from .rationals import as_fraction, point_str, rational_str, vector_strs
+from .rationals import (as_fraction, int_from_json, point_str, rational_str,
+                        vector_from_json, vector_strs)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -44,7 +46,7 @@ class Lattice:
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch(
-                    f"generator {g} does not have length {ambient_dim}")
+                    f"generator {point_str(g)} does not have length {ambient_dim}")
         scale = 1
         for g in gens:
             for x in g:
@@ -115,8 +117,8 @@ class Lattice:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lattice":
-        return cls(int(data["ambient_dim"]),
-                   [[as_fraction(x) for x in g] for g in data["generators"]])
+        dim = int_from_json(data["ambient_dim"], "ambient_dim")
+        return cls(dim, [vector_from_json(g, dim, "generator") for g in data["generators"]])
 
 
 def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -204,10 +206,6 @@ class BlockMatrix:
     def inverse(self) -> "BlockMatrix":
         return BlockMatrix(self.ell1, self.ell2, linalg.mat_inverse(self.entries))
 
-    def row_action(self, v):
-        """v . G for a length-l row vector."""
-        return linalg.vec_mat(tuple(as_fraction(x) for x in v), self.entries)
-
     def m_transpose_inverse(self):
         """(M^t)^{-1}, the matrix acting on the polynomial generator row."""
         return linalg.mat_inverse(linalg.transpose(self.block_M))
@@ -227,17 +225,36 @@ class BlockMatrix:
         return f"BlockMatrix(ell1={self.ell1}, ell2={self.ell2}, entries={self.entries})"
 
 
+def lattice_motion(src: Lattice, dst: Lattice, G: BlockMatrix) -> tuple:
+    """Integer dst-coordinates of b_k . G^{-1}, one row per basis row b_k of src.
+
+    Raises LatticeNotMapped unless src . G^{-1} = dst, so it is the lattice
+    check of every (G, f) map: sigma_tau, the isomorphism maps and Aut2
+    membership.
+    """
+    g_inv = linalg.mat_inverse(G.entries)
+    rows = []
+    for b in src.basis:
+        image = linalg.vec_mat(b, g_inv)
+        coords = dst.coordinates(image)
+        if coords is None:
+            raise LatticeNotMapped(f"basis row {point_str(b)} . G^-1 = {point_str(image)} "
+                                   "is not a point of the target lattice")
+        rows.append(coords)
+    if abs(linalg.mat_det(rows)) != 1:
+        raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")
+    return tuple(rows)
+
+
 def aut2_membership(lattice: Lattice, G: BlockMatrix) -> bool:
-    """True iff Gamma . G = Gamma exactly (basis rows map to a basis)."""
+    """True iff Gamma . G = Gamma exactly, that is iff Gamma . G^{-1} = Gamma."""
     if G.ell != lattice.ambient_dim:
         raise DimensionMismatch("matrix size differs from ambient dimension")
-    coord_rows = []
-    for row in lattice.basis:
-        coords = lattice.coordinates(G.row_action(row))
-        if coords is None:
-            return False
-        coord_rows.append(tuple(Fraction(c) for c in coords))
-    return abs(linalg.mat_det(tuple(coord_rows))) == 1
+    try:
+        lattice_motion(lattice, lattice, G)
+    except LatticeNotMapped:
+        return False
+    return True
 
 
 class Character:

@@ -16,6 +16,31 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def rational_from_json(value) -> Fraction:
+    """An integer or canonical string read from JSON.  Floats and booleans
+    raise ValueError, the error of bad input, not as_fraction's TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an exact rational (an integer or a 'p/q' string)")
+    return as_fraction(value)
+
+
+def int_from_json(value, name: str) -> int:
+    """An integer read from JSON; ValueError, never truncation, for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def vector_from_json(values, length: int, name: str) -> tuple[Fraction, ...]:
+    """A JSON list of ``length`` rationals; ValueError naming ``name`` otherwise."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    vec = tuple(map(rational_from_json, values))
+    if len(vec) != length:
+        raise ValueError(f"{name} {point_str(vec)} does not have length {length}")
+    return vec
+
+
 def rational_str(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:

@@ -8,8 +8,11 @@ import pytest
 from weyltype import (
     BlockMatrix,
     Character,
+    InnerExp,
     IsoCandidate,
     Lattice,
+    NormalFormAut,
+    ShiftV,
     Signature,
     TauAut,
     act_on_A,
@@ -20,10 +23,12 @@ from weyltype import (
     iso_verify,
     signature_invariants,
 )
-from weyltype import classification
+from weyltype import automorphisms, classification
 from weyltype.algebra import Element, Monomial, unit_index
+from weyltype.automorphisms import generator_element, generator_keys
 from weyltype.errors import (
     BlockShapeViolation,
+    HomomorphismCounterexample,
     InvariantViolation,
     LatticeNotMapped,
     NondegenerateViolation,
@@ -72,14 +77,14 @@ class TestIsoVerify:
             iso_verify(z2, z2, cand, trials=5)
 
     def test_rejection_builds_no_images(self, z2, monkeypatch):
-        monkeypatch.setattr(classification, "_tau_table", None)
+        monkeypatch.setattr(automorphisms, "_tau_table", None)
         cand = IsoCandidate(BlockMatrix(1, 1, [[1, 0], [0, 2]]),
                             Character.trivial(z2.lattice))
         with pytest.raises(LatticeNotMapped):
             iso_verify(z2, z2, cand, trials=5)
 
     def test_self_map_equals_sigma_tau(self, desk):
-        # IsoMap and TauAut build their tables with the same code
+        # an iso map of an algebra to itself is sigma_tau
         rng = random.Random(2)
         for t in range(10):
             G, f = random_aut2(desk, rng), random_character(desk.lattice, rng)
@@ -120,7 +125,7 @@ def _random_lattice(rng, ell):
             continue
 
 
-_TAU_TABLE = classification._tau_table
+_TAU_TABLE = automorphisms._tau_table
 THIRD = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
 
 
@@ -209,7 +214,7 @@ class TestBrokenCertificate:
 
     @BROKEN_BUILDERS
     def test_search_raises(self, desk, monkeypatch, builder):
-        monkeypatch.setattr(classification, "_tau_table", builder)
+        monkeypatch.setattr(automorphisms, "_tau_table", builder)
         with pytest.raises(InvariantViolation):
             iso_search_bounded(desk, THIRD)
 
@@ -218,7 +223,7 @@ class TestBrokenCertificate:
         import json
         from weyltype.cli import run_command
 
-        monkeypatch.setattr(classification, "_tau_table", builder)
+        monkeypatch.setattr(automorphisms, "_tau_table", builder)
         files = []
         for name, gens in (("desk", [["1", "0"], ["0", "1"], ["1/2", "1/2"]]),
                            ("third", [["1", "0"], ["0", "1/3"]])):
@@ -230,6 +235,69 @@ class TestBrokenCertificate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert "InvariantViolation" in payload["error"]
+
+
+class TestCrossSignatureTau:
+    """An iso map is sigma_tau with a target algebra: its inverse maps back,
+    and its group law checks which algebra each side lives on."""
+
+    @pytest.fixture()
+    def iso(self, desk):
+        G = iso_search_bounded(desk, THIRD, trials=1).candidate.G
+        f = random_character(desk.lattice, random.Random(70))
+        return iso_verify(desk, THIRD, IsoCandidate(G, f), trials=1)
+
+    def test_inverse_undoes_apply(self, desk, iso):
+        back = iso.inverse()
+        assert (back.signature, back.target) == (THIRD, desk)
+        assert back.f.lattice == THIRD.lattice
+        rng = random.Random(71)
+        for _ in range(10):
+            w = random_element(desk, rng)
+            image = iso.apply(w)
+            assert image.signature == THIRD
+            assert back.apply(image) == w
+
+    def test_round_trips_are_identities_on_generators(self, desk, iso):
+        for loop, sig in ((iso.inverse().compose(iso), desk),
+                          (iso.compose(iso.inverse()), THIRD)):
+            assert (loop.signature, loop.target) == (sig, sig)
+            assert loop.is_identity()
+            for key in generator_keys(sig):
+                gen = generator_element(sig, key)
+                assert loop.apply(gen) == gen
+
+    def test_mismatched_compose_raises(self, desk, iso):
+        with pytest.raises(SignatureMismatch):
+            iso.compose(iso)
+        with pytest.raises(SignatureMismatch):
+            TauAut.identity(desk).compose(iso)
+        assert iso.compose(TauAut.identity(desk)) == iso
+
+    def test_normal_form_rejects_cross_signature_tau(self, desk, iso):
+        with pytest.raises(SignatureMismatch):
+            NormalFormAut(iso, InnerExp.identity(desk), ShiftV.identity(desk))
+
+    def test_product_law_failure_is_reported(self, desk, iso, monkeypatch):
+        real = automorphisms._hom_extend
+
+        def perturbed(w, out_sig, *table):
+            out = real(w, out_sig, *table)
+            if any(sum(mu) >= 2 for _, _, mu in out.terms):
+                out = out + out_sig.one()
+            return out
+
+        monkeypatch.setattr(automorphisms, "_hom_extend", perturbed)
+        cand = IsoCandidate(iso.G, iso.f)
+        # the duality checks read the generator table and still pass
+        iso_verify(desk, THIRD, cand, trials=0)
+        with pytest.raises(HomomorphismCounterexample,
+                           match=r"^product law fails at trial \d+$") as info:
+            iso_verify(desk, THIRD, cand, trials=20, seed=5)
+        exc = info.value
+        assert exc.a.signature == exc.b.signature == desk
+        assert exc.lhs.signature == exc.rhs.signature == THIRD
+        assert exc.lhs != exc.rhs
 
 
 class TestFaithfulnessWitness:
@@ -377,16 +445,6 @@ class TestJsonReports:
         data = json.loads(blob)
         assert data["status"] == "found"
         assert data["certificate"]["f"] == ["1", "1"]
-
-    def test_witness_report(self, w01):
-        import json
-        from weyltype.classification import witness_report
-
-        report = witness_report(w01, w01.d(1, 2) - w01.d(1))
-        data = json.loads(json.dumps(report))
-        assert data["alpha"] == ["2"]
-        assert data["coords"] == [2]
-        assert data["value"]["terms"][0]["coeff"] == "2"
 
     def test_ad_behavior_trace_serializes(self, w01):
         import json

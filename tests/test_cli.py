@@ -302,3 +302,74 @@ class TestSelftest:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_command(["selftest", "--suite", "nope"]) == 2
         capsys.readouterr()
+
+
+def _nf_file(edit):
+    """The identity normal form on the desk algebra, as JSON data, after
+    ``edit`` rewrites one field of it."""
+    sig = desk_signature()
+    data = NormalFormAut(TauAut.identity(sig), InnerExp(sig.x_poly(1)),
+                         ShiftV.identity(sig)).to_dict()
+    edit(data)
+    return data
+
+
+def _set(path, value):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+# (config data, automorphism data or None): each is malformed at the JSON
+# level and must be refused as bad input, never read by truncation
+MALFORMED_FILES = {
+    "float-generator": ({**DESK_CONFIG, "gamma_generators": [[0.5, 0], [0, 1]]}, None),
+    "top-level-list": ([DESK_CONFIG], None),
+    "float-ell1": ({**DESK_CONFIG, "ell1": 1.5}, None),
+    "bool-ell2": ({**DESK_CONFIG, "ell2": True}, None),
+    "ragged-generator": ({**DESK_CONFIG, "gamma_generators": [["1", "0"], ["0"]]}, None),
+    "float-in-G": (DESK_CONFIG, _nf_file(_set(("tau", "G", 0, 0), 1.0))),
+    "fractional-eps": (DESK_CONFIG, _nf_file(_set(("eps",), 0.7))),
+    "float-mu": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0, "mu"), [0.0, 0]))),
+    "float-coeff": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0, "coeff"), 0.5))),
+    "aut-top-level-list": (DESK_CONFIG, [_nf_file(lambda data: None)]),
+}
+
+
+class TestMalformedFiles:
+    @pytest.fixture(params=sorted(MALFORMED_FILES))
+    def argv(self, request, tmp_path):
+        config, aut = MALFORMED_FILES[request.param]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if aut is None:
+            return ["eval", "--config", str(cfg), "d1"]
+        path = tmp_path / "aut.json"
+        path.write_text(json.dumps(aut))
+        return ["aut", "apply", "--config", str(cfg), "--aut", str(path), "d1"]
+
+    def test_exits_2_as_bad_input(self, argv, capsys):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad input: ")
+        for text in (captured.out, captured.err):
+            assert "Traceback" not in text and "Fraction(" not in text
+
+    def test_json_envelope(self, argv, capsys):
+        assert run_command(argv + ["--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["error"].startswith("bad input: ")
+        assert "Fraction(" not in payload["error"]
+
+    def test_well_formed_files_still_read(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(DESK_CONFIG))
+        path = tmp_path / "aut.json"
+        path.write_text(json.dumps(_nf_file(lambda data: None)))
+        assert run_command(["aut", "apply", "--config", str(cfg), "--aut", str(path),
+                            "d1"]) == 0
+        assert capsys.readouterr().out == "-1 + d1\n"

@@ -24,7 +24,7 @@ from weyltype.errors import (
     SingularMatrix,
 )
 from weyltype.lattice import adapted_basis
-from weyltype.linalg import mat_det, unimodular_matrices, vec_mat
+from weyltype.linalg import mat_det, mat_inverse, mat_mul, unimodular_matrices, vec_mat
 
 
 def _rows(lat):
@@ -257,6 +257,70 @@ class TestAut2Membership:
             a, b = rng.choice(members), rng.choice(members)
             assert aut2_membership(lat, a.mul(b))
             assert aut2_membership(lat, a.inverse())
+
+
+def _ref_aut2_membership(lattice, G):
+    """The coordinate-row check: Gamma . G = Gamma iff each basis row times G
+    has integer coordinates and those rows have determinant +-1."""
+    coord_rows = []
+    for row in lattice.basis:
+        coords = lattice.coordinates(vec_mat(row, G.entries))
+        if coords is None:
+            return False
+        coord_rows.append(tuple(Fraction(c) for c in coords))
+    return abs(mat_det(tuple(coord_rows))) == 1
+
+
+def _seeded_block_matrices(ell1, lattice, rng, count):
+    """A^{-1} V A for the E1-adapted basis A and block lower-triangular V:
+    unimodular integer V (members), V with a row doubled (index-2 images),
+    the inverse of that (Gamma . G^{-1} is then a proper sublattice, which
+    only the determinant test rejects), and V with a halved entry."""
+    ell = lattice.ambient_dim
+    A = adapted_basis(lattice, ell1)
+    a_inv = mat_inverse(A)
+    out = []
+    for n in range(count):
+        V = [[int(r == c) for c in range(ell)] for r in range(ell)]
+        for _ in range(rng.randint(2, 6)):
+            r, t = rng.randrange(ell), rng.randrange(ell)
+            if r == t:
+                V[r] = [-x for x in V[r]]
+            elif r >= ell1 or t < ell1:
+                V[r] = [x + rng.choice((-1, 1)) * y for x, y in zip(V[r], V[t])]
+        kind = n % 4
+        if kind in (1, 2):
+            r = rng.randrange(ell)
+            V[r] = [2 * x for x in V[r]]
+            if kind == 2:
+                V = mat_inverse(V)
+        elif kind == 3:
+            r = rng.randrange(ell)
+            t = rng.randrange(ell1) if r < ell1 else rng.randrange(ell)
+            V[r][t] += Fraction(1, 2)
+        try:
+            out.append(BlockMatrix(ell1, ell - ell1, mat_mul(a_inv, mat_mul(V, A))))
+        except SingularMatrix:
+            continue
+    return out
+
+
+class TestAut2MembershipAgreesWithCoordinateRows:
+    SIGNATURES = {
+        "desk": (1, [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))]),
+        "rank3": (1, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(1, 2), Fraction(1, 2), 0)]),
+        "rank4": (2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                      (Fraction(1, 2), 0, Fraction(1, 3), Fraction(1, 2))]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIGNATURES))
+    def test_members_and_non_members(self, name):
+        ell1, gens = self.SIGNATURES[name]
+        lattice = Lattice(len(gens[0]), gens)
+        matrices = _seeded_block_matrices(ell1, lattice, random.Random(name), 80)
+        verdicts = [aut2_membership(lattice, G) for G in matrices]
+        assert verdicts == [_ref_aut2_membership(lattice, G) for G in matrices]
+        assert 10 < sum(verdicts) < len(verdicts) - 10
 
 
 class TestCharacter:

@@ -7,9 +7,17 @@ instead, and nothing in it raises or catches ``AssertionError``.
 A handler for ``Exception``, ``BaseException`` or everything (a bare
 ``except:``) would also swallow programming errors and keyboard interrupts;
 the package catches only the errors it means to translate.
+
+Every module-level function or class, and every method that is not a
+dunder, must be reachable by name: referenced somewhere in the package
+outside its own body, named by the benchmark harness in ``perfbench/``, or
+exported in ``weyltype.__all__``.  A helper nothing calls is deleted, not
+kept.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +25,7 @@ import pytest
 import weyltype
 
 SOURCES = sorted(Path(weyltype.__file__).parent.glob("*.py"))
+PERFBENCH = Path(weyltype.__file__).parents[2] / "perfbench"
 
 
 def _assert_sites(tree: ast.AST) -> list[tuple[int, str]]:
@@ -76,3 +85,67 @@ def test_broad_except_checker_sees_every_form():
            "try:\n    pass\nexcept (KeyError, BaseException) as exc:\n    pass\n"
            "try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n")
     assert [line for line, _ in _broad_except_sites(ast.parse(src))] == [3, 7, 11]
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function or class and each
+    non-dunder method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _used_names(tree: ast.AST) -> Counter:
+    used: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+    return used
+
+
+def _unreferenced(sources: dict, outside_text: str, exported) -> list[str]:
+    """``module:qualified.name`` of each definition in ``sources`` (module
+    name -> source text) with no reference outside its own body, no word in
+    ``outside_text`` and no entry in ``exported``."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    used = sum((_used_names(tree) for tree in trees.values()), Counter())
+    outside = set(re.findall(r"\w+", outside_text)) | set(exported)
+    dead = []
+    for mod, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = qual.rpartition(".")[2]
+            if used[name] - _used_names(node)[name] <= 0 and name not in outside:
+                dead.append(f"{mod}:{qual}")
+    return dead
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    harness = sorted(PERFBENCH.glob("*.py")) + [PERFBENCH / "layers.json"]
+    outside = "\n".join(p.read_text(encoding="utf-8") for p in harness if p.exists())
+    assert _unreferenced(sources, outside, weyltype.__all__) == []
+
+
+def test_unreferenced_checker_sees_every_form():
+    sources = {
+        "a": ("def used():\n    pass\n"
+              "def unused():\n    return unused()\n"
+              "def exported():\n    pass\n"
+              "def harness_only():\n    pass\n"
+              "class Box:\n"
+              "    def __init__(self):\n        self.fill()\n"
+              "    def fill(self):\n        pass\n"
+              "    def spare(self):\n        return self.spare()\n"),
+        "b": "from .a import used\nused()\nBox()\n",
+    }
+    assert _unreferenced(sources, "target a:harness_only", ["exported"]) == [
+        "a:unused", "a:Box.spare"]

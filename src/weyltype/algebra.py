@@ -13,12 +13,17 @@ The product is the bilinear extension of
 with d_p acting on the commutative part as grading by the p-th ambient
 coordinate plus, for p <= l1, lowering of the polynomial index.
 
+An element is stored as integer numerators over one positive denominator,
+with no common factor, so the stored form is canonical and equality is
+plain data equality.  ``Element(sig, terms)`` is the validated constructor
+taking rational coefficients, and ``Element.terms`` builds the Fraction view
+on each read; ``Fraction`` is the type at the API boundary only.
+
 The product runs on integers. Grading eigenvalues lie in (1/D)Z with
 D = lattice.denominator, so the d^lam tables hold numerators over D^|lam|
-and every coefficient of a . b is an integer over da * db * D^top, where
-da and db clear the coefficient denominators of a and b and top is the
-highest level in a. One Fraction is built per output term; the action on
-A and derivation_apply are the level-0 part of the same kernel.
+and every coefficient of a . b is an integer over a.den * b.den * D^top,
+where top is the highest level in a.  The action on A and
+derivation_apply are the level-0 part of the same kernel.
 
 A left term with mu = 0 needs no Leibniz sum: u . v d^nu = (uv) d^nu, so
 the kernel attaches it by a plain convolution of numerators (``_convolve``),
@@ -26,7 +31,7 @@ the same loop the homomorphic extension of ``automorphisms`` uses.  A right
 term in F[D] is the mirror case, u d^mu . d^nu = u d^{mu+nu}, which makes
 every product of derivation polynomials a plain convolution.  The
 bracket runs a . b and b . a, the latter with the opposite sign, in one
-pass over one numerator dict over da * db * D^max(top_a, top_b).
+pass over one numerator dict over a.den * b.den * D^max(top_a, top_b).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, sub
 from typing import NamedTuple
 
@@ -47,7 +52,8 @@ from .errors import (
 )
 from . import linalg
 from .lattice import Lattice
-from .rationals import as_fraction, int_from_json, point_str, rational_from_json, rational_str
+from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json, point_str,
+                        rational_from_json, rational_str)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +171,16 @@ class Signature:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return _from_ints(self, 1, {})
 
     def one(self) -> "Element":
-        return self.scalar(1)
+        z = (0,) * self.ell
+        return _from_ints(self, 1, {Monomial(z, z, z): 1})
 
     def scalar(self, c) -> "Element":
         z = (0,) * self.ell
-        return Element(self, {Monomial(z, z, z): as_fraction(c)})
+        c = as_fraction(c)
+        return _from_ints(self, c.denominator, {Monomial(z, z, z): c.numerator})
 
     def monomial(self, alpha=None, i=None, mu=None, coeff=1) -> "Element":
         """Build coeff * x^{alpha,i} d^mu from an ambient lattice point alpha."""
@@ -184,7 +192,8 @@ class Signature:
         mu = tuple(mu) if mu is not None else (0,) * ell
         m = Monomial(coords, i, mu)
         self.check_monomial(m)
-        return Element(self, {m: as_fraction(coeff)})
+        coeff = as_fraction(coeff)
+        return _from_ints(self, coeff.denominator, {m: coeff.numerator})
 
     def x(self, alpha, i=None, coeff=1) -> "Element":
         return self.monomial(alpha=alpha, i=i, coeff=coeff)
@@ -206,6 +215,7 @@ class Signature:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Signature":
+        data = object_from_json(data, "signature")
         return cls(int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2"),
                    Lattice.from_dict(data["lattice"]))
 
@@ -215,32 +225,48 @@ class Signature:
 # ---------------------------------------------------------------------------
 
 class Element:
-    """A sparse rational combination of basis monomials of one algebra."""
+    """A sparse rational combination of basis monomials of one algebra.
 
-    __slots__ = ("signature", "terms")
+    Stored as integer numerators ``num`` ({Monomial: nonzero int}) over one
+    positive denominator ``den`` with gcd(den, *num.values()) == 1: the
+    coefficient of m is num[m] / den.  The form is canonical, so equality
+    compares (signature, den, num).  ``terms`` is the Fraction view.
+    """
 
-    def __init__(self, signature: Signature, terms, _checked: bool = False):
-        pruned = {}
+    __slots__ = ("signature", "den", "num")
+
+    def __init__(self, signature: Signature, terms):
+        """The validated constructor: every coefficient goes through
+        ``as_fraction`` and every monomial through ``check_monomial``."""
+        coeffs = {}
         for m, c in terms.items():
             c = as_fraction(c)
             if c == 0:
                 continue
             if not isinstance(m, Monomial):
                 m = Monomial(tuple(m[0]), tuple(m[1]), tuple(m[2]))
-            if not _checked:
-                signature.check_monomial(m)
-            pruned[m] = c
+            signature.check_monomial(m)
+            coeffs[m] = c
+        den = lcm(*(c.denominator for c in coeffs.values()))
         self.signature = signature
-        self.terms = pruned
+        self.den = den
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
 
     # -- basics ---------------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """{monomial: Fraction coefficient}, built on each read; changing the
+        returned dict leaves the element unchanged."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.num.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
@@ -252,28 +278,33 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        return (self.den == other.den and self.num == other.num
+                and self.signature == other.signature)
+
+    def _combine(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other over the least common denominator."""
+        self._require_same(other)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        out = dict(self.num) if fa == 1 else {m: n * fa for m, n in self.num.items()}
+        for m, n in other.num.items():
+            out[m] = out.get(m, 0) + n * fb
+        return _from_ints(self.signature, self.den * fa, out)
 
     def __add__(self, other: "Element") -> "Element":
-        self._require_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Element(self.signature, out, _checked=True)
-
-    def __neg__(self) -> "Element":
-        return Element(self.signature, {m: -c for m, c in self.terms.items()},
-                       _checked=True)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Element":
+        return _from_ints(self.signature, self.den, {m: -n for m, n in self.num.items()})
 
     def scale(self, c) -> "Element":
         c = as_fraction(c)
-        if c == 0:
-            return self.signature.zero()
-        return Element(self.signature, {m: c * v for m, v in self.terms.items()},
-                       _checked=True)
+        p = c.numerator
+        return _from_ints(self.signature, self.den * c.denominator,
+                          {m: n * p for m, n in self.num.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -293,24 +324,23 @@ class Element:
     # -- structure queries ------------------------------------------------------
 
     def max_level(self):
-        return max((sum(m.mu) for m in self.terms), default=None)
+        return max((sum(m.mu) for m in self.num), default=None)
 
     def in_A(self) -> bool:
-        return all(sum(m.mu) == 0 for m in self.terms)
+        return not any(any(m.mu) for m in self.num)
 
     def in_FD(self) -> bool:
-        return all(m.alpha == (0,) * self.signature.ell and sum(m.i) == 0
-                   for m in self.terms)
+        return not any(any(m.alpha) or any(m.i) for m in self.num)
 
     def constant_coefficient(self) -> Fraction:
         z = (0,) * self.signature.ell
-        return self.terms.get(Monomial(z, z, z), Fraction(0))
+        return Fraction(self.num.get(Monomial(z, z, z), 0), self.den)
 
     def without_constant(self) -> "Element":
         z = (0,) * self.signature.ell
-        out = dict(self.terms)
+        out = dict(self.num)
         out.pop(Monomial(z, z, z), None)
-        return Element(self.signature, out, _checked=True)
+        return _from_ints(self.signature, self.den, out)
 
     def __repr__(self):
         if self.is_zero:
@@ -321,15 +351,25 @@ class Element:
         return "Element(" + " + ".join(bits) + ")"
 
 
+def _from_ints(sig: Signature, den: int, num: dict) -> Element:
+    """The element with coefficients num[m] / den for a positive int den:
+    zero numerators dropped and the common factor divided out, with no
+    per-term check and no Fraction.  Term order is kept."""
+    num = {m: n for m, n in num.items() if n}
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {m: n // g for m, n in num.items()}
+    e = object.__new__(Element)
+    e.signature = sig
+    e.den = den
+    e.num = num
+    return e
+
+
 # ---------------------------------------------------------------------------
 # derivation actions and the product
 # ---------------------------------------------------------------------------
-
-def _numerators(e: Element) -> tuple[int, dict]:
-    """(den, {monomial: integer numerator}) with every coefficient of e = n / den."""
-    den = lcm(*(c.denominator for c in e.terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in e.terms.items()}
-
 
 def _d_lam(sig: Signature, memo: dict, al, grade, i0, lam) -> dict:
     """d^lam(x^{al,i0}) as {i: n}, the coefficient of x^{al,i} being n / D^|lam|.
@@ -398,9 +438,10 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                     continue
                 grade = lattice.grades(al)
                 # d_p^k(x^{al,i}) vanishes past the polynomial index when the
-                # grading eigenvalue is zero, so cap the expansion there
-                caps = tuple(top if g else (i[p] if p < ell1 else 0)
-                             for p, g in enumerate(grade))
+                # grading eigenvalue is zero, so cap the expansion there (the
+                # action takes lam = mu alone and needs no caps)
+                caps = None if action else tuple(top if g else (i[p] if p < ell1 else 0)
+                                                 for p, g in enumerate(grade))
                 b_terms.append((al, i, mu, n, grade, caps))
         for al2, i2, mu2, n2, grade, caps in b_terms:
             mu12 = tuple(map(add, mu1, mu2))
@@ -422,35 +463,31 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                     out[key] = out.get(key, 0) + base * n
 
 
-def _from_numerators(sig: Signature, out: dict, den: int) -> Element:
-    """The element with coefficients n / den, one Fraction per nonzero term."""
-    return Element(sig, {m: Fraction(n, den) for m, n in out.items() if n}, _checked=True)
-
-
 def _mul_elements(a: Element, b: Element, action: bool = False,
                   bracket: bool = False) -> Element:
     """a . b; with ``action`` (b in A) its level-0 part, the lam = mu terms,
     which make up the action of a on b; with ``bracket`` a . b - b . a in one
-    pass, over da * db * D^max(top_a, top_b) and with one d^lam memo."""
+    pass, over a.den * b.den * D^max(top_a, top_b) and with one d^lam memo."""
     a._require_same(b)
     sig = a.signature
-    if not a.terms or not b.terms:
+    if not a.num or not b.num:
         return sig.zero()
-    da, a_num = _numerators(a)
-    db, b_num = _numerators(b)
     top = max(a.max_level(), b.max_level()) if bracket else a.max_level()
     powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
     memo: dict = {}
-    _accumulate(out, memo, sig, a_num, b_num, powers, action=action)
+    _accumulate(out, memo, sig, a.num, b.num, powers, action=action)
     if bracket:
-        _accumulate(out, memo, sig, b_num, a_num, powers, scale=-1)
-    return _from_numerators(sig, out, da * db * powers[top])
+        _accumulate(out, memo, sig, b.num, a.num, powers, scale=-1)
+    return _from_ints(sig, a.den * b.den * powers[top], out)
 
 
 def derivation_apply(sig: Signature, lam, target: Element) -> Element:
     """Apply d^lam to an element of A; the result stays in A."""
-    return act_on_A(sig.monomial(mu=lam), target)
+    zero = (0,) * sig.ell
+    m = Monomial(zero, zero, tuple(lam))
+    sig.check_monomial(m)
+    return act_on_A(_from_ints(sig, 1, {m: 1}), target)
 
 
 def act_on_A(w: Element, a: Element) -> Element:
@@ -488,7 +525,7 @@ def change_D_basis(sig: Signature, C, w: Element) -> Element:
         for mu_out, coeff in poly.items():
             key = Monomial(al, i, mu_out)
             out[key] = out.get(key, Fraction(0)) + c * coeff
-    return Element(sig, out, _checked=True)
+    return Element(sig, out)
 
 
 def _poly_times_linear(poly: dict, column: dict, ell: int) -> dict:
@@ -516,9 +553,9 @@ def filtration_data(w: Element) -> FiltrationData:
     """Componentwise maxima over the support; all None for the zero element."""
     if w.is_zero:
         return FiltrationData(None, None, None)
-    gamma = max(m.alpha for m in w.terms)
-    i_deg = tuple(max(m.i[p] for m in w.terms) for p in range(w.signature.ell))
-    lev = max(sum(m.mu) for m in w.terms)
+    gamma = max(m.alpha for m in w.num)
+    i_deg = tuple(max(m.i[p] for m in w.num) for p in range(w.signature.ell))
+    lev = w.max_level()
     return FiltrationData(gamma, i_deg, lev)
 
 
@@ -540,15 +577,17 @@ def element_to_dict(e: Element) -> dict:
 
 
 def element_from_dict(data: dict, signature: Signature | None = None) -> Element:
+    data = object_from_json(data, "element")
     sig = signature if signature is not None else Signature.from_dict(data["signature"])
     out: dict = {}
-    for t in data["terms"]:
+    for t in list_from_json(data["terms"], "terms"):
+        t = object_from_json(t, "term")
         term = sig.monomial(
-            alpha=[rational_from_json(x) for x in t["alpha"]],
-            i=[int_from_json(x, "i") for x in t["i"]],
-            mu=[int_from_json(x, "mu") for x in t["mu"]],
+            alpha=[rational_from_json(x) for x in list_from_json(t["alpha"], "alpha")],
+            i=[int_from_json(x, "i") for x in list_from_json(t["i"], "i")],
+            mu=[int_from_json(x, "mu") for x in list_from_json(t["mu"], "mu")],
             coeff=rational_from_json(t["coeff"]),
         )
         for m, c in term.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-    return Element(sig, out, _checked=True)
+    return Element(sig, out)

@@ -20,9 +20,11 @@ d_q -> d_q + [u, d_q] with A fixed, not a series.
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
 ``classification.iso_verify`` certifies.  Its group law is integer algebra
-on the lattice matrix N; the Fraction check ``lattice.lattice_motion`` that
-derives N runs only for a G given from outside (a constructor call, a
-normal-form file, decomposition step (1), the samplers, the iso decision).
+on the lattice matrices N and N^{-1}; the Fraction check
+``lattice.lattice_motion`` that derives N runs only for a G given from
+outside (a constructor call, a normal-form file, decomposition step (1), the
+samplers, the iso decision).  The tables and the extension run on the
+integer form of the elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
@@ -41,9 +43,9 @@ from .algebra import (
     Element,
     Monomial,
     Signature,
+    _accumulate,
     _convolve,
-    _from_numerators,
-    _numerators,
+    _from_ints,
     derivation_apply,
     element_from_dict,
     element_to_dict,
@@ -61,7 +63,8 @@ from .errors import (
     SingularMatrix,
 )
 from .lattice import BlockMatrix, Character, lattice_motion
-from .rationals import as_fraction, int_from_json, rational_str, vector_from_json
+from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
+                        rational_str, vector_from_json)
 from .sampling import random_element
 
 MODE_LIE = "lie"
@@ -99,7 +102,7 @@ def generator_element(sig: Signature, key: tuple) -> Element:
         m = Monomial(zero, zero, unit_index(sig.ell, key[1]))
     else:
         raise KeyError(key)
-    return Element(sig, {m: Fraction(1)})
+    return _from_ints(sig, 1, {m: 1})
 
 
 def _gen_label(key: tuple) -> str:
@@ -133,21 +136,21 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
     """Extend generator images multiplicatively over w.
 
     The table is ``x_image``, a function from lattice coordinates alpha to
-    the image of x^alpha, plus the image lists of x^{1_[p]} and d_q.  The
-    image of x^{alpha,i} d^mu is A(alpha,i) . D(mu): A(alpha,i) is the image
-    of x^alpha times the ascending powers of the x^{1_[p]} images, an element
-    of A, and D(mu) the ascending powers of the d_q images multiplied left to
-    right, built once per distinct mu.  Left multiplication by an element of
-    A is a convolution, so every A-part is built and attached on integer
-    numerators over one common denominator, with one Fraction per output
-    term.  By associativity this is the ordered product of the images.  It
-    needs the x- and xi-images in A and raises InvariantViolation otherwise.
+    the image of x^alpha as integer parts (den, num), plus the image lists
+    of x^{1_[p]} and d_q.  The image of x^{alpha,i} d^mu is A(alpha,i) . D(mu):
+    A(alpha,i) is the image of x^alpha times the ascending powers of the
+    x^{1_[p]} images, an element of A, and D(mu) the ascending powers of the
+    d_q images multiplied left to right, built once per distinct mu.  Left
+    multiplication by an element of A is a convolution, so every A-part is
+    built and attached on integer numerators over one common denominator.
+    By associativity this is the ordered product of the images.  It needs
+    the x- and xi-images in A and raises InvariantViolation otherwise.
     """
     sig = w.signature
     zero = (0,) * sig.ell
     powers: dict = {}
     xi_parts: dict = {}
-    d_parts: dict = {zero: (1, {Monomial(zero, zero, zero): 1})}
+    d_parts: dict = {zero: out_sig.one()}
 
     def power(tag, base: Element, k: int) -> Element:
         cached = powers.get((tag, k))
@@ -156,46 +159,45 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
             powers[(tag, k)] = cached
         return cached
 
-    def a_part(e: Element, gen: tuple) -> tuple[int, dict]:
-        if not e.in_A():
+    def require_A(num: dict, gen: tuple) -> None:
+        if any(any(m.mu) for m in num):
             raise InvariantViolation(f"the table's image of generator {gen} is not in A")
-        return _numerators(e)
 
     parts = []
-    for (al, i, mu), c in w.terms.items():
-        den, a_num = a_part(x_image(al), ("x", al))
+    for (al, i, mu), n in w.num.items():
+        den, a_num = x_image(al)
+        require_A(a_num, ("x", al))
         for p in range(sig.ell1):
             if i[p]:
                 xi = xi_parts.get((p, i[p]))
                 if xi is None:
-                    xi = xi_parts[(p, i[p])] = a_part(
-                        power(("xi", p), x1_images[p], i[p]), ("xi", p + 1))
+                    xi = xi_parts[(p, i[p])] = power(("xi", p), x1_images[p], i[p])
+                    require_A(xi.num, ("xi", p + 1))
                 prod_num: dict = {}
-                for (al1, i1, _), n in a_num.items():
-                    _convolve(prod_num, al1, i1, n, xi[1].items())
-                den, a_num = den * xi[0], prod_num
-        d_part = d_parts.get(mu)
-        if d_part is None:
-            d_mu = None
+                for (al1, i1, _), n1 in a_num.items():
+                    _convolve(prod_num, al1, i1, n1, xi.num.items())
+                den, a_num = den * xi.den, prod_num
+        d_mu = d_parts.get(mu)
+        if d_mu is None:
             for q in range(sig.ell):
                 if mu[q]:
                     d_q = power(("d", q), d_images[q], mu[q])
                     d_mu = d_q if d_mu is None else d_mu * d_q
-            d_part = d_parts[mu] = _numerators(d_mu)
-        parts.append((c, den * d_part[0], a_num, d_part[1]))
-    common = lcm(*(c.denominator * den for c, den, _, _ in parts))
+            d_parts[mu] = d_mu
+        parts.append((n, den * d_mu.den, a_num, d_mu.num))
+    common = lcm(*(den for _, den, _, _ in parts))
     out: dict = {}
-    for c, den, a_num, d_num in parts:
-        scale = c.numerator * (common // (c.denominator * den))
-        for (al, i, _), n in a_num.items():
-            _convolve(out, al, i, scale * n, d_num.items())
-    return _from_numerators(out_sig, out, common)
+    for n, den, a_num, d_num in parts:
+        scale = n * (common // den)
+        for (al, i, _), n_a in a_num.items():
+            _convolve(out, al, i, scale * n_a, d_num.items())
+    return _from_ints(out_sig, w.den * common, out)
 
 
 def _fixed_x_image(sig: Signature):
     """The x-part of a table that fixes every x^alpha."""
     zero = (0,) * sig.ell
-    return lambda al: Element(sig, {Monomial(al, zero, zero): Fraction(1)}, _checked=True)
+    return lambda al: (1, {Monomial(al, zero, zero): 1})
 
 
 def _moved_coords(coord_map: tuple, alpha_coords) -> tuple[int, ...]:
@@ -208,22 +210,24 @@ def _moved_coords(coord_map: tuple, alpha_coords) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _tau_table(dst: Signature, G: BlockMatrix, f: Character, coord_map: tuple):
+def _tau_table(tau: "TauAut"):
     """Generator table of tau = (G, f): x^a -> f(a) x^{a G^{-1}}, the
     polynomial row times (M^t)^{-1}, the derivation row times G."""
+    dst, f, coord_map = tau.target, tau.f, tau.N
     ell = dst.ell
     zero = (0,) * ell
 
-    def x_image(alpha_coords) -> Element:
-        return Element(dst, {Monomial(_moved_coords(coord_map, alpha_coords), zero, zero):
-                             f.evaluate_coords(alpha_coords)}, _checked=True)
+    def x_image(alpha_coords) -> tuple[int, dict]:
+        num, den = f.evaluate_ratio(alpha_coords)
+        return den, {Monomial(_moved_coords(coord_map, alpha_coords), zero, zero): num}
 
-    mt_inv = G.m_transpose_inverse()
-    x1_images = [Element(dst, {Monomial(zero, unit_index(ell, r + 1), zero): mt_inv[r][p]
-                               for r in range(dst.ell1)})
+    den, mt_inv = tau.scaled_mt_inverse
+    x1_images = [_from_ints(dst, den, {Monomial(zero, unit_index(ell, r + 1), zero): mt_inv[r][p]
+                                       for r in range(dst.ell1)})
                  for p in range(dst.ell1)]
-    d_images = [Element(dst, {Monomial(zero, zero, unit_index(ell, p + 1)): G.entries[p][q]
-                              for p in range(ell)})
+    den, g = tau.scaled_G
+    d_images = [_from_ints(dst, den, {Monomial(zero, zero, unit_index(ell, p + 1)): g[p][q]
+                                      for p in range(ell)})
                 for q in range(ell)]
     return x_image, x1_images, d_images
 
@@ -239,18 +243,24 @@ class TauAut:
     It maps W(signature) to W(target), by default the same algebra; with
     Gamma . G^{-1} = Gamma' it is an isomorphism onto W(l1, l2, Gamma').
 
-    The primary data is the integer unimodular matrix N of the lattice motion,
-    source to target canonical coordinates, and the character f on the source
-    lattice.  ``compose`` multiplies the N, ``inverse`` inverts N over the
-    integers and reads the inverse character off its rows, and ``identity``
-    takes N = I.  Only a G supplied from outside goes through the lattice
-    check ``lattice_motion``, which derives N.
+    The primary data are the integer unimodular matrices N and N^{-1} of the
+    lattice motion in canonical coordinates (row k of N holds the target
+    coordinates of b_k . G^{-1}, so star(n) = n . N) and the character f on
+    the source lattice.  ``compose`` multiplies the N and the N^{-1},
+    ``inverse`` swaps them and reads the inverse character off the rows of
+    N^{-1}, and ``identity`` takes N = I.  G = B_dst^{-1} N^{-1} B_src and
+    (M^t)^{-1}, the transposed top-left l1 block of G^{-1} = B_src^{-1} N B_dst,
+    are derived on first use by integer products over one denominator from
+    the lattice bases B.  Only a G supplied from outside goes through the
+    lattice check ``lattice_motion``, which derives N; its N^{-1} follows on
+    first use, by integer products as well.
     """
 
-    __slots__ = ("signature", "target", "G", "f", "N", "_images")
+    __slots__ = ("signature", "target", "f", "N", "_N_inv", "_G", "_scaled_G", "_scaled_mt_inv",
+                 "_images")
 
     def __init__(self, signature: Signature, G: BlockMatrix, f: Character,
-                 target: Signature | None = None, _N=None):
+                 target: Signature | None = None):
         target = signature if target is None else target
         if (target.ell1, target.ell2) != (signature.ell1, signature.ell2):
             raise SignatureMismatch("(l1, l2) invariants differ")
@@ -258,16 +268,73 @@ class TauAut:
             raise DimensionMismatch("block sizes differ from the signature")
         if f.lattice != signature.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        self.N = lattice_motion(signature.lattice, target.lattice, G) if _N is None else _N
+        self.N = lattice_motion(signature.lattice, target.lattice, G)
         self.signature = signature
         self.target = target
-        self.G = G
         self.f = f
-        self._images = None
+        self._G = G
+        self._N_inv = self._scaled_G = self._scaled_mt_inv = self._images = None
+
+    @classmethod
+    def _from_motion(cls, signature: Signature, target: Signature, f: Character,
+                     N: tuple, N_inv: tuple) -> "TauAut":
+        """The map with lattice matrices N and N^{-1}; G is derived on first use."""
+        tau = object.__new__(cls)
+        tau.signature, tau.target, tau.f, tau.N, tau._N_inv = signature, target, f, N, N_inv
+        tau._G = tau._scaled_G = tau._scaled_mt_inv = tau._images = None
+        return tau
+
+    @property
+    def N_inv(self) -> tuple:
+        """N^{-1}; for a G from outside, B_dst G B_src^{-1} by integer products on
+        first use, integral once ``lattice_motion`` has passed."""
+        if self._N_inv is None:
+            dst = self.target.lattice
+            den, n_inv = linalg.integer_product((dst.denominator, dst.integer_basis),
+                                                linalg.scaled_integer(self._G.entries),
+                                                self.signature.lattice.scaled_inverse)
+            if any(x % den for row in n_inv for x in row):
+                raise InvariantViolation(f"B_dst G B_src^-1 for G = {self._G.entries} "
+                                         "is not integral")
+            self._N_inv = tuple(tuple(x // den for x in row) for row in n_inv)
+        return self._N_inv
+
+    @property
+    def G(self) -> BlockMatrix:
+        if self._G is None:
+            den, g = self.scaled_G
+            self._G = BlockMatrix(self.signature.ell1, self.signature.ell2,
+                                  [[Fraction(x, den) for x in row] for row in g])
+        return self._G
+
+    @property
+    def scaled_G(self) -> tuple[int, tuple]:
+        """G = B_dst^{-1} N^{-1} B_src as (den, K), an integer matrix K over one
+        denominator."""
+        if self._scaled_G is None:
+            src = self.signature.lattice
+            self._scaled_G = linalg.integer_product(self.target.lattice.scaled_inverse,
+                                                    (1, self.N_inv),
+                                                    (src.denominator, src.integer_basis))
+        return self._scaled_G
+
+    @property
+    def scaled_mt_inverse(self) -> tuple[int, tuple]:
+        """(M^t)^{-1}, the matrix acting on the polynomial generator row: the
+        transposed top-left l1 block of G^{-1} = B_src^{-1} N B_dst, as (den, K)."""
+        if self._scaled_mt_inv is None:
+            ell1 = self.signature.ell1
+            e_src, b_src_inv = self.signature.lattice.scaled_inverse
+            dst = self.target.lattice
+            den, block = linalg.integer_product(
+                (e_src, b_src_inv[:ell1]), (1, self.N),
+                (dst.denominator, [row[:ell1] for row in dst.integer_basis]))
+            self._scaled_mt_inv = den, tuple(zip(*block))
+        return self._scaled_mt_inv
 
     def _table(self):
         if self._images is None:
-            self._images = _tau_table(self.target, self.G, self.f, self.N)
+            self._images = _tau_table(self)
         return self._images
 
     def apply(self, w: Element) -> Element:
@@ -279,32 +346,31 @@ class TauAut:
         """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
         x_image, x1_images, d_images = self._table()
         ell = self.signature.ell
-        table = {f"x+{k}": x_image(unit_index(ell, k)) for k in range(1, ell + 1)}
+        table = {f"x+{k}": _from_ints(self.target, *x_image(unit_index(ell, k)))
+                 for k in range(1, ell + 1)}
         table.update((f"xi{p}", e) for p, e in enumerate(x1_images, 1))
         table.update((f"d{q}", e) for q, e in enumerate(d_images, 1))
         return table
 
     def inverse(self) -> "TauAut":
-        """(G^{-1}, f') from target to signature: the rows of N^{-1} are the
-        coordinates of c_k . G for the target basis rows c_k, and
-        f'(c_k) = 1 / f(c_k . G)."""
-        n_inv = linalg.integer_inverse(self.N)
-        if n_inv is None:
-            raise InvariantViolation(f"lattice matrix {self.N} is not unimodular")
-        values = [1 / self.f.evaluate_coords(row) for row in n_inv]
-        return TauAut(self.target, self.G.inverse(),
-                      Character(self.target.lattice, values), self.signature, _N=n_inv)
+        """(G^{-1}, f') from target to signature: N and N^{-1} swap, the rows
+        of N^{-1} are the coordinates of c_k . G for the target basis rows
+        c_k, and f'(c_k) = 1 / f(c_k . G)."""
+        values = [1 / self.f.evaluate_coords(row) for row in self.N_inv]
+        return TauAut._from_motion(self.target, self.signature,
+                                   Character(self.target.lattice, values), self.N_inv, self.N)
 
     def compose(self, other: "TauAut") -> "TauAut":
-        """tau_self after tau_other: G multiplies left-to-right, N right-to-left,
-        and the character picks up the other's lattice motion."""
+        """tau_self after tau_other: N multiplies right-to-left, N^{-1}
+        left-to-right, and the character picks up the other's lattice motion."""
         if other.target != self.signature:
             raise SignatureMismatch("the inner map does not land in the outer map's algebra")
         values = [v * self.f.evaluate_coords(moved)
                   for v, moved in zip(other.f.values, other.N)]
-        return TauAut(other.signature, self.G.mul(other.G),
-                      Character(other.signature.lattice, values), self.target,
-                      _N=linalg.mat_mul(other.N, self.N))
+        return TauAut._from_motion(other.signature, self.target,
+                                   Character(other.signature.lattice, values),
+                                   linalg.mat_mul(other.N, self.N),
+                                   linalg.mat_mul(self.N_inv, other.N_inv))
 
     def is_identity(self) -> bool:
         return self.G.is_identity() and self.f.is_trivial()
@@ -315,15 +381,17 @@ class TauAut:
 
     @classmethod
     def from_character(cls, sig: Signature, f: Character) -> "TauAut":
-        """(I, f), the character alone, with N = I."""
-        return cls(sig, BlockMatrix.identity(sig.ell1, sig.ell2), f,
-                   _N=linalg.integer_identity(sig.ell))
+        """(I, f), the character alone, with N = N^{-1} = I."""
+        if f.lattice != sig.lattice:
+            raise DimensionMismatch("character lives on a different lattice")
+        eye = linalg.integer_identity(sig.ell)
+        return cls._from_motion(sig, sig, f, eye, eye)
 
     def __eq__(self, other):
         if not isinstance(other, TauAut):
             return NotImplemented
-        return ((self.signature, self.target, self.G, self.f)
-                == (other.signature, other.target, other.G, other.f))
+        return ((self.signature, self.target, self.N, self.f)
+                == (other.signature, other.target, other.N, other.f))
 
     def __repr__(self):
         return f"TauAut(G={self.G.entries}, f={self.f})"
@@ -352,7 +420,7 @@ class InnerExp:
         # built per call and only for the d_q that occur in w: a derivation
         # pass over u is cheap, while a kept table would hold every d_q(u)
         # for as long as the automorphism lives
-        used = {q for m in w.terms for q, k in enumerate(m.mu) if k}
+        used = {q for m in w.num for q, k in enumerate(m.mu) if k}
         d_images = [generator_element(sig, ("d", q + 1))
                     - derivation_apply(sig, unit_index(sig.ell, q + 1), self.u)
                     if q in used else None for q in range(sig.ell)]
@@ -432,14 +500,19 @@ def apply_sigma1(sig: Signature, w: Element) -> Element:
     """
     if w.signature != sig:
         raise SignatureMismatch("element belongs to a different algebra")
+    if w.is_zero:
+        return w
     zero = (0,) * sig.ell
+    top = w.max_level()
+    powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
-    for (al, i, mu), c in w.terms.items():
-        d_part = Element(sig, {Monomial(zero, zero, mu): -c * (-1) ** sum(mu)})
-        a_part = Element(sig, {Monomial(al, i, zero): Fraction(1)})
-        for m, v in (d_part * a_part).terms.items():
-            out[m] = out.get(m, Fraction(0)) + v
-    return Element(sig, out, _checked=True)
+    memo: dict = {}
+    for (al, i, mu), n in w.num.items():
+        # -(-1)^|mu| d^mu . x^{al,i}, over D^top with the other terms
+        sign = 1 if sum(mu) % 2 else -1
+        _accumulate(out, memo, sig, {Monomial(zero, zero, mu): sign * n},
+                    {Monomial(al, i, zero): 1}, powers)
+    return _from_ints(sig, w.den * powers[top], out)
 
 
 class Sigma1:
@@ -518,11 +591,14 @@ class NormalFormAut:
 
     @classmethod
     def from_dict(cls, data: dict, signature: Signature | None = None) -> "NormalFormAut":
+        data = object_from_json(data, "normal form")
         u_elem = element_from_dict(data["u"], signature)
         sig = u_elem.signature
+        tau = object_from_json(data["tau"], "tau")
         G = BlockMatrix(sig.ell1, sig.ell2,
-                        [vector_from_json(row, sig.ell, "G row") for row in data["tau"]["G"]])
-        f = Character(sig.lattice, vector_from_json(data["tau"]["f"], sig.ell, "f"))
+                        [vector_from_json(row, sig.ell, "G row")
+                         for row in list_from_json(tau["G"], "G")])
+        f = Character(sig.lattice, vector_from_json(tau["f"], sig.ell, "f"))
         v = ShiftV(sig, vector_from_json(data["v"], sig.ell, "v"))
         return cls(TauAut(sig, G, f), InnerExp(u_elem), v,
                    int_from_json(data.get("eps", 0), "eps"), data.get("mode", MODE_LIE))
@@ -537,7 +613,8 @@ def conjugated_shift(tau: TauAut, v: ShiftV) -> tuple[InnerExp, ShiftV]:
     sig = tau.signature
     ell1, ell2 = sig.ell1, sig.ell2
     v1, v2 = v.v[:ell1], v.v[ell1:]
-    moved1 = linalg.vec_mat(v1, tau.G.m_transpose_inverse()) if ell1 else ()
+    den, mt_inv = tau.scaled_mt_inverse
+    moved1 = tuple(x / den for x in linalg.vec_mat(v1, mt_inv)) if ell1 else ()
     moved2 = linalg.vec_mat(v2, tau.G.block_Q) if ell2 else ()
     inner = sig.zero()
     if ell1 and ell2:
@@ -640,9 +717,10 @@ class FunctionalAut:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FunctionalAut":
+        data = object_from_json(data, "automorphism")
         sig = Signature.from_dict(data["signature"])
         images = {_gen_key_from_label(lbl): element_from_dict(e, sig)
-                  for lbl, e in data["images"].items()}
+                  for lbl, e in object_from_json(data["images"], "images").items()}
         return cls(sig, data.get("mode", MODE_LIE), images)
 
 
@@ -811,7 +889,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
 
     # (3) the sign c0 and the character off the unit and x-images
     unit = images[("one",)]
-    if set(unit.terms) != {Monomial(zero, zero, zero)}:
+    if set(unit.num) != {Monomial(zero, zero, zero)}:
         raise NotAnAutomorphism("image of the unit is not scalar")
     c0 = unit.constant_coefficient()
     if c0 not in (Fraction(1), Fraction(-1)):
@@ -822,7 +900,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
         for s in (1, -1):
             image = images[("x", k, s)]
             expected = Monomial(unit_index(ell, k, s), zero, zero)
-            if set(image.terms) != {expected}:
+            if set(image.num) != {expected}:
                 raise NotAnAutomorphism(
                     f"image of x^{{{'+' if s > 0 else '-'}b_{k}}} is not a scalar multiple")
             coeffs[s] = image.terms[expected]

@@ -206,7 +206,7 @@ class AdBehavior:
 
 def _in_D_plus_A(w: Element) -> bool:
     zero = (0,) * w.signature.ell
-    for (al, i, mu) in w.terms:
+    for (al, i, mu) in w.num:
         lvl = sum(mu)
         if lvl > 1:
             return False
@@ -236,7 +236,7 @@ def _wild_probe(w: Element) -> Element:
     ell = sig.ell
     zero = (0,) * ell
     top = w.max_level()
-    support = [(al, i, mu) for (al, i, mu) in w.terms if sum(mu) == top]
+    support = [(al, i, mu) for (al, i, mu) in w.num if sum(mu) == top]
     gammas = {al for al, _, _ in support}
     if gammas == {zero}:
         lam = max((mu for al, i, mu in support if al == zero),

@@ -25,7 +25,7 @@ from .classification import iso_search_bounded
 from .errors import DimensionError, ExprSyntaxError, NotMember, WeylError
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
-from .rationals import int_from_json, vector_from_json
+from .rationals import int_from_json, list_from_json, vector_from_json
 from .selftest import SUITES, run_suites
 from .sampling import desk_signature
 
@@ -48,7 +48,8 @@ def _read_json_object(path: str) -> dict:
 def _signature_from_file(path: str) -> Signature:
     data = _read_json_object(path)
     ell1, ell2 = int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2")
-    gens = [vector_from_json(row, ell1 + ell2, "generator") for row in data["gamma_generators"]]
+    gens = [vector_from_json(row, ell1 + ell2, "generator")
+            for row in list_from_json(data["gamma_generators"], "gamma_generators")]
     return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
 
 

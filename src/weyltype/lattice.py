@@ -23,8 +23,8 @@ from .errors import (
     SingularBasis,
     SingularMatrix,
 )
-from .rationals import (as_fraction, int_from_json, point_str, rational_str,
-                        vector_from_json, vector_strs)
+from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
+                        point_str, rational_str, vector_from_json, vector_strs)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -35,7 +35,7 @@ class Lattice:
     """A rank-l subgroup of Q^l with a canonical Z-basis (rows of ``basis``)."""
 
     __slots__ = ("ambient_dim", "generators", "basis", "denominator",
-                 "integer_basis", "_inverse")
+                 "integer_basis", "_inverse", "_scaled_inverse")
 
     def __init__(self, ambient_dim: int, generators):
         if ambient_dim < 1:
@@ -68,12 +68,20 @@ class Lattice:
         # the integer grading rows denominator * basis
         self.integer_basis = tuple(tuple(int(x * denominator) for x in row) for row in basis)
         self._inverse = None
+        self._scaled_inverse = None
 
     @property
     def basis_inverse(self):
         if self._inverse is None:
             self._inverse = linalg.mat_inverse(self.basis)
         return self._inverse
+
+    @property
+    def scaled_inverse(self) -> tuple[int, tuple]:
+        """basis_inverse as (E, K), an integer matrix K over one denominator E."""
+        if self._scaled_inverse is None:
+            self._scaled_inverse = linalg.scaled_integer(self.basis_inverse)
+        return self._scaled_inverse
 
     def coordinates(self, v):
         """Integer coordinates n with n . basis = v, or None when v is not in the lattice."""
@@ -117,8 +125,10 @@ class Lattice:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Lattice":
+        data = object_from_json(data, "lattice")
         dim = int_from_json(data["ambient_dim"], "ambient_dim")
-        return cls(dim, [vector_from_json(g, dim, "generator") for g in data["generators"]])
+        return cls(dim, [vector_from_json(g, dim, "generator")
+                         for g in list_from_json(data["generators"], "generators")])
 
 
 def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -199,17 +209,6 @@ class BlockMatrix:
     def identity(cls, ell1: int, ell2: int) -> "BlockMatrix":
         return cls(ell1, ell2, linalg.identity(ell1 + ell2))
 
-    def mul(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix(self.ell1, self.ell2,
-                           linalg.mat_mul(self.entries, other.entries))
-
-    def inverse(self) -> "BlockMatrix":
-        return BlockMatrix(self.ell1, self.ell2, linalg.mat_inverse(self.entries))
-
-    def m_transpose_inverse(self):
-        """(M^t)^{-1}, the matrix acting on the polynomial generator row."""
-        return linalg.mat_inverse(linalg.transpose(self.block_M))
-
     def is_identity(self) -> bool:
         return self.entries == linalg.identity(self.ell)
 
@@ -275,7 +274,9 @@ class Character:
     def trivial(cls, lattice: Lattice) -> "Character":
         return cls(lattice, (Fraction(1),) * lattice.ambient_dim)
 
-    def evaluate_coords(self, coords) -> Fraction:
+    def evaluate_ratio(self, coords) -> tuple[int, int]:
+        """f at the point with these basis coordinates as integers (num, den)
+        with den > 0, not reduced."""
         num = den = 1
         for v, n in zip(self.values, coords):
             if n > 0:
@@ -284,7 +285,10 @@ class Character:
             elif n < 0:
                 num *= v.denominator ** -n
                 den *= v.numerator ** -n
-        return Fraction(num, den)
+        return (-num, -den) if den < 0 else (num, den)
+
+    def evaluate_coords(self, coords) -> Fraction:
+        return Fraction(*self.evaluate_ratio(coords))
 
     def evaluate(self, alpha) -> Fraction:
         coords = self.lattice.coordinates(alpha)

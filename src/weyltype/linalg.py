@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals and integer Hermite normal form.
 
 Matrices are tuples of row tuples of Fraction; vectors act from the left
-(row vector times matrix) throughout the package.
+(row vector times matrix) throughout the package.  A rational matrix can
+also travel as (den, K), an integer matrix K over one denominator, which
+``integer_product`` multiplies without building a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -92,16 +95,20 @@ def mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def integer_inverse(m) -> tuple[tuple[int, ...], ...] | None:
-    """The inverse of a square integer matrix, or None unless it is itself an
-    integer matrix (that is, unless m is unimodular)."""
-    try:
-        inv = mat_inverse(m)
-    except SingularMatrix:
-        return None
-    if any(x.denominator != 1 for row in inv for x in row):
-        return None
-    return tuple(tuple(int(x) for x in row) for row in inv)
+def scaled_integer(m: Matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, K) with K an integer matrix and m = K / den, den the least such."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m)
+
+
+def integer_product(*factors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, P) with P / den the product of the matrices K / d, one (d, K) per
+    factor, each K an integer matrix: integer products, one denominator."""
+    den, out = factors[0]
+    for d, m in factors[1:]:
+        den *= d
+        out = mat_mul(out, m)
+    return den, out
 
 
 def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:

@@ -31,11 +31,23 @@ def int_from_json(value, name: str) -> int:
     return int(value)
 
 
+def object_from_json(value, name: str) -> dict:
+    """A JSON object; ValueError naming ``name`` for any other JSON value."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def list_from_json(value, name: str) -> list:
+    """A JSON list; ValueError naming ``name`` for any other JSON value."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def vector_from_json(values, length: int, name: str) -> tuple[Fraction, ...]:
     """A JSON list of ``length`` rationals; ValueError naming ``name`` otherwise."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a list, got {values!r}")
-    vec = tuple(map(rational_from_json, values))
+    vec = tuple(map(rational_from_json, list_from_json(values, name)))
     if len(vec) != length:
         raise ValueError(f"{name} {point_str(vec)} does not have length {length}")
     return vec

@@ -57,7 +57,7 @@ def random_monomial(sig: Signature, rng: random.Random, max_level: int = 3,
                     max_i: int = 3, coord_bound: int = 2) -> Element:
     e = random_element(sig, rng, max_terms=1, max_level=max_level,
                        max_i=max_i, coord_bound=coord_bound)
-    ((m, _),) = e.terms.items()
+    ((m, _),) = e.num.items()
     return Element(sig, {m: Fraction(1)})
 
 

@@ -174,7 +174,7 @@ def _ref_mul(a, b):
                     key = Monomial(tuple(x + y for x, y in zip(al1, al)),
                                    tuple(x + y for x, y in zip(i1, i)), mu_out)
                     out[key] = out.get(key, Fraction(0)) + base * q
-    return Element(sig, out, _checked=True)
+    return Element(sig, out)
 
 
 def _ref_act_on_A(w, a):
@@ -190,7 +190,7 @@ def _ref_act_on_A(w, a):
             key = Monomial(tuple(x + y for x, y in zip(al, al2)),
                            tuple(x + y for x, y in zip(i, i2)), zero)
             out[key] = out.get(key, Fraction(0)) + c * q
-    return Element(sig, out, _checked=True)
+    return Element(sig, out)
 
 
 F = Fraction

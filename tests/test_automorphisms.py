@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,7 +24,7 @@ from weyltype import (
     verify_automorphism,
 )
 from weyltype import automorphisms, linalg
-from weyltype.algebra import Element
+from weyltype.algebra import Element, Monomial, act_on_A
 from weyltype.lattice import adapted_basis, lattice_motion
 from weyltype.classification import iso_search_bounded
 from weyltype.automorphisms import (
@@ -44,6 +45,7 @@ from weyltype.sampling import (
     random_A_element,
     random_aut2,
     random_character,
+    random_coefficient,
     random_element,
     random_shift_vector,
 )
@@ -141,9 +143,15 @@ def _ref_inverse_character(tau):
 def _ref_compose_character(a, b):
     """(a after b)(b_k) = f_b(b_k) f_a(b_k . G_b^{-1}), in Fraction coordinates."""
     lattice = a.signature.lattice
-    g_inv = b.G.inverse()
-    return Character(lattice, [b.f.evaluate(bk) * a.f.evaluate(linalg.vec_mat(bk, g_inv.entries))
+    g_inv = linalg.mat_inverse(b.G.entries)
+    return Character(lattice, [b.f.evaluate(bk) * a.f.evaluate(linalg.vec_mat(bk, g_inv))
                                for bk in lattice.basis])
+
+
+def _unscaled(scaled):
+    """The Fraction matrix K / den of a (den, K) pair."""
+    den, rows = scaled
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 class TestIntegerTau:
@@ -172,6 +180,29 @@ class TestIntegerTau:
         assert not tau.is_identity()
         assert tau.compose(tau.inverse()).is_identity()
 
+    def test_chains_derive_G_and_mt_inverse(self, sig):
+        """G and (M^t)^{-1}, derived from the integer N^{-1} and N, equal the
+        Fraction group law: G multiplies left to right and inverts with tau."""
+        rng = random.Random(62)
+        gens = _aut2_generators(sig)
+        tau, want = TauAut.identity(sig), linalg.identity(sig.ell)
+        for _ in range(12):
+            step = rng.randrange(3)
+            if step == 2:
+                tau, want = tau.inverse(), linalg.mat_inverse(want)
+            else:
+                G = rng.choice(gens)
+                other = TauAut(sig, G, random_character(sig.lattice, rng))
+                if step:
+                    tau, want = tau.compose(other), linalg.mat_mul(want, G.entries)
+                else:
+                    tau, want = other.compose(tau), linalg.mat_mul(G.entries, want)
+            assert _unscaled(tau.scaled_G) == want
+            assert tau.G.entries == want
+            block_m = tuple(row[:sig.ell1] for row in want[:sig.ell1])
+            assert _unscaled(tau.scaled_mt_inverse) == linalg.mat_inverse(
+                linalg.transpose(block_m))
+
     def test_group_law_needs_no_lattice_solve(self, sig, monkeypatch):
         rng = random.Random(61)
         gens = _aut2_generators(sig)
@@ -180,12 +211,6 @@ class TestIntegerTau:
         monkeypatch.setattr(automorphisms, "lattice_motion", None)
         a.compose(b).inverse().compose(TauAut.identity(sig))
         TauAut.from_character(sig, random_character(sig.lattice, rng)).inverse()
-
-    def test_inverse_rejects_non_unimodular_matrix(self, desk):
-        G, f = BlockMatrix.identity(1, 1), Character.trivial(desk.lattice)
-        for N in (((2, 0), (0, 1)), ((1, 1), (1, 1))):
-            with pytest.raises(InvariantViolation, match="not unimodular"):
-                TauAut(desk, G, f, _N=N).inverse()
 
 
 class TestInnerExp:
@@ -594,7 +619,8 @@ def _ref_hom_extend(w, out_sig, x_image, x1_images, d_images):
         return cached
 
     for (al, i, mu), c in w.terms.items():
-        acc = x_image(al)
+        den, num = x_image(al)
+        acc = Element(out_sig, {m: Fraction(n, den) for m, n in num.items()})
         for p in range(sig.ell1):
             if i[p]:
                 acc = acc * power(("xi", p), x1_images[p], i[p])
@@ -603,7 +629,7 @@ def _ref_hom_extend(w, out_sig, x_image, x1_images, d_images):
                 acc = acc * power(("d", q), d_images[q], mu[q])
         for m, v in acc.terms.items():
             out[m] = out.get(m, Fraction(0)) + c * v
-    return Element(out_sig, out, _checked=True)
+    return Element(out_sig, out)
 
 
 def _same(got, want):
@@ -669,7 +695,8 @@ class TestHomExtend:
 
             def x_image(al):
                 if al not in x_cache:
-                    x_cache[al] = random_A_element(sig, random.Random(str(al)), max_terms=2)
+                    e = random_A_element(sig, random.Random(str(al)), max_terms=2)
+                    x_cache[al] = (e.den, e.num)
                 return x_cache[al]
 
             x1_images = [random_A_element(sig, rng, max_terms=2) for _ in range(sig.ell1)]
@@ -685,9 +712,62 @@ class TestHomExtend:
         x1_images = [desk.x_poly(1)]
         d_images = [desk.d(1), desk.d(2)]
         w = desk.x((1, 0), (2, 0)) * desk.d(1)
+
+        def moved_x_image(al):
+            den, num = fixed(al)
+            return den, {**num, Monomial((0, 0), (0, 0), (0, 1)): den}
+
         with pytest.raises(InvariantViolation):
-            automorphisms._hom_extend(w, desk, lambda al: fixed(al) + desk.d(2),
-                                      x1_images, d_images)
+            automorphisms._hom_extend(w, desk, moved_x_image, x1_images, d_images)
         with pytest.raises(InvariantViolation):
             automorphisms._hom_extend(w, desk, fixed, [desk.x_poly(1) * desk.d(1)],
                                       d_images)
+
+
+def _assert_canonical(e):
+    """e is stored as nonzero integer numerators over a positive integer
+    denominator with no common factor."""
+    assert type(e.den) is int and e.den > 0
+    assert all(type(n) is int and n != 0 for n in e.num.values())
+    assert gcd(e.den, *e.num.values()) == 1
+
+
+class TestIntegerForm:
+    """Every element, from the constructor or from any operation, keeps the
+    canonical integer form, and equality agrees with the Fraction view."""
+
+    @pytest.fixture(params=["desk", "rank3", "rank4"])
+    def sig(self, request):
+        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+
+    def test_operations_keep_canonical_form(self, sig):
+        rng = random.Random(80)
+        elems = [random_element(sig, rng, max_level=2, max_i=2, coord_bound=1)
+                 for _ in range(200)]
+        tau = TauAut(sig, _aut2_generators(sig)[-1], random_character(sig.lattice, rng))
+        families = [tau, tau.inverse(), Sigma1(sig),
+                    InnerExp(random_A_element(sig, rng, max_i=2, coord_bound=1)),
+                    ShiftV(sig, random_shift_vector(sig, rng))]
+        targets = [random_A_element(sig, rng, max_i=2, coord_bound=1) for _ in range(10)]
+        for k, (a, b) in enumerate(zip(elems, elems[1:] + elems[:1])):
+            c = random_coefficient(rng)
+            results = [a, a + b, a - b, a - a, -a, a.scale(c), a.scale(0), a / c, a * b,
+                       a.bracket(b), act_on_A(a, targets[k % 10])]
+            results += [phi.apply(a) for phi in families]
+            for e in results:
+                _assert_canonical(e)
+            for x, y in ((a, b), ((a + b) - b, a), (a.scale(c) / c, a), (a * b, b * a)):
+                assert (x == y) == (x.terms == y.terms)
+            assert (a + b) - b == a and a.scale(c) / c == a
+
+    def test_terms_is_a_copy(self, sig):
+        rng = random.Random(81)
+        for _ in range(20):
+            e = random_element(sig, rng)
+            den, num = e.den, dict(e.num)
+            view = e.terms
+            m = next(iter(view))
+            view[m] += 1
+            view[Monomial((0,) * sig.ell, (0,) * sig.ell, (0,) * sig.ell)] = Fraction(7)
+            assert (e.den, e.num) == (den, num)
+            assert e.terms != view

@@ -23,7 +23,7 @@ from weyltype import (
     iso_verify,
     signature_invariants,
 )
-from weyltype import automorphisms, classification
+from weyltype import automorphisms, classification, linalg
 from weyltype.algebra import Element, Monomial, unit_index
 from weyltype.automorphisms import generator_element, generator_keys
 from weyltype.errors import (
@@ -199,8 +199,8 @@ def _raising_builder(*args):
     raise LatticeNotMapped("builder defect")
 
 
-def _wrong_d_builder(dst, G, f, coord_map):
-    x_image, x1_images, d_images = _TAU_TABLE(dst, G, f, coord_map)
+def _wrong_d_builder(*args):
+    x_image, x1_images, d_images = _TAU_TABLE(*args)
     return x_image, x1_images, [d.scale(2) for d in d_images]
 
 
@@ -257,6 +257,15 @@ class TestCrossSignatureTau:
             image = iso.apply(w)
             assert image.signature == THIRD
             assert back.apply(image) == w
+
+    def test_inverse_derives_G_inverse(self, iso):
+        back = iso.inverse()
+        assert back.G.entries == linalg.mat_inverse(iso.G.entries)
+        block_m = tuple(row[:1] for row in iso.G.entries[:1])
+        den, mt_inv = iso.scaled_mt_inverse
+        assert tuple(tuple(Fraction(x, den) for x in row) for row in mt_inv) == \
+            linalg.mat_inverse(linalg.transpose(block_m))
+        assert back.inverse() == iso and back.inverse().G == iso.G
 
     def test_round_trips_are_identities_on_generators(self, desk, iso):
         for loop, sig in ((iso.inverse().compose(iso), desk),

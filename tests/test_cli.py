@@ -322,6 +322,14 @@ def _set(path, value):
     return edit
 
 
+def _functional_file(edit):
+    """The identity automorphism of the desk algebra in functional form, as
+    JSON data, after ``edit`` rewrites one field of it."""
+    data = FunctionalAut.from_aut(NormalFormAut.identity(desk_signature())).to_dict()
+    edit(data)
+    return data
+
+
 # (config data, automorphism data or None): each is malformed at the JSON
 # level and must be refused as bad input, never read by truncation
 MALFORMED_FILES = {
@@ -335,6 +343,20 @@ MALFORMED_FILES = {
     "float-mu": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0, "mu"), [0.0, 0]))),
     "float-coeff": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0, "coeff"), 0.5))),
     "aut-top-level-list": (DESK_CONFIG, [_nf_file(lambda data: None)]),
+    # a JSON value of the wrong container type in each object or list field
+    "gamma-generators-not-list": ({**DESK_CONFIG, "gamma_generators": 5}, None),
+    "tau-not-object": (DESK_CONFIG, _nf_file(_set(("tau",), []))),
+    "G-not-list": (DESK_CONFIG, _nf_file(_set(("tau", "G"), 5))),
+    "u-not-object": (DESK_CONFIG, _nf_file(_set(("u",), []))),
+    "terms-not-list": (DESK_CONFIG, _nf_file(_set(("u", "terms"), 5))),
+    "term-not-object": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0), [1]))),
+    "alpha-not-list": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0, "alpha"), 1))),
+    "images-not-object": (DESK_CONFIG, _functional_file(_set(("images",), []))),
+    "image-not-object": (DESK_CONFIG, _functional_file(_set(("images", "d1"), 3))),
+    "signature-not-object": (DESK_CONFIG, _functional_file(_set(("signature",), []))),
+    "lattice-not-object": (DESK_CONFIG, _functional_file(_set(("signature", "lattice"), 5))),
+    "generators-not-list": (DESK_CONFIG, _functional_file(
+        _set(("signature", "lattice", "generators"), 5))),
 }
 
 

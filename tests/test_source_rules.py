@@ -149,3 +149,45 @@ def test_unreferenced_checker_sees_every_form():
     }
     assert _unreferenced(sources, "target a:harness_only", ["exported"]) == [
         "a:unused", "a:Box.spare"]
+
+
+# the integer exact core: these functions run on integer numerators only, so
+# they neither build a Fraction nor read the Fraction view ``.terms``
+INTEGER_CORE = {
+    "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements"),
+    "automorphisms": ("_hom_extend",),
+}
+
+
+def _fraction_sites(tree: ast.Module, names) -> list[tuple[str, int, str]]:
+    """(function, line, what) for each use of the name Fraction, as a name or
+    an attribute, and each ``.terms`` read in the bodies of the module-level
+    functions ``names``."""
+    sites = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in names:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == "Fraction":
+                sites.append((node.name, sub.lineno, "Fraction"))
+            elif isinstance(sub, ast.Attribute) and sub.attr in ("Fraction", "terms"):
+                sites.append((node.name, sub.lineno, sub.attr))
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(INTEGER_CORE))
+def test_integer_core_builds_no_fraction(module):
+    path = Path(weyltype.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_CORE[module]) <= defined
+    assert _fraction_sites(tree, INTEGER_CORE[module]) == []
+
+
+def test_integer_core_checker_sees_every_form():
+    src = ("def core(e):\n    x = Fraction(1)\n    return x, e.terms\n"
+           "def edge(e):\n    return Fraction(1), e.terms\n"
+           "def nested(e):\n    def inner():\n        return fractions.Fraction(1, 2)\n"
+           "    return inner\n")
+    assert _fraction_sites(ast.parse(src), ("core", "nested")) == [
+        ("core", 2, "Fraction"), ("core", 3, "terms"), ("nested", 8, "Fraction")]

@@ -20,11 +20,12 @@ d_q -> d_q + [u, d_q] with A fixed, not a series.
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
 ``classification.iso_verify`` certifies.  Its group law is integer algebra
-on the lattice matrices N and N^{-1}; the Fraction check
-``lattice.lattice_motion`` that derives N runs only for a G given from
-outside (a constructor call, a normal-form file, decomposition step (1), the
-samplers, the iso decision).  The tables and the extension run on the
-integer form of the elements.
+on the lattice matrices N and N^{-1}; the lattice check
+``lattice.lattice_motion``, which derives both from G by fraction-free
+integer elimination, runs only for a G given from outside (a constructor
+call, a normal-form file, decomposition step (1), the samplers, the iso
+decision).  The tables and the extension run on the integer form of the
+elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 ``decompose_automorphism`` recovers that factored form from the images of the
@@ -252,11 +253,10 @@ class TauAut:
     (M^t)^{-1}, the transposed top-left l1 block of G^{-1} = B_src^{-1} N B_dst,
     are derived on first use by integer products over one denominator from
     the lattice bases B.  Only a G supplied from outside goes through the
-    lattice check ``lattice_motion``, which derives N; its N^{-1} follows on
-    first use, by integer products as well.
+    lattice check ``lattice_motion``, which derives N and N^{-1} together.
     """
 
-    __slots__ = ("signature", "target", "f", "N", "_N_inv", "_G", "_scaled_G", "_scaled_mt_inv",
+    __slots__ = ("signature", "target", "f", "N", "N_inv", "_G", "_scaled_G", "_scaled_mt_inv",
                  "_images")
 
     def __init__(self, signature: Signature, G: BlockMatrix, f: Character,
@@ -268,36 +268,21 @@ class TauAut:
             raise DimensionMismatch("block sizes differ from the signature")
         if f.lattice != signature.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        self.N = lattice_motion(signature.lattice, target.lattice, G)
+        self.N, self.N_inv = lattice_motion(signature.lattice, target.lattice, G)
         self.signature = signature
         self.target = target
         self.f = f
         self._G = G
-        self._N_inv = self._scaled_G = self._scaled_mt_inv = self._images = None
+        self._scaled_G = self._scaled_mt_inv = self._images = None
 
     @classmethod
     def _from_motion(cls, signature: Signature, target: Signature, f: Character,
                      N: tuple, N_inv: tuple) -> "TauAut":
         """The map with lattice matrices N and N^{-1}; G is derived on first use."""
         tau = object.__new__(cls)
-        tau.signature, tau.target, tau.f, tau.N, tau._N_inv = signature, target, f, N, N_inv
+        tau.signature, tau.target, tau.f, tau.N, tau.N_inv = signature, target, f, N, N_inv
         tau._G = tau._scaled_G = tau._scaled_mt_inv = tau._images = None
         return tau
-
-    @property
-    def N_inv(self) -> tuple:
-        """N^{-1}; for a G from outside, B_dst G B_src^{-1} by integer products on
-        first use, integral once ``lattice_motion`` has passed."""
-        if self._N_inv is None:
-            dst = self.target.lattice
-            den, n_inv = linalg.integer_product((dst.denominator, dst.integer_basis),
-                                                linalg.scaled_integer(self._G.entries),
-                                                self.signature.lattice.scaled_inverse)
-            if any(x % den for row in n_inv for x in row):
-                raise InvariantViolation(f"B_dst G B_src^-1 for G = {self._G.entries} "
-                                         "is not integral")
-            self._N_inv = tuple(tuple(x // den for x in row) for row in n_inv)
-        return self._N_inv
 
     @property
     def G(self) -> BlockMatrix:
@@ -373,7 +358,8 @@ class TauAut:
                                    linalg.mat_mul(self.N_inv, other.N_inv))
 
     def is_identity(self) -> bool:
-        return self.G.is_identity() and self.f.is_trivial()
+        return (self.target == self.signature and self.f.is_trivial()
+                and self.N == linalg.integer_identity(self.signature.ell))
 
     @classmethod
     def identity(cls, sig: Signature) -> "TauAut":
@@ -608,21 +594,25 @@ def conjugated_shift(tau: TauAut, v: ShiftV) -> tuple[InnerExp, ShiftV]:
     """sigma_tau^{-1} . sigma_v . sigma_tau as an inner-exp then a shift.
 
     The shift vector is v . ((M^t)^{-1} (+) Q); the inner part is
-    -(v's derivation slots) P applied to the polynomial generators.
+    -(v's derivation slots) P applied to the polynomial generators.  P and Q
+    are read off the last l2 rows of G's integer form ``scaled_G``.
     """
     sig = tau.signature
     ell1, ell2 = sig.ell1, sig.ell2
     v1, v2 = v.v[:ell1], v.v[ell1:]
     den, mt_inv = tau.scaled_mt_inverse
     moved1 = tuple(x / den for x in linalg.vec_mat(v1, mt_inv)) if ell1 else ()
-    moved2 = linalg.vec_mat(v2, tau.G.block_Q) if ell2 else ()
+    moved2 = ()
     inner = sig.zero()
-    if ell1 and ell2:
-        coeffs = linalg.vec_mat(v2, tau.G.block_P)
+    if ell2:
+        den, g = tau.scaled_G
+        # v2 . (P | Q), the last l2 rows of G
+        lower = [x / den for x in linalg.vec_mat(v2, g[ell1:])]
+        moved2 = tuple(lower[ell1:])
         for p in range(ell1):
-            if coeffs[p]:
-                inner = inner + sig.x_poly(p + 1, coeff=-coeffs[p])
-    return InnerExp(inner), ShiftV(sig, tuple(moved1) + tuple(moved2))
+            if lower[p]:
+                inner = inner + sig.x_poly(p + 1, coeff=-lower[p])
+    return InnerExp(inner), ShiftV(sig, moved1 + moved2)
 
 
 def compose_normal_forms(a: NormalFormAut, b: NormalFormAut,
@@ -811,6 +801,8 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
     factors: list[NormalFormAut] = []
 
     def peel(aut, inverse_factor: NormalFormAut):
+        if inverse_factor.is_identity():
+            return
         for key in images:
             images[key] = aut.apply(images[key])
         factors.append(inverse_factor)

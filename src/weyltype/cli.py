@@ -22,7 +22,8 @@ from .automorphisms import (
     decompose_automorphism,
 )
 from .classification import iso_search_bounded
-from .errors import DimensionError, ExprSyntaxError, NotMember, WeylError
+from .errors import (DimensionError, DimensionMismatch, EmptyGenerators, ExprSyntaxError,
+                     NondegenerateViolation, NotMember, WeylError)
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
 from .rationals import int_from_json, list_from_json, vector_from_json
@@ -50,7 +51,11 @@ def _signature_from_file(path: str) -> Signature:
     ell1, ell2 = int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2")
     gens = [vector_from_json(row, ell1 + ell2, "generator")
             for row in list_from_json(data["gamma_generators"], "gamma_generators")]
-    return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
+    try:
+        return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
+    except (NondegenerateViolation, EmptyGenerators, DimensionMismatch) as exc:
+        # a config that names no lattice is bad input, not a failed computation
+        raise CliUsageError(f"bad input: {path}: {exc}") from None
 
 
 def _resolve_seed(args) -> int:

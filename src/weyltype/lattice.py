@@ -198,10 +198,6 @@ class BlockMatrix:
         return tuple(row[:self.ell1] for row in self.entries[:self.ell1])
 
     @property
-    def block_P(self):
-        return tuple(row[:self.ell1] for row in self.entries[self.ell1:])
-
-    @property
     def block_Q(self):
         return tuple(row[self.ell1:] for row in self.entries[self.ell1:])
 
@@ -224,25 +220,36 @@ class BlockMatrix:
         return f"BlockMatrix(ell1={self.ell1}, ell2={self.ell2}, entries={self.entries})"
 
 
-def lattice_motion(src: Lattice, dst: Lattice, G: BlockMatrix) -> tuple:
-    """Integer dst-coordinates of b_k . G^{-1}, one row per basis row b_k of src.
+def lattice_motion(src: Lattice, dst: Lattice, G: BlockMatrix) -> tuple[tuple, tuple]:
+    """(N, N^{-1}): row k of the integer matrix N holds the dst-coordinates of
+    b_k . G^{-1} for the basis row b_k of src, so N = B_src G^{-1} B_dst^{-1}.
 
+    Integers only: with G = K / e, G^{-1} = e adj(K) / det K from
+    ``linalg.integer_det_adjugate``; the rows of N come from integer products
+    over one denominator and are checked for integrality in order, then
+    det N = +-1 with the same routine, which also gives N^{-1} = det N adj N.
     Raises LatticeNotMapped unless src . G^{-1} = dst, so it is the lattice
     check of every (G, f) map: sigma_tau, the isomorphism maps and Aut2
     membership.
     """
-    g_inv = linalg.mat_inverse(G.entries)
+    e, K = linalg.scaled_integer(G.entries)
+    det_k, adj_k = linalg.integer_det_adjugate(K)  # nonzero: a BlockMatrix is invertible
+    # row k of images, times e / img_den, is b_k . G^{-1}
+    img_den, images = linalg.integer_product((src.denominator, src.integer_basis),
+                                             (det_k, adj_k))
+    den, moved = linalg.integer_product((img_den, images), dst.scaled_inverse)
     rows = []
-    for b in src.basis:
-        image = linalg.vec_mat(b, g_inv)
-        coords = dst.coordinates(image)
-        if coords is None:
+    for b, image, row in zip(src.basis, images, moved):
+        row = [e * x for x in row]
+        if any(x % den for x in row):
+            image = tuple(Fraction(e * x, img_den) for x in image)
             raise LatticeNotMapped(f"basis row {point_str(b)} . G^-1 = {point_str(image)} "
                                    "is not a point of the target lattice")
-        rows.append(coords)
-    if abs(linalg.mat_det(rows)) != 1:
+        rows.append(tuple(x // den for x in row))
+    det_n, adj_n = linalg.integer_det_adjugate(rows)
+    if abs(det_n) != 1:
         raise LatticeNotMapped("Gamma . G^-1 is a proper sublattice of the target")
-    return tuple(rows)
+    return tuple(rows), tuple(tuple(det_n * x for x in row) for row in adj_n)
 
 
 def aut2_membership(lattice: Lattice, G: BlockMatrix) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -42,7 +43,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("inner dimensions differ")
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
@@ -93,6 +94,34 @@ def mat_inverse(m: Matrix) -> Matrix:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return tuple(tuple(row[n:]) for row in rows)
+
+
+def integer_det_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
+    """(det m, adj m) of a square integer matrix, or (0, None) when m is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]: after pivot
+    step k every entry is a minor of order k + 1 of [m | I], so each division
+    by the previous pivot is exact.  The left half ends as d I and the right
+    half as d m^{-1}, with d = +-det m by the parity of the row swaps.
+    """
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = sign = 1
+    for k in range(n):
+        if not rows[k][k]:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if pivot is None:
+                return 0, None
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 def scaled_integer(m: Matrix) -> tuple[int, tuple[tuple[int, ...], ...]]:

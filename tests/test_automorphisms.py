@@ -26,6 +26,7 @@ from weyltype import (
 from weyltype import automorphisms, linalg
 from weyltype.algebra import Element, Monomial, act_on_A
 from weyltype.lattice import adapted_basis, lattice_motion
+from weyltype.rationals import point_str
 from weyltype.classification import iso_search_bounded
 from weyltype.automorphisms import (
     MODE_ASSOC,
@@ -173,7 +174,8 @@ class TestIntegerTau:
                 other = TauAut(sig, rng.choice(gens), random_character(sig.lattice, rng))
                 a, b = (tau, other) if step else (other, tau)
                 result, want_f = a.compose(b), _ref_compose_character(a, b)
-            assert result.N == lattice_motion(sig.lattice, sig.lattice, result.G)
+            assert (result.N, result.N_inv) == lattice_motion(sig.lattice, sig.lattice,
+                                                              result.G)
             assert all(type(x) is int for row in result.N for x in row)
             assert result.f == want_f
             tau = result
@@ -211,6 +213,73 @@ class TestIntegerTau:
         monkeypatch.setattr(automorphisms, "lattice_motion", None)
         a.compose(b).inverse().compose(TauAut.identity(sig))
         TauAut.from_character(sig, random_character(sig.lattice, rng)).inverse()
+
+
+def _ref_motion_rows(src, dst, G):
+    """The rational definition: dst-coordinates of b_k . G^{-1} for each basis
+    row b_k of src (None where the image is off dst), with the images."""
+    g_inv = linalg.mat_inverse(G.entries)
+    images = [linalg.vec_mat(b, g_inv) for b in src.basis]
+    return [dst.coordinates(image) for image in images], images
+
+
+class TestLatticeMotion:
+    """The integer lattice_motion against Fraction coordinates, in and out of Aut2."""
+
+    @pytest.fixture(params=["desk", "rank3", "rank4"])
+    def sig(self, request):
+        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+
+    def _check_accepted(self, src, dst, G):
+        N, N_inv = lattice_motion(src, dst, G)
+        rows, _ = _ref_motion_rows(src, dst, G)
+        assert list(N) == rows
+        assert all(type(x) is int for m in (N, N_inv) for row in m for x in row)
+        assert linalg.mat_mul(N, N_inv) == linalg.integer_identity(src.ambient_dim)
+
+    def test_members_match_rational_definition(self, sig):
+        rng = random.Random(63)
+        gens = _aut2_generators(sig)
+        for _ in range(15):
+            entries = linalg.identity(sig.ell)
+            for _ in range(4):
+                entries = linalg.mat_mul(entries, rng.choice(gens).entries)
+            self._check_accepted(sig.lattice, sig.lattice,
+                                 BlockMatrix(sig.ell1, sig.ell2, entries))
+
+    def test_onto_another_lattice(self, sig):
+        """A G outside Aut2 maps Gamma onto Gamma . G^{-1}, a lattice of its own."""
+        rng = random.Random(64)
+        gens = _aut2_generators(sig)
+        for scale in (2, Fraction(1, 3), -5):
+            entries = [list(row) for row in rng.choice(gens).entries]
+            entries[-1] = [scale * x for x in entries[-1]]
+            G = BlockMatrix(sig.ell1, sig.ell2, entries)
+            _, images = _ref_motion_rows(sig.lattice, sig.lattice, G)
+            dst = Lattice(sig.ell, images)
+            assert dst != sig.lattice
+            self._check_accepted(sig.lattice, dst, G)
+            with pytest.raises(LatticeNotMapped):
+                lattice_motion(sig.lattice, sig.lattice, G)
+
+    def test_non_members_raise_current_texts(self, sig):
+        for G in _aut2_generators(sig):
+            # 2G: b_k . G^{-1} / 2 is off Gamma for some first row k
+            doubled = BlockMatrix(sig.ell1, sig.ell2, [[2 * x for x in row] for row in G.entries])
+            rows, images = _ref_motion_rows(sig.lattice, sig.lattice, doubled)
+            k = rows.index(None)
+            text = (f"basis row {point_str(sig.lattice.basis[k])} . G^-1 = "
+                    f"{point_str(images[k])} is not a point of the target lattice")
+            with pytest.raises(LatticeNotMapped) as exc:
+                lattice_motion(sig.lattice, sig.lattice, doubled)
+            assert str(exc.value) == text
+            # G / 2: Gamma . G^{-1} = 2 Gamma, integral but of index 2^l
+            halved = BlockMatrix(sig.ell1, sig.ell2,
+                                 [[x / 2 for x in row] for row in G.entries])
+            assert None not in _ref_motion_rows(sig.lattice, sig.lattice, halved)[0]
+            with pytest.raises(LatticeNotMapped) as exc:
+                lattice_motion(sig.lattice, sig.lattice, halved)
+            assert str(exc.value) == "Gamma . G^-1 is a proper sublattice of the target"
 
 
 class TestInnerExp:

@@ -331,7 +331,8 @@ def _functional_file(edit):
 
 
 # (config data, automorphism data or None): each is malformed at the JSON
-# level and must be refused as bad input, never read by truncation
+# level, or names no lattice, and must be refused as bad input, never read by
+# truncation
 MALFORMED_FILES = {
     "float-generator": ({**DESK_CONFIG, "gamma_generators": [[0.5, 0], [0, 1]]}, None),
     "top-level-list": ([DESK_CONFIG], None),
@@ -357,6 +358,11 @@ MALFORMED_FILES = {
     "lattice-not-object": (DESK_CONFIG, _functional_file(_set(("signature", "lattice"), 5))),
     "generators-not-list": (DESK_CONFIG, _functional_file(
         _set(("signature", "lattice", "generators"), 5))),
+    # well-formed JSON that builds no lattice or signature
+    "rank-deficient-generators": ({**DESK_CONFIG, "gamma_generators": [[1, 0], [2, 0]]}, None),
+    "no-generators": ({**DESK_CONFIG, "gamma_generators": []}, None),
+    "zero-dimension": ({"ell1": 0, "ell2": 0, "gamma_generators": []}, None),
+    "negative-ell1": ({"ell1": -1, "ell2": 2, "gamma_generators": [[1]]}, None),
 }
 
 
@@ -386,6 +392,22 @@ class TestMalformedFiles:
         assert payload["ok"] is False
         assert payload["error"].startswith("bad input: ")
         assert "Fraction(" not in payload["error"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_iso_target_without_lattice(self, tmp_path, capsys, json_flag):
+        src, dst = tmp_path / "src.json", tmp_path / "dst.json"
+        src.write_text(json.dumps({"ell1": 1, "ell2": 1,
+                                   "gamma_generators": [[1, 0], [0, 1]]}))
+        dst.write_text(json.dumps({"ell1": 1, "ell2": 1,
+                                   "gamma_generators": [[1, 0], [2, 0]]}))
+        assert run_command(["iso", "--src", str(src), "--dst", str(dst), *json_flag]) == 2
+        captured = capsys.readouterr()
+        message = f"bad input: {dst}: generators span a subspace of rank 1 < 2"
+        assert captured.err == message + "\n"
+        if json_flag:
+            assert json.loads(captured.out) == {"ok": False, "error": message}
+        else:
+            assert captured.out == ""
 
     def test_well_formed_files_still_read(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

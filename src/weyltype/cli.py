@@ -23,7 +23,7 @@ from .automorphisms import (
 )
 from .classification import iso_search_bounded
 from .errors import (DimensionError, DimensionMismatch, EmptyGenerators, ExprSyntaxError,
-                     NondegenerateViolation, NotMember, WeylError)
+                     HomomorphismCounterexample, NondegenerateViolation, NotMember, WeylError)
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
 from .rationals import int_from_json, list_from_json, vector_from_json
@@ -177,14 +177,31 @@ def run_command(argv) -> int:
         _print_error(args, f"bad input: {exc}")
         return USAGE_ERROR
     except WeylError as exc:
-        _print_error(args, f"{type(exc).__name__}: {exc}")
+        _print_error(args, f"{type(exc).__name__}: {exc}", _counterexample(exc))
         return CHECK_FAILED
 
 
-def _print_error(args, message: str) -> None:
+def _counterexample(exc: WeylError) -> dict | None:
+    """The trial number and the elements of a failed check, raised directly
+    or as the cause of ``exc``, each element in ``element_to_dict`` form."""
+    ce = exc if isinstance(exc, HomomorphismCounterexample) else exc.__cause__
+    if not isinstance(ce, HomomorphismCounterexample):
+        return None
+    out = {} if ce.trial is None else {"trial": ce.trial}
+    for name in ("a", "b", "lhs", "rhs"):
+        element = getattr(ce, name)
+        if element is not None:
+            out[name] = element_to_dict(element)
+    return out
+
+
+def _print_error(args, message: str, counterexample: dict | None = None) -> None:
     print(message, file=sys.stderr)
     if getattr(args, "json_output", False):
-        print(json.dumps({"ok": False, "error": message}))
+        payload = {"ok": False, "error": message}
+        if counterexample is not None:
+            payload["counterexample"] = counterexample
+        print(json.dumps(payload))
 
 
 def _dispatch(args) -> int:

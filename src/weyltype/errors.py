@@ -67,10 +67,12 @@ class InvariantViolation(WeylError):
 
 
 class HomomorphismCounterexample(WeylError):
-    """A random product check found inputs on which the map fails."""
+    """A check found inputs on which the map fails: for a random product
+    check the trial number and the factors a, b; always the two sides."""
 
-    def __init__(self, message, a=None, b=None, lhs=None, rhs=None):
+    def __init__(self, message, a=None, b=None, lhs=None, rhs=None, trial=None):
         super().__init__(message)
+        self.trial = trial
         self.a = a
         self.b = b
         self.lhs = lhs

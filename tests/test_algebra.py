@@ -20,6 +20,7 @@ from weyltype import (
     multi_binomial,
     total_order_cmp,
 )
+from weyltype import algebra
 from weyltype.algebra import Monomial, unit_index
 from weyltype.errors import (
     DimensionMismatch,
@@ -298,6 +299,143 @@ class TestIntegerKernel:
             for lam in (unit_index(sig.ell, 1), unit_index(sig.ell, sig.ell, 2)):
                 d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
                 _same(derivation_apply(sig, lam, targets[-1]), _ref_act_on_A(d_lam, targets[-1]))
+
+
+WIDE_CASES = {
+    # (l1, l2), generators, lattice denominator
+    "(2,2)-D2": (2, 2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                        (F(1, 2), 0, F(1, 2), 0)], 2),
+    "(0,3)-D3": (0, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 3), F(1, 3), F(1, 3))], 3),
+}
+# (|a|, |b|, highest level) on both sides of algebra.PACKED_PAIRS, for the
+# product and the bracket; the largest shape at a lower level keeps it fast
+WIDE_SHAPES = ((1, 1, 8), (1, 20, 8), (3, 5, 8), (4, 4, 8), (5, 7, 8), (6, 6, 8), (20, 20, 3))
+
+
+def _wide_element(sig, rng, terms, coord=2 ** 40, max_i=40, max_level=8):
+    """Exactly ``terms`` terms with lattice coordinates in [-coord, coord]
+    (a third of them at +-coord), polynomial indices up to ``max_i`` and
+    levels up to ``max_level``."""
+    num = {}
+    while len(num) < terms:
+        alpha = tuple(rng.choice((coord, -coord)) if rng.random() < 0.3
+                      else rng.randint(-coord, coord) for _ in range(sig.ell))
+        i = tuple(rng.randint(0, max_i) if p < sig.ell1 else 0 for p in range(sig.ell))
+        mu = [0] * sig.ell
+        for _ in range(rng.randint(0, max_level)):
+            mu[rng.randrange(sig.ell)] += 1
+        num[Monomial(alpha, i, tuple(mu))] = F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                               rng.randint(1, 4))
+    return Element(sig, num)
+
+
+class TestPackedKernel:
+    """The kernel on wide integers: lattice coordinates up to 2^40 (packed
+    fields wider than a machine word, keys of hundreds of bits), polynomial
+    indices up to 40 and levels up to 8, against the Fraction reference, on
+    the tuple path, the packed path and the default cut-over between them."""
+
+    @pytest.fixture(params=("tuple", "packed", "default"))
+    def path(self, request, monkeypatch):
+        if request.param != "default":
+            monkeypatch.setattr(algebra, "PACKED_PAIRS",
+                                10 ** 9 if request.param == "tuple" else 0)
+        return request.param
+
+    @pytest.fixture(params=sorted(WIDE_CASES), scope="class")
+    def wide(self, request):
+        """The signature, per shape in WIDE_SHAPES a pair (a, b) with its
+        reference products a . b and b . a, and a seed for further draws."""
+        ell1, ell2, gens, den = WIDE_CASES[request.param]
+        sig = Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
+        assert sig.lattice.denominator == den
+        rng = random.Random(sorted(WIDE_CASES).index(request.param))
+        pairs = []
+        for na, nb, level in WIDE_SHAPES:
+            a = _wide_element(sig, rng, na, max_level=level)
+            b = _wide_element(sig, rng, nb, max_level=level)
+            pairs.append((a, b, _ref_mul(a, b), _ref_mul(b, a)))
+        return sig, pairs, rng.randrange(10 ** 6)
+
+    def test_product_bracket_and_term_order(self, wide, path):
+        _, pairs, _ = wide
+        for a, b, ab, ba in pairs:
+            got = a * b
+            _same(got, ab)
+            assert list(got.num) == list(ab.num)
+            diff = ab - ba
+            _same(a.bracket(b), diff)
+            _same(b.bracket(a), -diff)
+
+    def test_extreme_coordinates_fill_the_field(self, wide, path):
+        """Terms at +2^40 and -2^40 in every slot: the products reach alpha
+        = +-2^41 and the widest i and mu, the edges of the field range."""
+        sig, _, seed = wide
+        rng = random.Random(seed + 1)
+        ell = sig.ell
+        top_i = tuple(40 if p < sig.ell1 else 0 for p in range(ell))
+        num = {}
+        for sign in (1, -1):
+            for p in range(ell):
+                mu = unit_index(ell, p + 1, 8)
+                num[Monomial((sign * 2 ** 40,) * ell, top_i, mu)] = F(sign, p + 2)
+        a = Element(sig, num)
+        b = a + _wide_element(sig, rng, 3)
+        for x, y in ((a, a), (a, b), (b, a)):
+            want, got = _ref_mul(x, y), x * y
+            _same(got, want)
+            assert list(got.num) == list(want.num)
+            _same(x.bracket(y), want - _ref_mul(y, x))
+
+    def test_level_zero_left_and_fd_right_terms(self, wide, path):
+        """Left terms with mu = 0 (the convolution) and right terms in F[D],
+        which the bracket leaves out as lam = 0 terms, alone and mixed with
+        general terms."""
+        sig, _, seed = wide
+        rng = random.Random(seed + 2)
+        zero = (0,) * sig.ell
+        in_A = _wide_element(sig, rng, 6, max_level=0)
+        in_FD = Element(sig, {Monomial(zero, zero, m.mu): F(k + 1, 2)
+                              for k, m in enumerate(_wide_element(sig, rng, 6, max_level=5).num)})
+        assert in_A.in_A() and in_FD.in_FD()
+        general = _wide_element(sig, rng, 5, max_level=4)
+        for a in (in_A, in_A + general, in_FD):
+            for b in (in_FD, general + in_FD, in_A):
+                ab, ba, got = _ref_mul(a, b), _ref_mul(b, a), a * b
+                _same(got, ab)
+                assert list(got.num) == list(ab.num)
+                _same(a.bracket(b), ab - ba)
+
+    def test_single_field_wider_than_64_bits(self, wide, path):
+        sig, _, seed = wide
+        rng = random.Random(seed + 3)
+        a = _wide_element(sig, rng, 6, coord=2 ** 66, max_i=3, max_level=3)
+        b = _wide_element(sig, rng, 7, coord=2 ** 66, max_i=3, max_level=3)
+        _same(a * b, _ref_mul(a, b))
+        _same(a.bracket(b), _ref_mul(a, b) - _ref_mul(b, a))
+
+    def test_brackets_that_cancel(self, wide, path):
+        sig, _, seed = wide
+        rng = random.Random(seed + 4)
+        zero = sig.zero()
+        for n in (1, 6, 20):
+            a = _wide_element(sig, rng, n)
+            assert a.bracket(a) == zero
+            for c in (sig.scalar(F(-7, 3)), sig.one()):
+                assert c.bracket(a) == zero
+                assert a.bracket(c) == zero
+        assert zero.den == 1 and zero.num == {}
+
+    def test_action_and_derivation_apply(self, wide, path):
+        sig, _, seed = wide
+        rng = random.Random(seed + 5)
+        for nw, na in ((1, 1), (4, 4), (8, 6)):
+            w = _wide_element(sig, rng, nw, max_level=4)
+            a = _wide_element(sig, rng, na, max_level=0) + sig.scalar(F(5, 2))
+            _same(act_on_A(w, a), _ref_act_on_A(w, a))
+            lam = tuple(rng.randint(0, 2) for _ in range(sig.ell))
+            d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
+            _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
 
 
 class TestBracket:

@@ -13,12 +13,14 @@ from weyltype import (
     element_from_dict,
 )
 from weyltype.automorphisms import (
+    MODE_ASSOC,
     MODE_LIE,
     FunctionalAut,
     Sigma1,
     generator_element,
     generator_keys,
     random_normal_form_aut,
+    verify_automorphism,
 )
 from weyltype.cli import run_command
 from weyltype.sampling import desk_signature
@@ -263,6 +265,37 @@ class TestIso:
     def test_found_text(self, scaled_pair, capsys):
         assert run_command(["iso", *scaled_pair]) == 0
         assert capsys.readouterr().out == "FOUND\nG = 2,0; 0,1\n"
+
+    def test_failed_product_law_prints_replayable_counterexample(self, scaled_pair, capsys,
+                                                                 monkeypatch):
+        """With a defect injected into the map (images of level >= 2
+        doubled), the --json error envelope keeps the trial and the elements,
+        and a, b read back from it reproduce the printed mismatch."""
+        maps = []
+        original = TauAut.apply
+
+        def defective(self, w):
+            maps.append(self)
+            image = original(self, w)
+            return image.scale(2) if (w.max_level() or 0) >= 2 else image
+
+        monkeypatch.setattr(TauAut, "apply", defective)
+        assert run_command(["iso", *scaled_pair, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["error"].startswith("InvariantViolation: adapted-basis certificate")
+        ce = payload["counterexample"]
+        assert set(ce) == {"trial", "a", "b", "lhs", "rhs"}
+        a, b = element_from_dict(ce["a"]), element_from_dict(ce["b"])
+        phi = maps[-1]
+        lhs, rhs = phi.apply(a * b), phi.apply(a) * phi.apply(b)
+        assert lhs != rhs
+        assert lhs == element_from_dict(ce["lhs"])
+        assert rhs == element_from_dict(ce["rhs"])
+        # the trial number replays the same pair from the check's seed
+        report = verify_automorphism(phi, ce["trial"], seed=0, mode=MODE_ASSOC)
+        assert report.counterexample["trial"] == ce["trial"]
+        assert (report.counterexample["a"], report.counterexample["b"]) == (a, b)
 
     def test_bound_flag_is_usage_error(self, scaled_pair, capsys):
         assert run_command(["iso", "--bound", "1", *scaled_pair]) == 2

@@ -154,7 +154,8 @@ def test_unreferenced_checker_sees_every_form():
 # the integer exact core: these functions run on integer numerators only, so
 # they neither build a Fraction nor read the Fraction view ``.terms``
 INTEGER_CORE = {
-    "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements"),
+    "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements", "_packed_accumulate",
+                "_right_term", "_unpack"),
     "automorphisms": ("_hom_extend",),
 }
 

@@ -182,9 +182,10 @@ def run_command(argv) -> int:
 
 
 def _counterexample(exc: WeylError) -> dict | None:
-    """The trial number and the elements of a failed check, raised directly
-    or as the cause of ``exc``, each element in ``element_to_dict`` form."""
-    ce = exc if isinstance(exc, HomomorphismCounterexample) else exc.__cause__
+    """The trial number and the elements of the failed check behind ``exc``
+    (``iso_search_bounded`` chains it as the cause), each element in
+    ``element_to_dict`` form."""
+    ce = exc.__cause__
     if not isinstance(ce, HomomorphismCounterexample):
         return None
     out = {} if ce.trial is None else {"trial": ce.trial}

@@ -7,7 +7,6 @@ from .algebra import (
     Signature,
     act_on_A,
     alternating_binomial_sum,
-    change_D_basis,
     derivation_apply,
     element_from_dict,
     element_to_dict,
@@ -23,7 +22,6 @@ from .automorphisms import (
     Sigma1,
     TauAut,
     apply_sigma1,
-    compose_automorphisms,
     compose_normal_forms,
     conjugated_shift,
     decompose_automorphism,
@@ -45,10 +43,7 @@ from .lattice import (
     Character,
     Lattice,
     aut2_membership,
-    char_eval,
     dual_derivation_basis,
-    lattice_from_generators,
-    pairing,
 )
 from . import errors
 
@@ -57,13 +52,11 @@ __all__ = [
     "FunctionalAut", "InnerExp", "IsoCandidate", "Lattice", "Monomial",
     "NormalFormAut", "ShiftV", "Sigma1", "Signature", "TauAut",
     "act_on_A", "alternating_binomial_sum", "apply_sigma1", "aut2_membership",
-    "change_D_basis", "char_eval", "classify_ad_behavior",
-    "compose_automorphisms", "compose_normal_forms", "conjugated_shift",
+    "classify_ad_behavior", "compose_normal_forms", "conjugated_shift",
     "decompose_automorphism", "derivation_apply", "dual_derivation_basis",
     "element_from_dict", "element_to_dict", "errors", "eval_expr",
     "faithfulness_witness", "filtration_data", "format_element",
-    "growth_probe", "iso_search_bounded", "iso_verify",
-    "lattice_from_generators", "multi_binomial", "pairing", "parse_and_eval",
-    "parse_element", "signature_invariants", "total_order_cmp",
+    "growth_probe", "iso_search_bounded", "iso_verify", "multi_binomial",
+    "parse_and_eval", "parse_element", "signature_invariants", "total_order_cmp",
     "verify_automorphism",
 ]

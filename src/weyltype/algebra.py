@@ -67,9 +67,7 @@ from .errors import (
     NotInA,
     NotMember,
     SignatureMismatch,
-    SingularMatrix,
 )
-from . import linalg
 from .lattice import Lattice
 from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json, point_str,
                         rational_from_json, rational_str)
@@ -646,47 +644,6 @@ def act_on_A(w: Element, a: Element) -> Element:
     if not a.in_A():
         raise NotInA("the acted-on element must lie in A")
     return _mul_elements(w, a, action=True)
-
-
-def change_D_basis(sig: Signature, C, w: Element) -> Element:
-    """Rewrite derivation exponents taken in the basis d'_q = sum_p C[p][q] d_p.
-
-    The matrix columns give the primed generators in the standard basis; the
-    rewrite is a multinomial expansion inside the commutative polynomial
-    algebra of derivations, applied termwise.
-    """
-    C = linalg.to_matrix(C)
-    if len(C) != sig.ell or any(len(r) != sig.ell for r in C):
-        raise DimensionMismatch("change of basis matrix must be l x l")
-    if linalg.mat_det(C) == 0:
-        raise SingularMatrix("change of basis matrix must be invertible")
-    expansions: dict = {}
-    out: dict = {}
-    zero = (0,) * sig.ell
-    for (al, i, mu), c in w.terms.items():
-        poly = expansions.get(mu)
-        if poly is None:
-            poly = {zero: Fraction(1)}
-            for q, k in enumerate(mu):
-                column = {p: C[p][q] for p in range(sig.ell) if C[p][q] != 0}
-                for _ in range(k):
-                    poly = _poly_times_linear(poly, column, sig.ell)
-            expansions[mu] = poly
-        for mu_out, coeff in poly.items():
-            key = Monomial(al, i, mu_out)
-            out[key] = out.get(key, Fraction(0)) + c * coeff
-    return Element(sig, out)
-
-
-def _poly_times_linear(poly: dict, column: dict, ell: int) -> dict:
-    out: dict = {}
-    for mu, c in poly.items():
-        for p, cp in column.items():
-            bumped = list(mu)
-            bumped[p] += 1
-            key = tuple(bumped)
-            out[key] = out.get(key, Fraction(0)) + c * cp
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,11 @@ decision).  The tables and the extension run on the integer form of the
 elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
-``decompose_automorphism`` recovers that factored form from the images of the
-generating set alone, by peeling one family at a time.
+``compose_normal_forms`` is the one group law: it composes any two normal
+forms symbolically, the twist included, since conjugation by sigma_1 maps
+each family to itself.  ``decompose_automorphism`` recovers the factored
+form from the images of the generating set alone, by peeling one family at a
+time and reassembling the factors through that law.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .errors import (
     NotAnAutomorphism,
     NotInA,
     SignatureMismatch,
-    Sigma1NotSupported,
     SingularMatrix,
 )
 from .lattice import BlockMatrix, Character, lattice_motion
@@ -115,18 +117,6 @@ def _gen_label(key: tuple) -> str:
     if kind == "xi":
         return f"xi{key[1]}"
     return f"d{key[1]}"
-
-
-def _gen_key_from_label(label: str) -> tuple:
-    if label == "one":
-        return ("one",)
-    if label.startswith("xi"):
-        return ("xi", int(label[2:]))
-    if label.startswith("x"):
-        return ("x", int(label[2:]), 1 if label[1] == "+" else -1)
-    if label.startswith("d"):
-        return ("d", int(label[1:]))
-    raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------
@@ -617,25 +607,50 @@ def conjugated_shift(tau: TauAut, v: ShiftV) -> tuple[InnerExp, ShiftV]:
 
 def compose_normal_forms(a: NormalFormAut, b: NormalFormAut,
                          _verify: bool = True) -> NormalFormAut:
-    """The normal form of a after b, computed symbolically.
+    """The normal form of a after b, computed symbolically for every eps.
 
-    Requires eps = 0 on both sides; compositions involving the order-2 twist
-    go through functional form plus decomposition instead.  The result is
-    checked against sequential application on the generating set.
+    Without the twist, a . b = tau_a u_a v_a tau_b u_b v_b is regrouped as
+    tau_a tau_b . (tau_b^{-1} u_a tau_b) (tau_b^{-1} v_a tau_b) u_b v_b: the
+    first conjugate is sigma_{tau_b^{-1}(u_a)}, the second an inner part and
+    a moved shift (``conjugated_shift``), the moved shift carries u_b to
+    sigma_{shift(u_b)}, and the inner parts add since A is commutative.
+
+    The twist reduces to that law.  sigma_1 = -S, where S is the
+    anti-automorphism of the product that fixes A pointwise and sends d_q to
+    -d_q (S(x^{a,i} d^mu) = S(d)^mu S(x^{a,i}) = (-d)^mu x^{a,i}).  For an
+    automorphism phi, sigma_1 phi sigma_1 = S phi S is again an
+    automorphism, so it is fixed by the generator images.  If phi maps A
+    into A, then S phi S = phi on A; if phi(d_q) = D_q + c_q with D_q in the
+    span of the d_p and c_q in A, then S phi S(d_q) = -S(D_q + c_q) =
+    D_q - c_q.  Hence:
+
+    * sigma_1 sigma_tau sigma_1 = sigma_tau, as sigma_tau(d_q) has c_q = 0;
+    * sigma_1 sigma_u sigma_1 = sigma_{-u}, as sigma_u fixes A and
+      sigma_u(d_q) = d_q - d_q(u);
+    * sigma_1 sigma_v sigma_1 = sigma_{v'}, where v' keeps the first l1 slots
+      of v and negates the last l2, as sigma_v moves x^{1_[p]} within A and
+      sends d_q to d_q + v_q for q > l1.
+
+    With sigma_1^2 = 1, a . b is the twist-free law applied to a and to b,
+    with b's u and v conjugated when a.eps = 1, followed by
+    sigma_1^(a.eps xor b.eps).  The result is checked against sequential
+    application on the generating set.
     """
-    if a.eps or b.eps:
-        raise Sigma1NotSupported("compose the twist functionally, then decompose")
     if a.signature != b.signature:
         raise SignatureMismatch("normal forms belong to different algebras")
     sig = a.signature
+    u_b, v_b = b.u.u, b.v.v
+    if a.eps:
+        u_b = -u_b
+        v_b = v_b[:sig.ell1] + tuple(-x for x in v_b[sig.ell1:])
     tau = a.tau.compose(b.tau)
     inner_conj, moved_shift = conjugated_shift(b.tau, a.v)
     u_elem = (b.tau.inverse().apply(a.u.u)
-              + moved_shift.apply(b.u.u)
+              + moved_shift.apply(u_b)
               + inner_conj.u)
-    v = ShiftV(sig, tuple(x + y for x, y in zip(moved_shift.v, b.v.v)))
+    v = ShiftV(sig, tuple(x + y for x, y in zip(moved_shift.v, v_b)))
     mode = a.mode if a.mode == b.mode else MODE_LIE
-    result = NormalFormAut(tau, InnerExp(u_elem), v, 0, mode)
+    result = NormalFormAut(tau, InnerExp(u_elem), v, a.eps ^ b.eps, mode)
     if _verify:
         for key in generator_keys(sig):
             gen = generator_element(sig, key)
@@ -709,8 +724,12 @@ class FunctionalAut:
     def from_dict(cls, data: dict) -> "FunctionalAut":
         data = object_from_json(data, "automorphism")
         sig = Signature.from_dict(data["signature"])
-        images = {_gen_key_from_label(lbl): element_from_dict(e, sig)
-                  for lbl, e in object_from_json(data["images"], "images").items()}
+        keys = {_gen_label(k): k for k in generator_keys(sig)}
+        images = {}
+        for label, e in object_from_json(data["images"], "images").items():
+            if label not in keys:
+                raise ValueError(f"unknown generator label {label!r}")
+            images[keys[label]] = element_from_dict(e, sig)
         return cls(sig, data.get("mode", MODE_LIE), images)
 
 
@@ -906,15 +925,12 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
                                         ShiftV.identity(sig)))
 
     # (4) the twist
-    eps = 0
     if c0 == -1:
-        eps = 1
         if not _force_lie and phi.mode == MODE_ASSOC:
             raise NotAnAutomorphism(
                 "associative-mode data decomposes with the order-2 twist")
-        twist = Sigma1(sig)
-        for key in images:
-            images[key] = twist.apply(images[key])
+        peel(Sigma1(sig), NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig),
+                                        ShiftV.identity(sig), 1))
 
     # (5) the polynomial shift off the x^{1_[p]} images
     if ell1:
@@ -931,12 +947,9 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
                 raise NotAnAutomorphism(
                     f"image of x^{{1_[{p}]}} has stray terms {sorted(extra)}")
             shift_vec[p - 1] = const
-        if any(shift_vec):
-            fix = ShiftV(sig, tuple(-x for x in shift_vec))
-            for key in images:
-                images[key] = fix.apply(images[key])
-            factors.append(NormalFormAut(TauAut.identity(sig),
-                                         InnerExp.identity(sig), fix.inverse()))
+        fix = ShiftV(sig, tuple(-x for x in shift_vec))
+        peel(fix, NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig),
+                                fix.inverse()))
 
     for key in images:
         if images[key] != generator_element(sig, key):
@@ -945,28 +958,15 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
     result = NormalFormAut.identity(sig)
     for factor in factors:
         result = compose_normal_forms(result, factor, _verify=False)
-    result = NormalFormAut(result.tau, result.u, result.v, eps,
-                           MODE_LIE if eps else phi.mode)
+    result = NormalFormAut(result.tau, result.u, result.v, result.eps,
+                           MODE_LIE if result.eps else phi.mode)
     for key in generator_keys(sig):
         if result.apply(generator_element(sig, key)) != phi.images[key]:
             raise NotAnAutomorphism(f"reassembled form disagrees on generator {key}")
     return result
 
 
-def compose_automorphisms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
-    """a after b; symbolic when neither carries the twist, functional otherwise."""
-    if a.eps == 0 and b.eps == 0:
-        return compose_normal_forms(a, b)
-    sig = a.signature
-    if sig != b.signature:
-        raise SignatureMismatch("normal forms belong to different algebras")
-    images = {key: a.apply(b.apply(generator_element(sig, key)))
-              for key in generator_keys(sig)}
-    return decompose_automorphism(FunctionalAut(sig, MODE_LIE, images))
-
-
 def random_normal_form_aut(sig: Signature, rng: random.Random,
-                           allow_eps: bool = True,
                            mode: str = MODE_LIE) -> NormalFormAut:
     """A random factored automorphism for round-trip and group-law checks."""
     from .sampling import (
@@ -979,5 +979,5 @@ def random_normal_form_aut(sig: Signature, rng: random.Random,
     tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
     u = InnerExp(random_A_element(sig, rng))
     v = ShiftV(sig, random_shift_vector(sig, rng))
-    eps = rng.randint(0, 1) if allow_eps and mode == MODE_LIE else 0
+    eps = rng.randint(0, 1) if mode == MODE_LIE else 0
     return NormalFormAut(tau, u, v, eps, mode)

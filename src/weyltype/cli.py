@@ -18,7 +18,7 @@ from .automorphisms import (
     MODE_LIE,
     FunctionalAut,
     NormalFormAut,
-    compose_automorphisms,
+    compose_normal_forms,
     decompose_automorphism,
 )
 from .classification import iso_search_bounded
@@ -275,7 +275,7 @@ def _dispatch_aut(args) -> int:
     if args.aut_command == "compose":
         a = _as_normal_form(_load_automorphism(args.a, args.mode))
         b = _as_normal_form(_load_automorphism(args.b, args.mode))
-        composed = compose_automorphisms(a, b)
+        composed = compose_normal_forms(a, b)
         text = json.dumps(composed.to_dict(), indent=2)
         if args.json_output:
             print(json.dumps({"ok": True, "aut": composed.to_dict()}, indent=2))

@@ -49,10 +49,6 @@ class ZeroElement(WeylError):
     """The zero element was passed where a nonzero one is required."""
 
 
-class Sigma1NotSupported(WeylError):
-    """Symbolic normal-form composition does not cover the order-2 twist."""
-
-
 class NotAnAutomorphism(WeylError):
     """Extensional data is inconsistent with any automorphism normal form."""
 

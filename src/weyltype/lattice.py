@@ -19,7 +19,6 @@ from .errors import (
     EmptyGenerators,
     LatticeNotMapped,
     NondegenerateViolation,
-    NotMember,
     SingularBasis,
     SingularMatrix,
 )
@@ -142,15 +141,6 @@ def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ..
     rows = [tuple(Fraction(x, lattice.denominator) for x in reversed(row))
             for row in linalg.hermite_normal_form(flipped)]
     return tuple(rows[ell - ell1:] + rows[:ell - ell1])
-
-
-def lattice_from_generators(ambient_dim: int, generators) -> Lattice:
-    return Lattice(ambient_dim, generators)
-
-
-def pairing(alpha, del_coeffs) -> Fraction:
-    """<alpha, d> = sum_p a_p alpha_p for d = sum_p a_p d_p in the standard basis."""
-    return linalg.dot(alpha, del_coeffs)
 
 
 def dual_derivation_basis(lattice: Lattice, alphas):
@@ -297,12 +287,6 @@ class Character:
     def evaluate_coords(self, coords) -> Fraction:
         return Fraction(*self.evaluate_ratio(coords))
 
-    def evaluate(self, alpha) -> Fraction:
-        coords = self.lattice.coordinates(alpha)
-        if coords is None:
-            raise NotMember(f"{point_str(alpha)} is not a lattice point")
-        return self.evaluate_coords(coords)
-
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)
 
@@ -316,7 +300,3 @@ class Character:
 
     def __repr__(self):
         return f"Character({', '.join(map(rational_str, self.values))})"
-
-
-def char_eval(f: Character, alpha) -> Fraction:
-    return f.evaluate(alpha)

@@ -49,13 +49,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     if len(v) != len(m):
         raise DimensionMismatch("vector length differs from row count")
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    return tuple(dot(v, column) for column in transpose(m))
 
 
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
 def mat_det(m: Matrix) -> Fraction:

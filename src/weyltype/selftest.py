@@ -210,9 +210,11 @@ def suite_group_laws(sig: Signature, seed: int) -> SuiteResult:
             rhs = inner.apply(moved.apply(g))
             if lhs != rhs:
                 return _fail("group-laws", f"conjugation law fails at {t}")
+    twisted = 0
     for t in range(50):
-        a = random_normal_form_aut(sig, rng, allow_eps=False)
-        b = random_normal_form_aut(sig, rng, allow_eps=False)
+        a = random_normal_form_aut(sig, rng)
+        b = random_normal_form_aut(sig, rng)
+        twisted += a.eps | b.eps
         try:
             composed = compose_normal_forms(a, b)
         except InvariantViolation as exc:
@@ -220,14 +222,15 @@ def suite_group_laws(sig: Signature, seed: int) -> SuiteResult:
         for g in gens:
             if composed.apply(g) != a.apply(b.apply(g)):
                 return _fail("group-laws", f"composition disagrees at {t}")
-    return SuiteResult("group-laws", True, "50 conjugations, 50 compositions")
+    return SuiteResult("group-laws", True, f"50 conjugations, 50 compositions, "
+                       f"{twisted} with the order-2 twist")
 
 
 def suite_decomposition(sig: Signature, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     twisted = 0
     for t in range(50):
-        nf = random_normal_form_aut(sig, rng, allow_eps=True)
+        nf = random_normal_form_aut(sig, rng)
         twisted += nf.eps
         phi = FunctionalAut.from_aut(nf, mode=MODE_LIE)
         try:

@@ -11,9 +11,7 @@ from weyltype import (
     Signature,
     act_on_A,
     alternating_binomial_sum,
-    change_D_basis,
     derivation_apply,
-    dual_derivation_basis,
     element_from_dict,
     element_to_dict,
     filtration_data,
@@ -27,9 +25,7 @@ from weyltype.errors import (
     NotInA,
     NotMember,
     SignatureMismatch,
-    SingularMatrix,
 )
-from weyltype.linalg import transpose
 from weyltype.sampling import random_element, random_fd_element
 
 
@@ -499,41 +495,6 @@ class TestActOnA:
     def test_rejects_derivation_part(self, desk):
         with pytest.raises(NotInA):
             act_on_A(desk.one(), desk.d(1))
-
-
-class TestChangeDBasis:
-    def test_identity_matrix(self, desk):
-        rng = random.Random(7)
-        C = ((1, 0), (0, 1))
-        for _ in range(10):
-            w = random_element(desk, rng)
-            assert change_D_basis(desk, C, w) == w
-
-    def test_linear_case_from_dual_basis(self, z2):
-        dual = dual_derivation_basis(z2.lattice, [(1, 1), (0, 1)])
-        C = transpose(dual)
-        w = z2.d(2)
-        out = change_D_basis(z2, C, w)
-        assert out == -z2.d(1) + z2.d(2)
-
-    def test_square_of_half(self, w01):
-        C = ((Fraction(1, 2),),)
-        out = change_D_basis(w01, C, w01.d(1, 2))
-        assert out == w01.d(1, 2, coeff=Fraction(1, 4))
-
-    def test_round_trip(self, desk):
-        from weyltype.linalg import mat_inverse
-
-        rng = random.Random(8)
-        C = ((1, 2), (Fraction(1, 3), 1))
-        C_inv = mat_inverse(C)
-        for _ in range(10):
-            w = random_element(desk, rng)
-            assert change_D_basis(desk, C_inv, change_D_basis(desk, C, w)) == w
-
-    def test_singular_matrix_rejected(self, desk):
-        with pytest.raises(SingularMatrix):
-            change_D_basis(desk, ((1, 1), (2, 2)), desk.d(1))
 
 
 class TestFiltrationData:

@@ -332,12 +332,11 @@ class TestFaithfulnessWitness:
 
     def test_dual_basis_polynomial(self, desk):
         # d dual to the canonical rows acts on x^{n . basis} by n directly
-        from weyltype import change_D_basis, dual_derivation_basis
-        from weyltype.linalg import transpose
+        from weyltype import dual_derivation_basis
 
         dual = dual_derivation_basis(desk.lattice, desk.lattice.basis)
-        C = transpose(dual)
-        u = change_D_basis(desk, C, desk.d(1, 2) - desk.d(1))
+        d = sum((desk.d(p + 1).scale(c) for p, c in enumerate(dual[0])), desk.zero())
+        u = d * d - d
         alpha = faithfulness_witness(desk, u)
         coords = desk.lattice.coordinates(alpha)
         assert coords is not None and all(0 <= n <= 2 for n in coords)

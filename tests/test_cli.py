@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -17,6 +18,7 @@ from weyltype.automorphisms import (
     MODE_LIE,
     FunctionalAut,
     Sigma1,
+    decompose_automorphism,
     generator_element,
     generator_keys,
     random_normal_form_aut,
@@ -30,6 +32,16 @@ DESK_CONFIG = {
     "ell1": 1,
     "ell2": 1,
     "gamma_generators": [["1", "0"], ["0", "1"], ["1/2", "1/2"]],
+}
+
+
+# sha256 of `weyl aut compose --json` on the twisted pairs of
+# TestAut.test_compose_twisted_json_output_is_stable, as printed when the
+# twist was composed through the generator images and decompose_automorphism
+TWISTED_COMPOSE_SHA256 = {
+    (0, 1): "18d40ca4425f814c074341af66545e0b495fab05bae0380efefaa60f92d891a3",
+    (1, 0): "21529e8abde6d9e91e0041f4d7adb28024ea9a0c343396e7ac9a5579a411167a",
+    (1, 1): "4a6966c08f4458014feb2d5590c553932d2ddbe1b6b0715021896d5b65c6fb2e",
 }
 
 
@@ -128,7 +140,7 @@ class TestAut:
     def test_apply_normal_form(self, tmp_path, config_file, capsys):
         sig = desk_signature()
         rng = random.Random(3)
-        nf = random_normal_form_aut(sig, rng, allow_eps=False)
+        nf = random_normal_form_aut(sig, rng)
         aut_path = tmp_path / "aut.json"
         aut_path.write_text(json.dumps(nf.to_dict()))
         code = run_command(["aut", "apply", "--config", config_file,
@@ -141,8 +153,8 @@ class TestAut:
     def test_compose_files(self, tmp_path, capsys):
         sig = desk_signature()
         rng = random.Random(4)
-        a = random_normal_form_aut(sig, rng, allow_eps=False)
-        b = random_normal_form_aut(sig, rng, allow_eps=False)
+        a = random_normal_form_aut(sig, rng)
+        b = random_normal_form_aut(sig, rng)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(a.to_dict()))
         pb.write_text(json.dumps(b.to_dict()))
@@ -156,24 +168,40 @@ class TestAut:
     def test_compose_twisted_files_uses_functional_route(self, tmp_path, capsys):
         sig = desk_signature()
         rng = random.Random(8)
-        a = random_normal_form_aut(sig, rng, allow_eps=False)
-        a = NormalFormAut(a.tau, a.u, a.v, 1, MODE_LIE)
-        b = random_normal_form_aut(sig, rng, allow_eps=False)
+        a = random_normal_form_aut(sig, rng)
+        a = NormalFormAut(a.tau, a.u, a.v, 1)
+        b = random_normal_form_aut(sig, rng)
+        b = NormalFormAut(b.tau, b.u, b.v, 0)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(a.to_dict()))
         pb.write_text(json.dumps(b.to_dict()))
         code = run_command(["aut", "compose", "--a", str(pa), "--b", str(pb)])
         assert code == 0
-        composed = NormalFormAut.from_dict(json.loads(capsys.readouterr().out))
-        assert composed.eps == 1
-        for key in generator_keys(sig):
-            g = generator_element(sig, key)
-            assert composed.apply(g) == a.apply(b.apply(g))
+        out = capsys.readouterr().out
+        # the functional route: the composite's generator images, decomposed
+        images = {key: a.apply(b.apply(generator_element(sig, key)))
+                  for key in generator_keys(sig)}
+        reference = decompose_automorphism(FunctionalAut(sig, MODE_LIE, images))
+        assert out == json.dumps(reference.to_dict(), indent=2) + "\n"
+        assert NormalFormAut.from_dict(json.loads(out)).eps == 1
+
+    @pytest.mark.parametrize("eps_a, eps_b", sorted(TWISTED_COMPOSE_SHA256))
+    def test_compose_twisted_json_output_is_stable(self, tmp_path, capsys, eps_a, eps_b):
+        sig = desk_signature()
+        rng = random.Random(30 + 2 * eps_a + eps_b)
+        a, b = (random_normal_form_aut(sig, rng) for _ in range(2))
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(NormalFormAut(a.tau, a.u, a.v, eps_a).to_dict()))
+        pb.write_text(json.dumps(NormalFormAut(b.tau, b.u, b.v, eps_b).to_dict()))
+        code = run_command(["aut", "compose", "--json", "--a", str(pa), "--b", str(pb)])
+        assert code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == TWISTED_COMPOSE_SHA256[(eps_a, eps_b)]
 
     def test_decompose_round_trip(self, tmp_path, capsys):
         sig = desk_signature()
         rng = random.Random(5)
-        nf = random_normal_form_aut(sig, rng, allow_eps=True)
+        nf = random_normal_form_aut(sig, rng)
         phi = FunctionalAut.from_aut(nf)
         path = tmp_path / "phi.json"
         path.write_text(json.dumps(phi.to_dict()))
@@ -195,7 +223,7 @@ class TestAut:
     def test_broken_group_law_exits_1_with_json_envelope(self, tmp_path, capsys,
                                                           monkeypatch):
         sig = desk_signature()
-        a = random_normal_form_aut(sig, random.Random(4), allow_eps=False)
+        a = random_normal_form_aut(sig, random.Random(4))
         b = NormalFormAut(TauAut(sig, BlockMatrix.identity(1, 1),
                                  Character(sig.lattice, [2, 3])),
                           InnerExp.identity(sig), ShiftV.identity(sig))
@@ -213,7 +241,7 @@ class TestAut:
     def test_apply_functional_form_file(self, tmp_path, config_file, capsys):
         sig = desk_signature()
         rng = random.Random(9)
-        nf = random_normal_form_aut(sig, rng, allow_eps=True)
+        nf = random_normal_form_aut(sig, rng)
         phi = FunctionalAut.from_aut(nf)
         path = tmp_path / "phi.json"
         path.write_text(json.dumps(phi.to_dict()))
@@ -441,6 +469,26 @@ class TestMalformedFiles:
             assert json.loads(captured.out) == {"ok": False, "error": message}
         else:
             assert captured.out == ""
+
+    @pytest.mark.parametrize("old, new, keep", [
+        ("x-1", "x*1", False),
+        ("d1", "d+1", False),
+        ("xi1", "xi 1", False),
+        ("x+1", "xq", False),
+        # a second label for the image of x^{-b_1}
+        ("x-1", "x*1", True),
+    ])
+    def test_unknown_generator_label(self, tmp_path, capsys, old, new, keep):
+        def relabel(data):
+            images = data["images"]
+            images[new] = images[old] if keep else images.pop(old)
+
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(_functional_file(relabel)))
+        assert run_command(["aut", "decompose", "--aut", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"bad input: unknown generator label {new!r}\n")
 
     def test_well_formed_files_still_read(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

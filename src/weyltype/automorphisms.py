@@ -23,7 +23,7 @@ isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
 on the lattice matrices N and N^{-1}; the lattice check
 ``lattice.lattice_motion``, which derives both from G by fraction-free
 integer elimination, runs only for a G given from outside (a constructor
-call, a normal-form file, decomposition step (1), the samplers, the iso
+call, a normal-form file, decomposition, the samplers, the iso
 decision).  The tables and the extension run on the integer form of the
 elements.
 
@@ -31,8 +31,8 @@ A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps
 ``compose_normal_forms`` is the one group law: it composes any two normal
 forms symbolically, the twist included, since conjugation by sigma_1 maps
 each family to itself.  ``decompose_automorphism`` recovers the factored
-form from the images of the generating set alone, by peeling one family at a
-time and reassembling the factors through that law.
+form from the images of the generating set alone: it reads every factor off
+them in closed form and checks the result on every generator.
 """
 
 from __future__ import annotations
@@ -347,10 +347,6 @@ class TauAut:
                                    linalg.mat_mul(other.N, self.N),
                                    linalg.mat_mul(self.N_inv, other.N_inv))
 
-    def is_identity(self) -> bool:
-        return (self.target == self.signature and self.f.is_trivial()
-                and self.N == linalg.integer_identity(self.signature.ell))
-
     @classmethod
     def identity(cls, sig: Signature) -> "TauAut":
         return cls.from_character(sig, Character.trivial(sig.lattice))
@@ -403,12 +399,6 @@ class InnerExp:
         x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
         return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
 
-    def inverse(self) -> "InnerExp":
-        return InnerExp(-self.u)
-
-    def is_identity(self) -> bool:
-        return self.u.is_zero
-
     @classmethod
     def identity(cls, sig: Signature) -> "InnerExp":
         return cls(sig.zero())
@@ -451,9 +441,6 @@ class ShiftV:
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
-
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.v)
 
     @classmethod
     def identity(cls, sig: Signature) -> "ShiftV":
@@ -544,10 +531,6 @@ class NormalFormAut:
         return cls(TauAut.identity(sig), InnerExp.identity(sig),
                    ShiftV.identity(sig), 0, mode)
 
-    def is_identity(self) -> bool:
-        return (self.tau.is_identity() and self.u.is_identity()
-                and self.v.is_identity() and self.eps == 0)
-
     def same_data(self, other: "NormalFormAut") -> bool:
         """Equality of the factored data (mode is metadata and ignored)."""
         return (self.tau == other.tau and self.u == other.u
@@ -605,8 +588,7 @@ def conjugated_shift(tau: TauAut, v: ShiftV) -> tuple[InnerExp, ShiftV]:
     return InnerExp(inner), ShiftV(sig, moved1 + moved2)
 
 
-def compose_normal_forms(a: NormalFormAut, b: NormalFormAut,
-                         _verify: bool = True) -> NormalFormAut:
+def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
     """The normal form of a after b, computed symbolically for every eps.
 
     Without the twist, a . b = tau_a u_a v_a tau_b u_b v_b is regrouped as
@@ -651,11 +633,10 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut,
     v = ShiftV(sig, tuple(x + y for x, y in zip(moved_shift.v, v_b)))
     mode = a.mode if a.mode == b.mode else MODE_LIE
     result = NormalFormAut(tau, InnerExp(u_elem), v, a.eps ^ b.eps, mode)
-    if _verify:
-        for key in generator_keys(sig):
-            gen = generator_element(sig, key)
-            if result.apply(gen) != a.apply(b.apply(gen)):
-                raise InvariantViolation(f"group law violated on generator {key}")
+    for key in generator_keys(sig):
+        gen = generator_element(sig, key)
+        if result.apply(gen) != a.apply(b.apply(gen)):
+            raise InvariantViolation(f"group law violated on generator {key}")
     return result
 
 
@@ -780,125 +761,94 @@ def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) ->
 # decomposition into normal form
 # ---------------------------------------------------------------------------
 
-def _solve_d_preimage(sig: Signature, q: int, al, i, c) -> dict:
-    """Terms of u with d_q(u) = c x^{al,i}, valid when ambient alpha_q != 0.
-
-    Repeatedly divides by the grading eigenvalue and pushes the lowering
-    remainder down in i_q; terminates after i_q + 1 steps.
-    """
+def _solve_d_preimage(sig: Signature, q: int, al, i, c):
+    """Terms (key, coefficient) of u with d_q(u) = c x^{al,i}, valid when
+    ambient alpha_q != 0: divide by the grading eigenvalue and push the
+    lowering remainder down in i_q, i_q + 1 steps in all."""
     aq = sig.lattice.ambient(al)[q]
-    out: dict = {}
-    cur_c, cur_i = c, i
     while True:
-        key = (al, cur_i)
-        out[key] = out.get(key, Fraction(0)) + cur_c / aq
-        if q >= sig.ell1 or cur_i[q] == 0:
-            return out
-        lowered = list(cur_i)
-        lowered[q] -= 1
-        cur_c = -cur_c * cur_i[q] / aq
-        cur_i = tuple(lowered)
+        yield (al, i), c / aq
+        if q >= sig.ell1 or i[q] == 0:
+            return
+        c = -c * i[q] / aq
+        i = i[:q] + (i[q] - 1,) + i[q + 1:]
 
 
 def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> NormalFormAut:
-    """Recover the normal form sigma_tau sigma_u sigma_v sigma_1^eps from
-    generator images.
+    """Recover the normal form sigma_tau sigma_u sigma_v sigma_1^eps, with
+    tau = (G, f), from generator images.
 
-    Peels the factored form left to right: (1) the lattice matrix G off the
-    derivation images, (2) the inner and shift corrections that straighten
-    every derivation image (one coordinate at a time, integrating the graded
-    part exactly and the degree-zero part either into a polynomial primitive
-    or into a derivation shift), (3) the character and the sign c0 off the
-    x-images and the unit image, (4) the twist when c0 = -1, and (5) the
-    polynomial shift off the x^{1_[p]} images.  Raises NotAnAutomorphism as
-    soon as any image violates the shape this factorization forces.
+    G is the level-1 part of the derivation images.  With tau_g = (G, 1),
+    psi = tau_g^{-1} phi = tau_f sigma_u sigma_v sigma_1^eps (tau_f = (I, f)) is
+    applied to the images once, and every other factor is read off them in
+    closed form.  sigma_1 fixes each d_q and tau_f commutes with d_q, so
+
+        psi(d_q) = d_q - d_q(u') + v_q [q > l1],   u' = tau_f(u),
+
+    and w_q = psi(d_q) - d_q lies in A.  Its terms c x^{al,i} give u':
+
+    * al != 0: only in the first slot q where the ambient point of al is
+      nonzero.  On the al block that d_q is a nonzero grading plus a
+      nilpotent lowering, so it is injective and ``_solve_d_preimage`` fixes
+      the block of u'.  The other slots are consistency conditions;
+    * al = 0 and q <= l1: the radial primitive -c x^{0, i + e_q} / (|i| + 1).
+      d_q is d/dt_q there, and by Euler's identity the sum over q inverts it
+      on a closed polynomial form;
+    * al = 0 and q > l1: a constant c, which is v_q.
+
+    The unit image is c0 = (-1)^eps and the x^{+-b_k} images are
+    c0 f(+-b_k) x^{+-b_k}, which give eps and f; u is u' with the coefficient
+    of x^{al,i} divided by f(al); c0 psi(x^{1_[p]}) = x^{1_[p]} + v_p gives the
+    polynomial shift.  Raises NotAnAutomorphism as soon as an image violates
+    the shape this factorization forces.  The form is then applied to every
+    generator and compared with the given images: that check is the
+    certificate, and it also decides the consistency conditions.
     """
     sig = phi.signature
     ell, ell1 = sig.ell, sig.ell1
     zero = (0,) * ell
-    images = dict(phi.images)
-    factors: list[NormalFormAut] = []
 
-    def peel(aut, inverse_factor: NormalFormAut):
-        if inverse_factor.is_identity():
-            return
-        for key in images:
-            images[key] = aut.apply(images[key])
-        factors.append(inverse_factor)
-
-    # (1) the lattice matrix off the derivation images
-    g_cols = []
+    # G off the level-1 part of the derivation images
+    rows = [[Fraction(0)] * ell for _ in range(ell)]
     for q in range(1, ell + 1):
-        image = images[("d", q)]
-        col = [Fraction(0)] * ell
-        for (al, i, mu), c in image.terms.items():
+        for (al, i, mu), c in phi.images[("d", q)].terms.items():
             lvl = sum(mu)
             if lvl > 1:
                 raise NotAnAutomorphism(f"image of d{q} has a level-{lvl} term")
             if lvl == 1:
                 if al != zero or any(i):
                     raise NotAnAutomorphism(f"image of d{q} is outside D + A")
-                col[mu.index(1)] = c
-        g_cols.append(col)
-    entries = tuple(tuple(g_cols[q][p] for q in range(ell)) for p in range(ell))
+                rows[mu.index(1)][q - 1] = c
     try:
-        G = BlockMatrix(sig.ell1, sig.ell2, entries)
+        G = BlockMatrix(sig.ell1, sig.ell2, rows)
     except (BlockShapeViolation, DimensionMismatch, SingularMatrix) as exc:
         raise NotAnAutomorphism(f"derivation images give no block matrix: {exc}") from exc
     try:
-        tau_g = TauAut(sig, G, Character.trivial(sig.lattice))
+        back = TauAut(sig, G, Character.trivial(sig.lattice)).inverse()
     except LatticeNotMapped as exc:
         raise NotAnAutomorphism("derivation images do not stabilize the lattice") from exc
-    peel(tau_g.inverse(), NormalFormAut(tau_g, InnerExp.identity(sig),
-                                        ShiftV.identity(sig)))
+    images = {key: back.apply(e) for key, e in phi.images.items()}
 
-    # (2) straighten the derivation images one coordinate at a time
+    # u' and the derivation shifts off w_q = psi(d_q) - d_q
+    u_prime: dict = {}
+    v = [Fraction(0)] * ell
     for q0 in range(ell):
         q = q0 + 1
-        w_q = images[("d", q)] - sig.d(q)
-        if not w_q.in_A():
-            raise NotAnAutomorphism(f"image of d{q} did not reduce to d{q} + A")
-        graded = {}
-        flat = {}
-        for (al, i, mu), c in w_q.terms.items():
-            if sig.lattice.ambient(al)[q0] != 0:
-                graded[(al, i)] = c
+        # w_q lies in A: tau_g^{-1} sends the level-1 part of phi(d_q) to d_q
+        for (al, i, _), c in (images[("d", q)] - sig.d(q)).terms.items():
+            if al != zero:
+                if next(k for k, g in enumerate(sig.lattice.grades(al)) if g) == q0:
+                    for key, val in _solve_d_preimage(sig, q0, al, i, -c):
+                        u_prime[key] = u_prime.get(key, 0) + val
+            elif q0 < ell1:
+                key = (zero, i[:q0] + (i[q0] + 1,) + i[q0 + 1:])
+                u_prime[key] = u_prime.get(key, 0) - c / (sum(i) + 1)
+            elif any(i):
+                raise NotAnAutomorphism(f"image of d{q} has a non-constant degree-0 part")
             else:
-                flat[(al, i)] = c
-        if graded:
-            u_terms: dict = {}
-            for (al, i), c in graded.items():
-                for key, val in _solve_d_preimage(sig, q0, al, i, c).items():
-                    u_terms[key] = u_terms.get(key, Fraction(0)) + val
-            u_prime = Element(sig, {Monomial(al, i, zero): c
-                                    for (al, i), c in u_terms.items()})
-            inner = InnerExp(u_prime)
-            peel(inner, NormalFormAut(TauAut.identity(sig), inner.inverse(),
-                                      ShiftV.identity(sig)))
-        if flat:
-            if q0 < ell1:
-                u_terms = {}
-                for (al, i), c in flat.items():
-                    raised = list(i)
-                    raised[q0] += 1
-                    u_terms[Monomial(al, tuple(raised), zero)] = c / (i[q0] + 1)
-                inner = InnerExp(Element(sig, u_terms))
-                peel(inner, NormalFormAut(TauAut.identity(sig), inner.inverse(),
-                                          ShiftV.identity(sig)))
-            else:
-                if set(flat) != {(zero, zero)}:
-                    raise NotAnAutomorphism(
-                        f"image of d{q} has a non-constant degree-0 part")
-                c = flat[(zero, zero)]
-                vec = [Fraction(0)] * ell
-                vec[q0] = -c
-                shift = ShiftV(sig, vec)
-                peel(shift, NormalFormAut(TauAut.identity(sig),
-                                          InnerExp.identity(sig), shift.inverse()))
-        if images[("d", q)] != sig.d(q):
-            raise NotAnAutomorphism(f"image of d{q} could not be straightened")
+                v[q0] = c
 
-    # (3) the sign c0 and the character off the unit and x-images
+    # the sign c0 = (-1)^eps and the character off the unit and x-images
     unit = images[("one",)]
     if set(unit.num) != {Monomial(zero, zero, zero)}:
         raise NotAnAutomorphism("image of the unit is not scalar")
@@ -920,46 +870,25 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
                 f"images of x^{{+-b_{k}}} violate multiplicativity")
         f_values.append(coeffs[1] / c0)
     f = Character(sig.lattice, f_values)
-    tau_f = TauAut.from_character(sig, f)
-    peel(tau_f.inverse(), NormalFormAut(tau_f, InnerExp.identity(sig),
-                                        ShiftV.identity(sig)))
+    eps = 1 if c0 == -1 else 0
+    if eps and not _force_lie and phi.mode == MODE_ASSOC:
+        raise NotAnAutomorphism("associative-mode data decomposes with the order-2 twist")
 
-    # (4) the twist
-    if c0 == -1:
-        if not _force_lie and phi.mode == MODE_ASSOC:
+    # the polynomial shift off the x^{1_[p]} images
+    for p in range(1, ell1 + 1):
+        extra = {m: c0 * c for m, c in images[("xi", p)].terms.items()}
+        if extra.pop(Monomial(zero, unit_index(ell, p), zero), None) != 1:
             raise NotAnAutomorphism(
-                "associative-mode data decomposes with the order-2 twist")
-        peel(Sigma1(sig), NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig),
-                                        ShiftV.identity(sig), 1))
+                f"image of x^{{1_[{p}]}} has no unit x^{{1_[{p}]}} part")
+        v[p - 1] = extra.pop(Monomial(zero, zero, zero), Fraction(0))
+        if extra:
+            raise NotAnAutomorphism(
+                f"image of x^{{1_[{p}]}} has stray terms {sorted(extra)}")
 
-    # (5) the polynomial shift off the x^{1_[p]} images
-    if ell1:
-        shift_vec = [Fraction(0)] * ell
-        for p in range(1, ell1 + 1):
-            image = images[("xi", p)]
-            gen_key = Monomial(zero, unit_index(ell, p), zero)
-            extra = dict(image.terms)
-            if extra.pop(gen_key, None) != Fraction(1):
-                raise NotAnAutomorphism(
-                    f"image of x^{{1_[{p}]}} has no unit x^{{1_[{p}]}} part")
-            const = extra.pop(Monomial(zero, zero, zero), Fraction(0))
-            if extra:
-                raise NotAnAutomorphism(
-                    f"image of x^{{1_[{p}]}} has stray terms {sorted(extra)}")
-            shift_vec[p - 1] = const
-        fix = ShiftV(sig, tuple(-x for x in shift_vec))
-        peel(fix, NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig),
-                                fix.inverse()))
-
-    for key in images:
-        if images[key] != generator_element(sig, key):
-            raise NotAnAutomorphism(f"residual map moves generator {key}")
-
-    result = NormalFormAut.identity(sig)
-    for factor in factors:
-        result = compose_normal_forms(result, factor, _verify=False)
-    result = NormalFormAut(result.tau, result.u, result.v, result.eps,
-                           MODE_LIE if result.eps else phi.mode)
+    u = Element(sig, {Monomial(al, i, zero): c / f.evaluate_coords(al)
+                      for (al, i), c in u_prime.items()})
+    result = NormalFormAut(TauAut(sig, G, f), InnerExp(u), ShiftV(sig, v), eps,
+                           MODE_LIE if eps else phi.mode)
     for key in generator_keys(sig):
         if result.apply(generator_element(sig, key)) != phi.images[key]:
             raise NotAnAutomorphism(f"reassembled form disagrees on generator {key}")

@@ -39,8 +39,19 @@ class CliUsageError(WeylError):
 
 
 def _read_json_object(path: str) -> dict:
+    def unique_keys(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValueError(f"{path} repeats key {key!r}")
+            data[key] = value
+        return data
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} holds a JSON {type(data).__name__}, expected an object")
     return data
@@ -170,7 +181,7 @@ def run_command(argv) -> int:
     except CliUsageError as exc:
         _print_error(args, str(exc))
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _print_error(args, f"cannot read {exc.filename}")
         return USAGE_ERROR
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -275,23 +286,16 @@ def _dispatch_aut(args) -> int:
     if args.aut_command == "compose":
         a = _as_normal_form(_load_automorphism(args.a, args.mode))
         b = _as_normal_form(_load_automorphism(args.b, args.mode))
-        composed = compose_normal_forms(a, b)
-        text = json.dumps(composed.to_dict(), indent=2)
-        if args.json_output:
-            print(json.dumps({"ok": True, "aut": composed.to_dict()}, indent=2))
-        else:
-            print(text)
+        composed = compose_normal_forms(a, b).to_dict()
+        _emit(args, {"ok": True, "aut": composed}, json.dumps(composed, indent=2))
         return 0
 
     if args.aut_command == "decompose":
         aut = _load_automorphism(args.aut, args.mode)
         if isinstance(aut, NormalFormAut):
             aut = FunctionalAut.from_aut(aut)
-        nf = decompose_automorphism(aut)
-        if args.json_output:
-            print(json.dumps({"ok": True, "aut": nf.to_dict()}, indent=2))
-        else:
-            print(json.dumps(nf.to_dict(), indent=2))
+        nf = decompose_automorphism(aut).to_dict()
+        _emit(args, {"ok": True, "aut": nf}, json.dumps(nf, indent=2))
         return 0
 
     raise WeylError(f"unknown aut subcommand {args.aut_command!r}")

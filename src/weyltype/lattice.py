@@ -195,9 +195,6 @@ class BlockMatrix:
     def identity(cls, ell1: int, ell2: int) -> "BlockMatrix":
         return cls(ell1, ell2, linalg.identity(ell1 + ell2))
 
-    def is_identity(self) -> bool:
-        return self.entries == linalg.identity(self.ell)
-
     def __eq__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
@@ -286,9 +283,6 @@ class Character:
 
     def evaluate_coords(self, coords) -> Fraction:
         return Fraction(*self.evaluate_ratio(coords))
-
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Character):

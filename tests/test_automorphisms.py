@@ -23,8 +23,8 @@ from weyltype import (
     verify_automorphism,
 )
 from weyltype import automorphisms, linalg
-from weyltype.algebra import Element, Monomial, act_on_A
-from weyltype.lattice import adapted_basis, lattice_motion
+from weyltype.algebra import Element, Monomial, act_on_A, unit_index
+from weyltype.lattice import adapted_basis, aut2_membership, lattice_motion
 from weyltype.rationals import point_str
 from weyltype.classification import iso_search_bounded
 from weyltype.automorphisms import (
@@ -182,8 +182,8 @@ class TestIntegerTau:
             assert all(type(x) is int for row in result.N for x in row)
             assert result.f == want_f
             tau = result
-        assert not tau.is_identity()
-        assert tau.compose(tau.inverse()).is_identity()
+        assert tau != TauAut.identity(sig)
+        assert tau.compose(tau.inverse()) == TauAut.identity(sig)
 
     def test_chains_derive_G_and_mt_inverse(self, sig):
         """G and (M^t)^{-1}, derived from the integer N^{-1} and N, equal the
@@ -434,6 +434,33 @@ def _draw_aut2(sig, rng):
     return random_aut2(sig, rng) if sig.ell == 2 else rng.choice(_aut2_generators(sig))
 
 
+# ranks 3 and 4, each lattice with a point off Z^l
+_H, _T = Fraction(1, 2), Fraction(1, 3)
+HIGHER_RANK = {
+    (2, 2): Signature(2, 2, Lattice(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                        (0, 0, 0, 1), (_H, 0, _T, _H)])),
+    (3, 1): Signature(3, 1, Lattice(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                        (0, 0, 0, 1), (_H, 0, 0, _H)])),
+    (1, 2): Signature(1, 2, Lattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (_H, _H, 0)])),
+    (3, 0): Signature(3, 0, Lattice(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (_H, _H, _H)])),
+}
+
+
+def _transvection_aut2(sig, rng, steps=4):
+    """A^{-1} U A for the E1-adapted basis A and U a product of block-respecting
+    +-1 transvections on Z^l: row r adds +-row t only when r >= l1 or t < l1."""
+    ell, ell1 = sig.ell, sig.ell1
+    A = adapted_basis(sig.lattice, ell1)
+    pairs = [(r, t) for r in range(ell) for t in range(ell)
+             if t != r and (r >= ell1 or t < ell1)]
+    U = [list(row) for row in linalg.integer_identity(ell)]
+    for _ in range(steps):
+        r, t = rng.choice(pairs)
+        sign = rng.choice((1, -1))
+        U[r] = [x + sign * y for x, y in zip(U[r], U[t])]
+    return BlockMatrix(ell1, sig.ell2, linalg.mat_mul(linalg.mat_inverse(A), linalg.mat_mul(U, A)))
+
+
 def _draw_normal_form(sig, rng, eps):
     """A random normal form with the given twist, drawn like
     random_normal_form_aut."""
@@ -484,7 +511,7 @@ class TestComposeNormalForms:
             assert all(composed.apply(g) == a.apply(b.apply(g)) for g in gens)
         twist = NormalFormAut(TauAut.identity(desk), InnerExp.identity(desk),
                               ShiftV.identity(desk), 1)
-        assert compose_normal_forms(twist, twist).is_identity()
+        assert compose_normal_forms(twist, twist).same_data(NormalFormAut.identity(desk))
 
     def test_composition_is_associative(self, desk):
         rng = random.Random(27)
@@ -593,15 +620,15 @@ class TestDecompose:
     def test_identity_images(self, desk):
         phi = FunctionalAut.from_aut(NormalFormAut.identity(desk))
         nf = decompose_automorphism(phi)
-        assert nf.is_identity()
+        assert nf.same_data(NormalFormAut.identity(desk))
 
     def test_sigma1_images(self, desk):
         phi = FunctionalAut.from_aut(Sigma1(desk), mode=MODE_LIE)
         nf = decompose_automorphism(phi)
         assert nf.eps == 1
-        assert nf.tau.is_identity()
-        assert nf.u.is_identity()
-        assert nf.v.is_identity()
+        assert nf.tau == TauAut.identity(desk)
+        assert nf.u == InnerExp.identity(desk)
+        assert nf.v == ShiftV.identity(desk)
 
     def test_round_trip(self, desk):
         rng = random.Random(21)
@@ -681,6 +708,59 @@ class TestDecompose:
                 nf = random_normal_form_aut(sig, rng)
                 recovered = decompose_automorphism(FunctionalAut.from_aut(nf))
                 assert recovered.same_data(nf), sig
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("shape", sorted(HIGHER_RANK), ids=lambda s: "l1=%d-l2=%d" % s)
+    def test_round_trip_at_ranks_3_and_4(self, shape, eps):
+        sig = HIGHER_RANK[shape]
+        ell, ell1 = sig.ell, sig.ell1
+        rng = random.Random(100 * ell1 + 10 * sig.ell2 + eps)
+        # a polynomial block in every slot up to l1 (the radial primitive) and
+        # a point whose first nonzero ambient slot is the last one
+        extra = (sig.monomial(i=(1,) * ell1 + (0,) * sig.ell2, coeff=Fraction(2, 3))
+                 + sig.x(unit_index(ell, ell), i=(1,) * ell1 + (0,) * sig.ell2, coeff=-3))
+        for _ in range(2):
+            G = _transvection_aut2(sig, rng)
+            assert aut2_membership(sig.lattice, G)
+            nf = NormalFormAut(TauAut(sig, G, random_character(sig.lattice, rng)),
+                               InnerExp(random_A_element(sig, rng, max_terms=2) + extra),
+                               ShiftV(sig, random_shift_vector(sig, rng)), eps)
+            recovered = decompose_automorphism(FunctionalAut.from_aut(nf))
+            assert recovered.same_data(nf)
+            assert recovered.eps == eps
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
+    def test_mutated_presentations_are_refused_or_exact(self, sig_name, request):
+        """One generator image of a valid presentation, changed: the result is
+        NotAnAutomorphism or a form with exactly the changed images."""
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(41)
+        zero = (0,) * sig.ell
+        gens = {key: generator_element(sig, key) for key in generator_keys(sig)}
+        verdicts = []
+        for n in range(40):
+            images = FunctionalAut.from_aut(_draw_normal_form(sig, rng, n % 2)).images
+            key = rng.choice(sorted(images))
+            c = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+            kind = ("A-term", "scalar", "rescale", "level-1")[n % 4]
+            if kind == "A-term":
+                al = tuple(rng.randint(-1, 1) for _ in range(sig.ell))
+                i = tuple(rng.randint(0, 1) for _ in range(sig.ell1)) + (0,) * sig.ell2
+                images[key] = images[key] + Element(sig, {Monomial(al, i, zero): c})
+            elif kind == "scalar":
+                images[key] = images[key] + sig.scalar(c)
+            elif kind == "rescale":
+                images[key] = images[key].scale(rng.choice((-1, 2, Fraction(1, 2))))
+            else:
+                images[key] = images[key] + sig.d(rng.randint(1, sig.ell), coeff=c)
+            try:
+                nf = decompose_automorphism(FunctionalAut(sig, MODE_LIE, images))
+            except NotAnAutomorphism:
+                verdicts.append("refused")
+                continue
+            assert all(nf.apply(g) == images[k] for k, g in gens.items()), (n, kind, key)
+            verdicts.append("accepted")
+        assert set(verdicts) == {"refused", "accepted"}
 
 
 class TestFunctionalAut:

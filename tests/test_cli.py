@@ -498,3 +498,53 @@ class TestMalformedFiles:
         assert run_command(["aut", "apply", "--config", str(cfg), "--aut", str(path),
                             "d1"]) == 0
         assert capsys.readouterr().out == "-1 + d1\n"
+
+
+def _repeated_label_file():
+    """The identity automorphism in functional form with a second "x-1" label,
+    holding the image of x^{+b_1}, ahead of the real one."""
+    data = _functional_file(lambda data: None)
+    head = '"images": {'
+    return json.dumps(data).replace(head, head + f'"x-1": {json.dumps(data["images"]["x+1"])}, ', 1)
+
+
+class TestFileBoundary:
+    """Files that json.load reads without complaint, or paths open() cannot
+    read: each is refused with exit 2 and no traceback."""
+
+    @pytest.fixture(params=["repeated-config-key", "repeated-image-label", "deep-nesting",
+                            "directory"])
+    def case(self, request, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        if request.param == "repeated-config-key":
+            cfg.write_text('{"ell1": 0, "ell1": 1, "ell2": 1, '
+                           '"gamma_generators": [["1", "0"], ["0", "1"]]}')
+            return ["eval", "--config", str(cfg), "d1"], f"bad input: {cfg} repeats key 'ell1'"
+        if request.param == "repeated-image-label":
+            path = tmp_path / "phi.json"
+            path.write_text(_repeated_label_file())
+            return (["aut", "decompose", "--aut", str(path)],
+                    f"bad input: {path} repeats key 'x-1'")
+        if request.param == "deep-nesting":
+            cfg.write_text("[" * 100_000)
+            return ["eval", "--config", str(cfg), "d1"], f"bad input: {cfg} nests JSON too deeply"
+        return ["eval", "--config", str(tmp_path), "d1"], f"cannot read {tmp_path}"
+
+    def test_exits_2_without_traceback(self, case, capsys):
+        argv, message = case
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
+    def test_json_envelope(self, case, capsys):
+        argv, message = case
+        assert run_command(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"ok": False, "error": message}
+        assert "Traceback" not in captured.err
+
+    def test_repeated_label_file_is_otherwise_valid(self):
+        # json.loads keeps the last "x-1", so only the repeat check refuses it
+        data = json.loads(_repeated_label_file())
+        assert FunctionalAut.from_dict(data).as_normal_form().same_data(
+            NormalFormAut.identity(desk_signature()))

@@ -65,6 +65,7 @@ from .errors import (
     SignatureMismatch,
     SingularMatrix,
 )
+from .expressions import format_element
 from .lattice import BlockMatrix, Character, lattice_motion
 from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
                         rational_str, vector_from_json)
@@ -356,7 +357,7 @@ class TauAut:
         """(I, f), the character alone, with N = N^{-1} = I."""
         if f.lattice != sig.lattice:
             raise DimensionMismatch("character lives on a different lattice")
-        eye = linalg.integer_identity(sig.ell)
+        eye = linalg.identity(sig.ell)
         return cls._from_motion(sig, sig, f, eye, eye)
 
     def __eq__(self, other):
@@ -388,6 +389,8 @@ class InnerExp:
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
+        if w.in_A():
+            return w
         sig = self.signature
         # built per call and only for the d_q that occur in w: a derivation
         # pass over u is cheap, while a kept table would hold every d_q(u)
@@ -554,9 +557,11 @@ class NormalFormAut:
         u_elem = element_from_dict(data["u"], signature)
         sig = u_elem.signature
         tau = object_from_json(data["tau"], "tau")
+        rows = list_from_json(tau["G"], "G")
+        if len(rows) != sig.ell:
+            raise ValueError(f"G has {len(rows)} rows, expected {sig.ell}")
         G = BlockMatrix(sig.ell1, sig.ell2,
-                        [vector_from_json(row, sig.ell, "G row")
-                         for row in list_from_json(tau["G"], "G")])
+                        [vector_from_json(row, sig.ell, "G row") for row in rows])
         f = Character(sig.lattice, vector_from_json(tau["f"], sig.ell, "f"))
         v = ShiftV(sig, vector_from_json(data["v"], sig.ell, "v"))
         return cls(TauAut(sig, G, f), InnerExp(u_elem), v,
@@ -883,7 +888,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
         v[p - 1] = extra.pop(Monomial(zero, zero, zero), Fraction(0))
         if extra:
             raise NotAnAutomorphism(
-                f"image of x^{{1_[{p}]}} has stray terms {sorted(extra)}")
+                f"image of x^{{1_[{p}]}} has stray terms {format_element(Element(sig, extra))}")
 
     u = Element(sig, {Monomial(al, i, zero): c / f.evaluate_coords(al)
                       for (al, i), c in u_prime.items()})
@@ -891,7 +896,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
                            MODE_LIE if eps else phi.mode)
     for key in generator_keys(sig):
         if result.apply(generator_element(sig, key)) != phi.images[key]:
-            raise NotAnAutomorphism(f"reassembled form disagrees on generator {key}")
+            raise NotAnAutomorphism(f"normal form disagrees on generator {_gen_label(key)}")
     return result
 
 

@@ -26,10 +26,6 @@ from .rationals import (as_fraction, int_from_json, list_from_json, object_from_
                         point_str, rational_str, vector_from_json, vector_strs)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 class Lattice:
     """A rank-l subgroup of Q^l with a canonical Z-basis (rows of ``basis``)."""
 
@@ -46,26 +42,20 @@ class Lattice:
             if len(g) != ambient_dim:
                 raise DimensionMismatch(
                     f"generator {point_str(g)} does not have length {ambient_dim}")
-        scale = 1
-        for g in gens:
-            for x in g:
-                scale = _lcm(scale, x.denominator)
-        integer_rows = [[int(x * scale) for x in g] for g in gens]
+        scale, integer_rows = linalg.scaled_integer(gens)
         hnf = linalg.hermite_normal_form(integer_rows)
         if len(hnf) < ambient_dim:
             raise NondegenerateViolation(
                 f"generators span a subspace of rank {len(hnf)} < {ambient_dim}")
-        basis = tuple(tuple(Fraction(x, scale) for x in row) for row in hnf)
-        denominator = 1
-        for row in basis:
-            for x in row:
-                denominator = _lcm(denominator, x.denominator)
+        g = gcd(scale, *(x for row in hnf for x in row))
+        denominator = scale // g
         self.ambient_dim = ambient_dim
         self.generators = gens
-        self.basis = basis
         self.denominator = denominator
         # the integer grading rows denominator * basis
-        self.integer_basis = tuple(tuple(int(x * denominator) for x in row) for row in basis)
+        self.integer_basis = tuple(tuple(x // g for x in row) for row in hnf)
+        self.basis = tuple(tuple(Fraction(x, denominator) for x in row)
+                           for row in self.integer_basis)
         self._inverse = None
         self._scaled_inverse = None
 
@@ -173,23 +163,16 @@ class BlockMatrix:
                 if rows[r][c] != 0:
                     raise BlockShapeViolation(
                         f"entry ({r + 1},{c + 1}) must vanish in block form")
+        # the upper-right block vanishes, so det G = det M * det Q
+        if linalg.mat_det(rows) == 0:
+            raise SingularMatrix("diagonal blocks must be invertible")
         self.ell1 = ell1
         self.ell2 = ell2
         self.entries = rows
-        if linalg.mat_det(self.block_M) == 0 or linalg.mat_det(self.block_Q) == 0:
-            raise SingularMatrix("diagonal blocks must be invertible")
 
     @property
     def ell(self) -> int:
         return self.ell1 + self.ell2
-
-    @property
-    def block_M(self):
-        return tuple(row[:self.ell1] for row in self.entries[:self.ell1])
-
-    @property
-    def block_Q(self):
-        return tuple(row[self.ell1:] for row in self.entries[self.ell1:])
 
     @classmethod
     def identity(cls, ell1: int, ell2: int) -> "BlockMatrix":

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals and integer Hermite normal form.
 
-Matrices are tuples of row tuples of Fraction; vectors act from the left
-(row vector times matrix) throughout the package.  A rational matrix can
-also travel as (den, K), an integer matrix K over one denominator, which
-``integer_product`` multiplies without building a Fraction.
+Vectors act from the left (row vector times matrix) throughout the package.
+A rational matrix is a tuple of row tuples of Fraction, or travels as
+(den, K), an integer matrix K over one denominator, which
+``integer_product`` multiplies without building a Fraction.  Every
+elimination is fraction-free: ``integer_det_adjugate`` (Bareiss) is the
+only one, and ``mat_det`` and ``mat_inverse`` are its Fraction views.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ def to_matrix(rows) -> Matrix:
     return out
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def integer_identity(n: int) -> tuple[tuple[int, ...], ...]:
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
@@ -59,41 +55,16 @@ def dot(u, v) -> Fraction:
 
 
 def mat_det(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+    e, k = scaled_integer(m)
+    return Fraction(integer_det_adjugate(k)[0], e ** len(m))
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + list(identity(n)[i])
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is not invertible")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [a * inv for a in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
+    e, k = scaled_integer(m)
+    det, adj = integer_det_adjugate(k)
+    if not det:
+        raise SingularMatrix("matrix is not invertible")
+    return tuple(tuple(Fraction(e * x, det) for x in row) for row in adj)
 
 
 def integer_det_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:
@@ -192,6 +163,6 @@ def unimodular_matrices(n: int, bound: int):
 
     span = range(-bound, bound + 1)
     for flat in product(span, repeat=n * n):
-        mat = tuple(tuple(Fraction(x) for x in flat[k * n:(k + 1) * n]) for k in range(n))
-        if abs(mat_det(mat)) == 1:
+        mat = tuple(flat[k * n:(k + 1) * n] for k in range(n))
+        if abs(integer_det_adjugate(mat)[0]) == 1:
             yield mat

@@ -121,7 +121,7 @@ def _aut2_generators(sig):
     a_inv = linalg.mat_inverse(A)
 
     def unit(r, t, value):
-        U = [list(row) for row in linalg.integer_identity(sig.ell)]
+        U = [list(row) for row in linalg.identity(sig.ell)]
         U[r][t] = value
         return U
 
@@ -238,7 +238,7 @@ class TestLatticeMotion:
         rows, _ = _ref_motion_rows(src, dst, G)
         assert list(N) == rows
         assert all(type(x) is int for m in (N, N_inv) for row in m for x in row)
-        assert linalg.mat_mul(N, N_inv) == linalg.integer_identity(src.ambient_dim)
+        assert linalg.mat_mul(N, N_inv) == linalg.identity(src.ambient_dim)
 
     def test_members_match_rational_definition(self, sig):
         rng = random.Random(63)
@@ -302,6 +302,16 @@ class TestInnerExp:
         sigma = InnerExp(random_A_element(desk, rng))
         for _ in range(10):
             a = random_A_element(desk, rng)
+            assert sigma.apply(a) == a
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
+    def test_returns_A_elements_without_extension(self, sig_name, request, monkeypatch):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(8)
+        sigma = InnerExp(random_A_element(sig, rng))
+        monkeypatch.setattr(automorphisms, "_hom_extend", None)
+        for _ in range(50):
+            a = random_A_element(sig, rng)
             assert sigma.apply(a) == a
 
     def test_constant_normalized_away(self, desk):
@@ -453,7 +463,7 @@ def _transvection_aut2(sig, rng, steps=4):
     A = adapted_basis(sig.lattice, ell1)
     pairs = [(r, t) for r in range(ell) for t in range(ell)
              if t != r and (r >= ell1 or t < ell1)]
-    U = [list(row) for row in linalg.integer_identity(ell)]
+    U = [list(row) for row in linalg.identity(ell)]
     for _ in range(steps):
         r, t = rng.choice(pairs)
         sign = rng.choice((1, -1))

@@ -25,6 +25,7 @@ from weyltype.automorphisms import (
     verify_automorphism,
 )
 from weyltype.cli import run_command
+from weyltype.expressions import parse_and_eval
 from weyltype.sampling import desk_signature
 
 
@@ -220,6 +221,21 @@ class TestAut:
         assert run_command(["aut", "decompose", "--aut", str(path)]) == 1
         assert "NotAnAutomorphism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, extra, message", [
+        (("xi", 1), "d1", "image of x^{1_[1]} has stray terms d1"),
+        (("d", 2), "x[(1,0)]", "normal form disagrees on generator d2"),
+    ], ids=["stray-terms", "generator-label"])
+    def test_decompose_errors_use_file_notation(self, tmp_path, capsys, key, extra, message):
+        sig = desk_signature()
+        images = dict(FunctionalAut.from_aut(NormalFormAut.identity(sig)).images)
+        images[key] = images[key] + parse_and_eval(extra, sig)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(FunctionalAut(sig, MODE_LIE, images).to_dict()))
+        assert run_command(["aut", "decompose", "--aut", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"NotAnAutomorphism: {message}\n"
+        assert "Monomial(" not in captured.err and "('" not in captured.err
+
     def test_broken_group_law_exits_1_with_json_envelope(self, tmp_path, capsys,
                                                           monkeypatch):
         sig = desk_signature()
@@ -409,6 +425,7 @@ MALFORMED_FILES = {
     "gamma-generators-not-list": ({**DESK_CONFIG, "gamma_generators": 5}, None),
     "tau-not-object": (DESK_CONFIG, _nf_file(_set(("tau",), []))),
     "G-not-list": (DESK_CONFIG, _nf_file(_set(("tau", "G"), 5))),
+    "G-one-row": (DESK_CONFIG, _nf_file(_set(("tau", "G"), [["1", "0"]]))),
     "u-not-object": (DESK_CONFIG, _nf_file(_set(("u",), []))),
     "terms-not-list": (DESK_CONFIG, _nf_file(_set(("u", "terms"), 5))),
     "term-not-object": (DESK_CONFIG, _nf_file(_set(("u", "terms", 0), [1]))),

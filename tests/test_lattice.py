@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,8 +21,71 @@ from weyltype.errors import (
     SingularMatrix,
 )
 from weyltype.lattice import adapted_basis
-from weyltype.linalg import (dot, integer_det_adjugate, mat_det, mat_inverse, mat_mul,
-                             unimodular_matrices, vec_mat)
+from weyltype.linalg import (dot, hermite_normal_form, identity, integer_det_adjugate, mat_det,
+                             mat_inverse, mat_mul, unimodular_matrices, vec_mat)
+
+
+# Gauss and Gauss-Jordan elimination on Fractions: a reference for the
+# fraction-free routine behind mat_det, mat_inverse and the lattice checks
+
+def _fraction_det(m) -> Fraction:
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _fraction_inverse(m):
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is not invertible")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [a * inv for a in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def _lcm(a: int, b: int) -> int:
+    return a * b // gcd(a, b)
+
+
+def _reference_lattice_fields(gens):
+    """(basis, denominator, integer_basis) by clearing and restoring
+    denominators one lcm at a time, or None when the rank is deficient."""
+    scale = 1
+    for g in gens:
+        for x in g:
+            scale = _lcm(scale, x.denominator)
+    hnf = hermite_normal_form([[int(x * scale) for x in g] for g in gens])
+    if len(hnf) < len(gens[0]):
+        return None
+    basis = tuple(tuple(Fraction(x, scale) for x in row) for row in hnf)
+    denominator = 1
+    for row in basis:
+        for x in row:
+            denominator = _lcm(denominator, x.denominator)
+    return basis, denominator, tuple(tuple(int(x * denominator) for x in row) for row in basis)
 
 
 def _rows(lat):
@@ -65,6 +129,25 @@ class TestLatticeFromGenerators:
             remixed = Lattice(2, gens + [extra])
             assert remixed.basis == base.basis
             assert remixed == base
+
+    def test_fields_match_the_lcm_construction(self):
+        rng = random.Random(13)
+        deficient = 0
+        for _ in range(1000):
+            ell = rng.randint(1, 4)
+            gens = [tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 10)))
+                          for _ in range(ell)) for _ in range(rng.randint(ell, ell + 2))]
+            want = _reference_lattice_fields(gens)
+            if want is None:
+                deficient += 1
+                with pytest.raises(NondegenerateViolation):
+                    Lattice(ell, gens)
+                continue
+            lat = Lattice(ell, gens)
+            assert (lat.basis, lat.denominator, lat.integer_basis) == want
+            assert all(type(x) is Fraction for row in lat.basis for x in row)
+            assert all(type(x) is int for row in lat.integer_basis for x in row)
+        assert deficient < 100
 
 
 ADAPTED_CASES = [
@@ -219,13 +302,13 @@ class TestBlockMatrix:
             BlockMatrix(1, 1, [[1, 1], [0, 1]])
 
     def test_singular_block(self):
-        with pytest.raises(SingularMatrix):
-            BlockMatrix(1, 1, [[0, 0], [1, 1]])
+        # a singular M, then a singular Q: one determinant of G catches both
+        for entries in ([[0, 0], [1, 1]], [[1, 0], [1, 0]], [[1, 0, 0], [0, 1, 2], [0, 2, 4]]):
+            with pytest.raises(SingularMatrix, match="^diagonal blocks must be invertible$"):
+                BlockMatrix(1, len(entries) - 1, entries)
 
     def test_blocks(self):
         G = BlockMatrix(1, 1, [[2, 0], [3, 5]])
-        assert G.block_M == ((2,),)
-        assert G.block_Q == ((5,),)
         assert mat_inverse(G.entries) == ((Fraction(1, 2), 0),
                                           (Fraction(-3, 10), Fraction(1, 5)))
 
@@ -241,14 +324,47 @@ class TestIntegerDetAdjugate:
                 r, t = rng.randrange(n), rng.randrange(n)
                 m[r] = [rng.randint(-2, 2) * x for x in m[t]] if r != t else [0] * n
             det, adj = integer_det_adjugate(m)
-            assert type(det) is int and det == mat_det(m)
+            assert type(det) is int and det == _fraction_det(m)
             if det:
                 assert all(type(x) is int for row in adj for x in row)
-                assert tuple(tuple(Fraction(x, det) for x in row) for row in adj) == mat_inverse(m)
+                assert (tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+                        == _fraction_inverse(m))
             else:
                 singular += 1
                 assert adj is None
         assert 30 < singular < 200
+
+    def test_rational_views_match_fraction_elimination(self):
+        rng = random.Random(71)
+        singular = 0
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(n)]
+            if rng.random() < 0.25:
+                r, t = rng.randrange(n), rng.randrange(n)
+                c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                m[r] = [c * x for x in m[t]] if r != t else [Fraction(0)] * n
+            m = tuple(map(tuple, m))
+            det = mat_det(m)
+            assert type(det) is Fraction and det == _fraction_det(m)
+            try:
+                want = _fraction_inverse(m)
+            except SingularMatrix as exc:
+                singular += 1
+                with pytest.raises(SingularMatrix) as got:
+                    mat_inverse(m)
+                assert str(got.value) == str(exc)
+                continue
+            inverse = mat_inverse(m)
+            assert inverse == want
+            assert all(type(x) is Fraction for row in inverse for x in row)
+        assert 650 < singular < 1000
+
+    def test_identity_is_integer(self):
+        assert identity(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert all(type(x) is int for row in identity(3) for x in row)
+        assert mat_det(identity(3)) == 1 and mat_inverse(identity(3)) == identity(3)
 
     def test_row_swaps_keep_the_sign(self):
         assert integer_det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
@@ -285,13 +401,14 @@ class TestAut2Membership:
 def _ref_aut2_membership(lattice, G):
     """The coordinate-row check: Gamma . G = Gamma iff each basis row times G
     has integer coordinates and those rows have determinant +-1."""
+    basis_inverse = _fraction_inverse(lattice.basis)
     coord_rows = []
     for row in lattice.basis:
-        coords = lattice.coordinates(vec_mat(row, G.entries))
-        if coords is None:
+        coords = vec_mat(vec_mat(row, G.entries), basis_inverse)
+        if any(c.denominator != 1 for c in coords):
             return False
-        coord_rows.append(tuple(Fraction(c) for c in coords))
-    return abs(mat_det(tuple(coord_rows))) == 1
+        coord_rows.append(coords)
+    return abs(_fraction_det(coord_rows)) == 1
 
 
 def _seeded_block_matrices(ell1, lattice, rng, count):
@@ -301,7 +418,7 @@ def _seeded_block_matrices(ell1, lattice, rng, count):
     only the determinant test rejects), and V with a halved entry."""
     ell = lattice.ambient_dim
     A = adapted_basis(lattice, ell1)
-    a_inv = mat_inverse(A)
+    a_inv = _fraction_inverse(A)
     out = []
     for n in range(count):
         V = [[int(r == c) for c in range(ell)] for r in range(ell)]
@@ -316,7 +433,7 @@ def _seeded_block_matrices(ell1, lattice, rng, count):
             r = rng.randrange(ell)
             V[r] = [2 * x for x in V[r]]
             if kind == 2:
-                V = mat_inverse(V)
+                V = _fraction_inverse(V)
         elif kind == 3:
             r = rng.randrange(ell)
             t = rng.randrange(ell1) if r < ell1 else rng.randrange(ell)

@@ -157,6 +157,7 @@ INTEGER_CORE = {
     "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements", "_packed_accumulate",
                 "_right_term", "_unpack"),
     "automorphisms": ("_hom_extend",),
+    "linalg": ("integer_det_adjugate", "integer_product", "hermite_normal_form"),
 }
 
 

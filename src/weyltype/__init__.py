@@ -37,7 +37,7 @@ from .classification import (
     iso_verify,
     signature_invariants,
 )
-from .expressions import eval_expr, format_element, parse_and_eval, parse_element
+from .expressions import format_element, parse_and_eval
 from .lattice import (
     BlockMatrix,
     Character,
@@ -54,9 +54,9 @@ __all__ = [
     "act_on_A", "alternating_binomial_sum", "apply_sigma1", "aut2_membership",
     "classify_ad_behavior", "compose_normal_forms", "conjugated_shift",
     "decompose_automorphism", "derivation_apply", "dual_derivation_basis",
-    "element_from_dict", "element_to_dict", "errors", "eval_expr",
+    "element_from_dict", "element_to_dict", "errors",
     "faithfulness_witness", "filtration_data", "format_element",
     "growth_probe", "iso_search_bounded", "iso_verify", "multi_binomial",
-    "parse_and_eval", "parse_element", "signature_invariants", "total_order_cmp",
+    "parse_and_eval", "signature_invariants", "total_order_cmp",
     "verify_automorphism",
 ]

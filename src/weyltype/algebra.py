@@ -646,6 +646,25 @@ def act_on_A(w: Element, a: Element) -> Element:
     return _mul_elements(w, a, action=True)
 
 
+def _antinormal(w: Element) -> Element:
+    """The sum of c d^mu . x^{al,i} over the terms c x^{al,i} d^mu of w.  Each
+    term is one kernel pair, below ``PACKED_PAIRS``, so all run on the tuple
+    path over one d^lam memo (one ``_mul_elements`` per distinct mu loses the
+    memo and took about 25 % longer on the desk selftest's twists)."""
+    sig = w.signature
+    if w.is_zero:
+        return w
+    zero = (0,) * sig.ell
+    top = w.max_level()
+    powers = [sig.lattice.denominator ** k for k in range(top + 1)]
+    out: dict = {}
+    memo: dict = {}
+    for (al, i, mu), n in w.num.items():
+        _accumulate(out, memo, sig, {Monomial(zero, zero, mu): n}, {Monomial(al, i, zero): 1},
+                    powers, False, False)
+    return _from_ints(sig, w.den * powers[top], out)
+
+
 # ---------------------------------------------------------------------------
 # filtration data
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .algebra import (
     Element,
     Monomial,
     Signature,
-    _accumulate,
+    _antinormal,
     _convolve,
     _from_ints,
     derivation_apply,
@@ -466,19 +466,8 @@ def apply_sigma1(sig: Signature, w: Element) -> Element:
     """
     if w.signature != sig:
         raise SignatureMismatch("element belongs to a different algebra")
-    if w.is_zero:
-        return w
-    zero = (0,) * sig.ell
-    top = w.max_level()
-    powers = [sig.lattice.denominator ** k for k in range(top + 1)]
-    out: dict = {}
-    memo: dict = {}
-    for (al, i, mu), n in w.num.items():
-        # -(-1)^|mu| d^mu . x^{al,i}, over D^top with the other terms
-        sign = 1 if sum(mu) % 2 else -1
-        _accumulate(out, memo, sig, {Monomial(zero, zero, mu): sign * n},
-                    {Monomial(al, i, zero): 1}, powers, False, False)
-    return _from_ints(sig, w.den * powers[top], out)
+    return _antinormal(_from_ints(sig, w.den, {m: n if sum(m.mu) % 2 else -n
+                                               for m, n in w.num.items()}))
 
 
 class Sigma1:
@@ -692,7 +681,7 @@ class FunctionalAut:
 
     def as_normal_form(self) -> NormalFormAut:
         if self._normal_form is None:
-            self._normal_form = decompose_automorphism(self, _force_lie=True)
+            self._normal_form = decompose_automorphism(self)
         return self._normal_form
 
     def apply(self, w: Element) -> Element:
@@ -779,7 +768,7 @@ def _solve_d_preimage(sig: Signature, q: int, al, i, c):
         i = i[:q] + (i[q] - 1,) + i[q + 1:]
 
 
-def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> NormalFormAut:
+def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     """Recover the normal form sigma_tau sigma_u sigma_v sigma_1^eps, with
     tau = (G, f), from generator images.
 
@@ -876,7 +865,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
         f_values.append(coeffs[1] / c0)
     f = Character(sig.lattice, f_values)
     eps = 1 if c0 == -1 else 0
-    if eps and not _force_lie and phi.mode == MODE_ASSOC:
+    if eps and phi.mode == MODE_ASSOC:
         raise NotAnAutomorphism("associative-mode data decomposes with the order-2 twist")
 
     # the polynomial shift off the x^{1_[p]} images
@@ -892,8 +881,7 @@ def decompose_automorphism(phi: FunctionalAut, _force_lie: bool = False) -> Norm
 
     u = Element(sig, {Monomial(al, i, zero): c / f.evaluate_coords(al)
                       for (al, i), c in u_prime.items()})
-    result = NormalFormAut(TauAut(sig, G, f), InnerExp(u), ShiftV(sig, v), eps,
-                           MODE_LIE if eps else phi.mode)
+    result = NormalFormAut(TauAut(sig, G, f), InnerExp(u), ShiftV(sig, v), eps, phi.mode)
     for key in generator_keys(sig):
         if result.apply(generator_element(sig, key)) != phi.images[key]:
             raise NotAnAutomorphism(f"normal form disagrees on generator {_gen_label(key)}")

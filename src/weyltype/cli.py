@@ -81,6 +81,14 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors for ``run_command`` to report, as JSON under --json."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliUsageError(f"{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
@@ -93,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", dest="json_output",
                         help="machine-readable JSON on stdout")
 
-    parser = argparse.ArgumentParser(prog="weyl",
-                                     description="exact Weyl-type algebra calculator")
+    parser = _ArgumentParser(prog="weyl",
+                             description="exact Weyl-type algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[common],
@@ -172,6 +180,9 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except CliUsageError as exc:
+        _print_error(argparse.Namespace(json_output="--json" in argv), str(exc))
+        return USAGE_ERROR
 
     try:
         return _dispatch(args)
@@ -218,19 +229,15 @@ def _print_error(args, message: str, counterexample: dict | None = None) -> None
 
 def _dispatch(args) -> int:
     command = args.command
-    if command == "eval":
+    if command in ("eval", "bracket", "export"):
         sig = _require_signature(args)
-        result = parse_and_eval(args.expr, sig)
-        _emit(args, {"ok": True, "element": element_to_dict(result),
-                     "text": format_element(result)}, format_element(result))
-        return 0
-
-    if command == "bracket":
-        sig = _require_signature(args)
-        result = parse_and_eval(args.expr1, sig).bracket(
-            parse_and_eval(args.expr2, sig))
-        _emit(args, {"ok": True, "element": element_to_dict(result),
-                     "text": format_element(result)}, format_element(result))
+        if command == "bracket":
+            result = parse_and_eval(args.expr1, sig).bracket(parse_and_eval(args.expr2, sig))
+        else:
+            result = parse_and_eval(args.expr, sig)
+        data, text = element_to_dict(result), format_element(result)
+        _emit(args, {"ok": True, "element": data, "text": text},
+              json.dumps(data, indent=2) if command == "export" else text)
         return 0
 
     if command == "aut":
@@ -262,12 +269,6 @@ def _dispatch(args) -> int:
             for r in results:
                 print(r.line())
         return 0 if all(r.passed for r in results) else CHECK_FAILED
-
-    if command == "export":
-        sig = _require_signature(args)
-        result = parse_and_eval(args.expr, sig)
-        print(json.dumps(element_to_dict(result), indent=2))
-        return 0
 
     raise WeylError(f"unknown command {command!r}")
 

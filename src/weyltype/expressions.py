@@ -1,4 +1,4 @@
-"""Surface syntax for elements: tokenizer, parser, evaluator and printer.
+"""Surface syntax for elements: tokenizer, evaluating parser and printer.
 
 Grammar (the printer emits exactly this form; parse . print is the identity
 on canonical output):
@@ -14,6 +14,10 @@ on canonical output):
     vector   := "(" (rational ("," rational)*)? ")"
 
 The empty vector "()" denotes the zero vector of the expected length.
+
+The parser evaluates as it reads: each grammar rule returns the Element it
+denotes, folding products and sums left to right, so an x[...] off the
+lattice raises NotMember before any syntax error further right.
 """
 
 from __future__ import annotations
@@ -24,48 +28,6 @@ from fractions import Fraction
 from .algebra import Element, Signature
 from .errors import DimensionError, ExprSyntaxError
 from .rationals import point_str, rational_str
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Scalar:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class GenX:
-    alpha: tuple[Fraction, ...]
-    i: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
-class GenD:
-    index: int
-    power: int
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Bracket:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Paren:
-    inner: object
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +89,18 @@ def tokenize(src: str) -> list[Token]:
 # parser
 # ---------------------------------------------------------------------------
 
+# The deepest nesting of "(" and "[".  Each level holds three Python frames,
+# so a fixed bound, not the interpreter's recursion limit or the caller's
+# stack depth, decides which input is refused.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], sig: Signature):
         self.tokens = tokens
         self.sig = sig
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -150,80 +119,71 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
-    def element(self):
-        terms = [self.term()]
+    def element(self) -> Element:
+        out = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take(self.peek().kind)
-            term = self.term()
-            if op.kind == "MINUS":
-                term = _negate(term)
-            terms.append(term)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            if self.take(self.peek().kind).kind == "PLUS":
+                out = out + self.term()
+            else:
+                out = out - self.term()
+        return out
 
-    def term(self):
-        if self.peek().kind not in ("NAT", "MINUS", "X", "D", "LBRACK", "LPAREN"):
-            raise self.error({"NAT", "X", "D", "LBRACK", "LPAREN"})
-        factors: list = []
-        if self.peek().kind in ("NAT", "MINUS"):
-            factors.append(Scalar(self.scalar()))
-            while self.peek().kind == "STAR":
-                self.take("STAR")
-                factors.append(self.factor())
+    def term(self) -> Element:
+        kind = self.peek().kind
+        if kind in ("NAT", "MINUS"):
+            out = self.sig.scalar(self.rational())
+        elif kind in ("X", "D", "LBRACK", "LPAREN"):
+            out = self.factor()
         else:
-            factors.append(self.factor())
-            while self.peek().kind == "STAR":
-                self.take("STAR")
-                factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+            raise self.error({"NAT", "X", "D", "LBRACK", "LPAREN"})
+        while self.peek().kind == "STAR":
+            self.take("STAR")
+            out = out * self.factor()
+        return out
 
-    def factor(self):
+    def factor(self) -> Element:
         tok = self.peek()
         if tok.kind == "X":
             return self.gen_x()
         if tok.kind == "D":
             return self.gen_d()
+        if tok.kind not in ("LBRACK", "LPAREN"):
+            raise self.error({"X", "D", "LBRACK", "LPAREN"})
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(tok.pos, {f"at most {MAX_NESTING} nested brackets"},
+                                  _label(tok.kind))
+        self.depth += 1
+        self.take(tok.kind)
+        out = self.element()
         if tok.kind == "LBRACK":
-            self.take("LBRACK")
-            lhs = self.element()
             self.take("COMMA")
             rhs = self.element()
             self.take("RBRACK")
-            return Bracket(lhs, rhs)
-        if tok.kind == "LPAREN":
-            self.take("LPAREN")
-            inner = self.element()
+            out = out.bracket(rhs)
+        else:
             self.take("RPAREN")
-            return Paren(inner)
-        raise self.error({"X", "D", "LBRACK", "LPAREN"})
+        self.depth -= 1
+        return out
 
-    def gen_x(self):
+    def gen_x(self) -> Element:
         self.take("X")
         self.take("LBRACK")
-        pos = self.peek().pos
-        alpha = self.vector()
-        if len(alpha) == 0:
-            alpha = (Fraction(0),) * self.sig.ell
-        if len(alpha) != self.sig.ell:
-            raise DimensionError(pos, f"expected {self.sig.ell} coordinates, got {len(alpha)}")
+        alpha = self.vector("coordinates")
         i = None
         if self.peek().kind == "SEMI":
             self.take("SEMI")
             pos = self.peek().pos
-            raw = self.vector(nat_only=True)
-            if len(raw) == 0:
-                raw = (Fraction(0),) * self.sig.ell
-            if len(raw) != self.sig.ell:
-                raise DimensionError(pos, f"expected {self.sig.ell} entries, got {len(raw)}")
-            if any(raw[self.sig.ell1:]):
+            i = self.vector("entries", nat_only=True)
+            if any(i[self.sig.ell1:]):
                 raise DimensionError(pos, f"polynomial index of the monomial with alpha "
-                                          f"{point_str(alpha)}, i {point_str(raw)}, mu "
+                                          f"{point_str(alpha)}, i {point_str(i)}, mu "
                                           f"{point_str((0,) * self.sig.ell)} extends past "
                                           f"slot {self.sig.ell1}")
-            i = tuple(int(x) for x in raw)
+            i = tuple(int(x) for x in i)
         self.take("RBRACK")
-        return GenX(alpha, i)
+        return self.sig.x(alpha, i)
 
-    def gen_d(self):
+    def gen_d(self) -> Element:
         self.take("D")
         tok = self.take("NAT")
         index = int(tok.text)
@@ -233,10 +193,11 @@ class _Parser:
         if self.peek().kind == "CARET":
             self.take("CARET")
             power = int(self.take("NAT").text)
-        return GenD(index, power)
+        return self.sig.d(index, power)
 
-    def vector(self, nat_only: bool = False) -> tuple[Fraction, ...]:
-        self.take("LPAREN")
+    def vector(self, noun: str, nat_only: bool = False) -> tuple[Fraction, ...]:
+        """l entries; the empty vector "()" is the zero vector."""
+        pos = self.take("LPAREN").pos
         entries: list[Fraction] = []
         if self.peek().kind != "RPAREN":
             entries.append(self.rational(nat_only))
@@ -244,6 +205,10 @@ class _Parser:
                 self.take("COMMA")
                 entries.append(self.rational(nat_only))
         self.take("RPAREN")
+        if not entries:
+            return (Fraction(0),) * self.sig.ell
+        if len(entries) != self.sig.ell:
+            raise DimensionError(pos, f"expected {self.sig.ell} {noun}, got {len(entries)}")
         return tuple(entries)
 
     def rational(self, nat_only: bool = False) -> Fraction:
@@ -262,62 +227,19 @@ class _Parser:
             return Fraction(sign * num, int(den_tok.text))
         return Fraction(sign * num)
 
-    def scalar(self) -> Fraction:
-        return self.rational()
 
-
-def _negate(node):
-    if isinstance(node, Scalar):
-        return Scalar(-node.value)
-    if isinstance(node, Product) and node.factors and isinstance(node.factors[0], Scalar):
-        return Product((Scalar(-node.factors[0].value),) + node.factors[1:])
-    return Product((Scalar(Fraction(-1)), node))
-
-
-def parse_element(src: str, sig: Signature):
-    """Parse surface syntax into an AST, checking vector lengths against sig."""
+def parse_and_eval(src: str, sig: Signature) -> Element:
+    """The element that ``src`` denotes in sig; tokenizer errors come first,
+    the rest are raised where the parser meets them."""
     try:
         parser = _Parser(tokenize(src), sig)
-        ast = parser.element()
+        out = parser.element()
         end = parser.peek()
         if end.kind != "END":
             raise ExprSyntaxError(end.pos, {"+", "-", "*", "end of input"}, end.kind)
-        return ast
+        return out
     except (ExprSyntaxError, DimensionError) as exc:
         raise exc.locate(src)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-def eval_expr(ast, sig: Signature) -> Element:
-    """Evaluate an AST against the signature; products fold left to right."""
-    if isinstance(ast, Scalar):
-        return sig.scalar(ast.value)
-    if isinstance(ast, GenX):
-        return sig.x(ast.alpha, ast.i)
-    if isinstance(ast, GenD):
-        return sig.d(ast.index, ast.power)
-    if isinstance(ast, Product):
-        out = eval_expr(ast.factors[0], sig)
-        for node in ast.factors[1:]:
-            out = out * eval_expr(node, sig)
-        return out
-    if isinstance(ast, Sum):
-        out = sig.zero()
-        for node in ast.terms:
-            out = out + eval_expr(node, sig)
-        return out
-    if isinstance(ast, Bracket):
-        return eval_expr(ast.lhs, sig).bracket(eval_expr(ast.rhs, sig))
-    if isinstance(ast, Paren):
-        return eval_expr(ast.inner, sig)
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
-def parse_and_eval(src: str, sig: Signature) -> Element:
-    return eval_expr(parse_element(src, sig), sig)
 
 
 # ---------------------------------------------------------------------------

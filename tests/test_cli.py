@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,9 +25,11 @@ from weyltype.automorphisms import (
     random_normal_form_aut,
     verify_automorphism,
 )
-from weyltype.cli import run_command
-from weyltype.expressions import parse_and_eval
-from weyltype.sampling import desk_signature
+from weyltype.cli import _signature_from_file, run_command
+from weyltype.expressions import MAX_NESTING, parse_and_eval
+from weyltype.rationals import rational_str
+from weyltype.sampling import (desk_signature, random_A_element, random_character,
+                               random_shift_vector)
 
 
 DESK_CONFIG = {
@@ -44,6 +47,15 @@ TWISTED_COMPOSE_SHA256 = {
     (1, 0): "21529e8abde6d9e91e0041f4d7adb28024ea9a0c343396e7ac9a5579a411167a",
     (1, 1): "4a6966c08f4458014feb2d5590c553932d2ddbe1b6b0715021896d5b65c6fb2e",
 }
+
+
+def _twisted_draw() -> NormalFormAut:
+    """The first normal form with eps = 1 drawn on the desk algebra from seed 3."""
+    rng = random.Random(3)
+    while True:
+        nf = random_normal_form_aut(desk_signature(), rng)
+        if nf.eps:
+            return nf
 
 
 @pytest.fixture()
@@ -68,6 +80,15 @@ class TestEval:
     def test_missing_config_is_usage_error(self, capsys):
         assert run_command(["eval", "d1"]) == 2
         assert "config" in capsys.readouterr().err
+
+    def test_usage_error_prints_json_envelope(self, config_file, capsys):
+        # argparse reads "-1/2" as an unknown option, so the expression is missing
+        assert run_command(["eval", "--config", config_file, "--json", "-1/2"]) == 2
+        captured = capsys.readouterr()
+        message = "weyl eval: error: the following arguments are required: expr"
+        assert json.loads(captured.out) == {"ok": False, "error": message}
+        assert captured.err.startswith("usage: weyl eval ")
+        assert captured.err.endswith("\n" + message + "\n")
 
     def test_malformed_expression_exits_2(self, config_file, capsys):
         assert run_command(["eval", "--config", config_file, "d1 *"]) == 2
@@ -109,6 +130,20 @@ class TestEval:
         assert element_from_dict(payload["element"]) == sig.d(1)
 
 
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("[d1, ", "]")])
+    def test_deep_nesting_exits_2(self, config_file, capsys, opener, closer):
+        expr = opener * 10_000 + "d1" + closer * 10_000
+        column = len(opener) * MAX_NESTING + 1
+        message = (f"parse error: line 1, column {column}: expected at most "
+                   f"{MAX_NESTING} nested brackets, found '{opener[0]}'")
+        assert run_command(["eval", "--config", config_file, expr]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert run_command(["eval", "--config", config_file, "--json", expr]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"ok": False, "error": message}
+        assert captured.err == message + "\n"
+
+
 class TestBracket:
     def test_bracket_command(self, config_file, capsys):
         code = run_command(["bracket", "--config", config_file,
@@ -130,6 +165,13 @@ class TestExport:
         payload = json.loads(capsys.readouterr().out)
         sig = desk_signature()
         assert element_from_dict(payload) == sig.d(1) + sig.x((0, 1), i=(1, 0))
+
+    def test_json_envelope(self, config_file, capsys):
+        assert run_command(["export", "--config", config_file, "--format", "json",
+                            "--json", "d1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["ok"], payload["text"]) == (True, "d1")
+        assert element_from_dict(payload["element"]) == desk_signature().d(1)
 
     def test_unknown_format_is_usage_error(self, config_file, capsys):
         assert run_command(["export", "--config", config_file,
@@ -267,6 +309,18 @@ class TestAut:
         from weyltype import format_element
         expected = format_element(nf.apply(sig.x((1, 0))))
         assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("command", ["apply", "decompose", "compose"])
+    def test_twisted_images_in_assoc_mode_exit_1(self, tmp_path, config_file, capsys,
+                                                 command):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(FunctionalAut.from_aut(_twisted_draw()).to_dict()))
+        argv = {"apply": ["apply", "--config", config_file, "--aut", str(path), "d1"],
+                "decompose": ["decompose", "--aut", str(path)],
+                "compose": ["compose", "--a", str(path), "--b", str(path)]}[command]
+        assert run_command(["aut", *argv, "--mode", "assoc"]) == 1
+        assert capsys.readouterr() == ("", "NotAnAutomorphism: associative-mode data "
+                                           "decomposes with the order-2 twist\n")
 
     def test_missing_file_exits_2(self, config_file, capsys):
         assert run_command(["aut", "apply", "--config", config_file,
@@ -565,3 +619,171 @@ class TestFileBoundary:
         data = json.loads(_repeated_label_file())
         assert FunctionalAut.from_dict(data).as_normal_form().same_data(
             NormalFormAut.identity(desk_signature()))
+
+
+RANK3_CONFIG = {
+    "ell1": 1,
+    "ell2": 2,
+    "gamma_generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                         ["1/2", "1/2", "0"]],
+}
+
+
+def _fuzz_expression(rng: random.Random, sig) -> str:
+    """A short expression over sig, well formed or broken at one spot: an
+    off-lattice point, a vector of the wrong length, a polynomial entry past
+    l1, a derivation index outside 1..l, a zero denominator, an unbalanced or
+    stray character, or nesting past MAX_NESTING."""
+    ell, ell1 = sig.ell, sig.ell1
+
+    def vector(entries) -> str:
+        return "(" + ",".join(entries) + ")"
+
+    def point() -> str:
+        roll = rng.random()
+        if roll < 0.08:
+            return vector(["1/3"] + ["0"] * (ell - 1))
+        if roll < 0.12:
+            return vector(["1"] * (ell + 1))
+        # both lattices hold Z^l and (1/2, 1/2, 0, ...)
+        half = Fraction(rng.randint(0, 1), 2)
+        return vector(rational_str(rng.randint(-1, 1) + (half if p < 2 else 0))
+                      for p in range(ell))
+
+    def index() -> str:
+        if rng.random() < 0.08:
+            return vector(["1"] * ell)
+        return vector(str(rng.randint(0, 2)) if p < ell1 else "0" for p in range(ell))
+
+    def scalar() -> str:
+        return rng.choice(["2", "-1", "3/2", "0", "1/0", "-5/3"])
+
+    def factor(depth: int) -> str:
+        roll = rng.random()
+        if roll < 0.35:
+            return f"x[{point()};{index()}]" if rng.random() < 0.7 else f"x[{point()}]"
+        if roll < 0.7 or depth >= 2:
+            power = f"^{rng.randint(0, 3)}" if rng.random() < 0.3 else ""
+            return f"d{rng.randint(0, ell + 1)}{power}"
+        if roll < 0.85:
+            return f"[{element(depth + 1)}, {element(depth + 1)}]"
+        return f"({element(depth + 1)})"
+
+    def term(depth: int) -> str:
+        factors = [factor(depth) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            factors.insert(0, scalar())
+        return " * ".join(factors)
+
+    def element(depth: int) -> str:
+        out = term(depth)
+        for _ in range(rng.randint(0, 2)):
+            out += rng.choice([" + ", " - "]) + term(depth)
+        return out
+
+    roll = rng.random()
+    if roll < 0.08:
+        opener, closer = rng.choice([("(", ")"), ("[d1, ", "]")])
+        depth = rng.choice([MAX_NESTING, MAX_NESTING + 1, 10_000])
+        return opener * depth + "d1" + closer * depth
+    src = element(0)
+    if roll < 0.4:
+        k = rng.randrange(len(src) + 1)
+        edit = rng.choice(["drop", "insert", "truncate"])
+        if edit == "drop":
+            src = src[:k] + src[k + 1:]
+        elif edit == "insert":
+            src = src[:k] + rng.choice("[]()+-*/;,^xdq0 ") + src[k:]
+        else:
+            src = src[:k]
+    return src
+
+
+class TestFuzz:
+    """argv drawn from a fixed-seed grammar of valid and broken inputs, each run
+    in process: every run exits 0, 1 or 2 and prints no traceback, and under
+    --json stdout is one JSON object with an "ok" key."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+
+        def write(name, data) -> str:
+            path = root / name
+            path.write_text(json.dumps(data))
+            return str(path)
+
+        rng = random.Random(11)
+        out = {}
+        for name, config in (("desk", DESK_CONFIG), ("rank3", RANK3_CONFIG)):
+            path = write(f"{name}.json", config)
+            sig = _signature_from_file(path)
+            # G = I: random_normal_form_aut's Aut2 scan takes minutes at rank 3
+            nf = [NormalFormAut(TauAut(sig, BlockMatrix.identity(sig.ell1, sig.ell2),
+                                       random_character(sig.lattice, rng)),
+                                InnerExp(random_A_element(sig, rng)),
+                                ShiftV(sig, random_shift_vector(sig, rng)), eps)
+                  for eps in (0, 1)]
+            out[name] = {
+                "sig": sig,
+                "config": path,
+                "auts": [write(f"{name}-nf{k}.json", n.to_dict()) for k, n in enumerate(nf)]
+                + [write(f"{name}-phi{k}.json", FunctionalAut.from_aut(n).to_dict())
+                   for k, n in enumerate(nf)],
+            }
+        twisted = write("twisted.json", FunctionalAut.from_aut(_twisted_draw()).to_dict())
+        out["desk"]["auts"].append(twisted)
+        shapes = sorted(MALFORMED_FILES)
+        out["bad-configs"] = [write(f"bad-cfg-{k}.json", MALFORMED_FILES[k][0])
+                              for k in shapes if MALFORMED_FILES[k][1] is None][::2]
+        out["bad-auts"] = [write(f"bad-aut-{k}.json", MALFORMED_FILES[k][1])
+                           for k in shapes if MALFORMED_FILES[k][1] is not None][::3]
+        return out
+
+    def draw(self, rng: random.Random, files) -> list[str]:
+        name = rng.choice(["desk", "rank3"])
+        own = files[name]
+        sig = own["sig"]
+        config = (rng.choice(files["bad-configs"]) if rng.random() < 0.05
+                  else own["config"])
+        auts = files["desk"]["auts"] + files["rank3"]["auts"]
+        aut = (rng.choice(files["bad-auts"]) if rng.random() < 0.1
+               else rng.choice(own["auts"]) if rng.random() < 0.8 else rng.choice(auts))
+        command = rng.choice(["eval", "bracket", "export", "apply", "decompose", "compose"])
+        if command == "eval":
+            argv = ["eval", "--config", config, _fuzz_expression(rng, sig)]
+        elif command == "bracket":
+            argv = ["bracket", "--config", config, _fuzz_expression(rng, sig),
+                    _fuzz_expression(rng, sig)]
+        elif command == "export":
+            argv = ["export", "--config", config, "--format", "json",
+                    _fuzz_expression(rng, sig)]
+        elif command == "apply":
+            argv = ["aut", "apply", "--config", config, "--aut", aut,
+                    _fuzz_expression(rng, sig)]
+        elif command == "decompose":
+            argv = ["aut", "decompose", "--aut", aut]
+        else:
+            argv = ["aut", "compose", "--a", aut, "--b", rng.choice(own["auts"])]
+        if rng.random() < 0.3:
+            argv += ["--mode", rng.choice([MODE_LIE, MODE_ASSOC])]
+        if rng.random() < 0.5:
+            argv.append("--json")
+        return argv
+
+    def test_every_run_exits_cleanly(self, files, capsys):
+        rng = random.Random(2024)
+        codes = []
+        for trial in range(400):
+            argv = self.draw(rng, files)
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            context = f"trial {trial}: {argv!r}"
+            assert code in (0, 1, 2), context
+            assert "Traceback" not in captured.out + captured.err, context
+            if "--json" in argv:
+                payload = json.loads(captured.out)
+                assert isinstance(payload, dict) and "ok" in payload, context
+            codes.append(code)
+        # the grammar reaches every outcome
+        assert set(codes) == {0, 1, 2}

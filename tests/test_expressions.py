@@ -3,95 +3,107 @@ from fractions import Fraction
 
 import pytest
 
-from weyltype import format_element, parse_and_eval, parse_element
-from weyltype.errors import DimensionError, ExprSyntaxError
-from weyltype.expressions import (
-    Bracket,
-    GenD,
-    GenX,
-    Paren,
-    Product,
-    Scalar,
-    Sum,
-    eval_expr,
-)
+from weyltype import format_element, parse_and_eval
+from weyltype.errors import DimensionError, ExprSyntaxError, NotMember
+from weyltype.expressions import MAX_NESTING
 from weyltype.sampling import random_element
 
 
 class TestParseAst:
+    """The parser evaluates as it reads: each rule yields the Element it denotes."""
+
     def test_product_of_generators(self, desk):
-        ast = parse_element("x[(1,0)] * d1^2", desk)
-        assert ast == Product((GenX((Fraction(1), Fraction(0)), None), GenD(1, 2)))
+        out = parse_and_eval("x[(1,0)] * d1^2", desk)
+        assert out == desk.x((1, 0)) * desk.d(1, 2)
 
     def test_sum_with_scalar_and_bracket(self, desk):
-        ast = parse_element("3/2 * x[(0,1);(2,0)] + [d1, x[(1,0)]]", desk)
-        assert isinstance(ast, Sum)
-        scaled, bracket = ast.terms
-        assert scaled == Product((Scalar(Fraction(3, 2)),
-                                  GenX((Fraction(0), Fraction(1)), (2, 0))))
-        assert bracket == Bracket(GenD(1, 1), GenX((Fraction(1), Fraction(0)), None))
+        out = parse_and_eval("3/2 * x[(0,1);(2,0)] + [d1, x[(1,0)]]", desk)
+        scaled = desk.scalar(Fraction(3, 2)) * desk.x((0, 1), (2, 0))
+        assert out == scaled + desk.d(1).bracket(desk.x((1, 0)))
 
     def test_wrong_vector_length(self, desk):
         with pytest.raises(DimensionError):
-            parse_element("x[(1)]", desk)
+            parse_and_eval("x[(1)]", desk)
 
     def test_empty_vector_is_zero(self, desk):
-        ast = parse_element("x[();(1,0)]", desk)
-        assert ast == GenX((Fraction(0), Fraction(0)), (1, 0))
+        assert parse_and_eval("x[();(1,0)]", desk) == desk.x((0, 0), (1, 0))
 
     def test_paren_node(self, desk):
-        ast = parse_element("(d1)", desk)
-        assert ast == Paren(GenD(1, 1))
+        assert parse_and_eval("(d1)", desk) == desk.d(1)
 
     def test_bare_scalar_terms(self, desk):
-        assert parse_element("0", desk) == Scalar(Fraction(0))
-        assert parse_element("-3/2", desk) == Scalar(Fraction(-3, 2))
+        assert parse_and_eval("0", desk) == desk.zero()
+        assert parse_and_eval("-3/2", desk) == desk.scalar(Fraction(-3, 2))
 
     def test_subtraction_folds_into_scalar(self, desk):
-        ast = parse_element("d1 - 2 * d2", desk)
-        assert ast == Sum((GenD(1, 1), Product((Scalar(Fraction(-2)), GenD(2, 1)))))
+        out = parse_and_eval("d1 - 2 * d2", desk)
+        assert out == desk.d(1) + desk.scalar(-2) * desk.d(2)
 
     def test_derivation_index_range(self, desk):
         with pytest.raises(DimensionError):
-            parse_element("d3", desk)
+            parse_and_eval("d3", desk)
 
     def test_syntax_error_position_and_expected(self, desk):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_element("x[(1,0)] * * d1", desk)
+            parse_and_eval("x[(1,0)] * * d1", desk)
         assert err.value.position == 11
         assert err.value.expected
 
     def test_trailing_garbage_rejected(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("d1 d2", desk)
+            parse_and_eval("d1 d2", desk)
 
     def test_unknown_character_rejected(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("d1 + q", desk)
+            parse_and_eval("d1 + q", desk)
 
     def test_negative_polynomial_index_rejected(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("x[(1,0);(-1,0)]", desk)
+            parse_and_eval("x[(1,0);(-1,0)]", desk)
 
     def test_unterminated_vector(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("x[(1,0", desk)
+            parse_and_eval("x[(1,0", desk)
 
     def test_x_without_bracket(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("x + d1", desk)
+            parse_and_eval("x + d1", desk)
 
     def test_d_without_index(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("d + d1", desk)
+            parse_and_eval("d + d1", desk)
 
     def test_empty_input(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("", desk)
+            parse_and_eval("", desk)
 
     def test_zero_denominator_rejected(self, desk):
         with pytest.raises(ExprSyntaxError):
-            parse_element("1/0 * d1", desk)
+            parse_and_eval("1/0 * d1", desk)
+
+    def test_off_lattice_point_reported_before_later_errors(self, desk):
+        # the parser reaches the x[...] first; tokenizer errors still win
+        for src in ("x[(1/3,0)] * * d1", "x[(1/3,0)] + d3", "x[(1/3,0)] + x[(1)]"):
+            with pytest.raises(NotMember):
+                parse_and_eval(src, desk)
+        with pytest.raises(ExprSyntaxError):
+            parse_and_eval("x[(1/3,0)] + q", desk)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("[d1, ", "]")])
+    def test_bound_is_accepted(self, desk, opener, closer):
+        # d1 grades x^{(1,0)} by 1, so each [d1, .] level keeps it fixed
+        src = opener * MAX_NESTING + "x[(1,0)]" + closer * MAX_NESTING
+        assert parse_and_eval(src, desk) == desk.x((1, 0))
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("[d1, ", "]")])
+    def test_deeper_input_is_a_syntax_error_at_the_opener(self, desk, opener, closer):
+        for depth in (MAX_NESTING + 1, 10_000):
+            src = opener * depth + "d1" + closer * depth
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_and_eval(src, desk)
+            assert err.value.position == len(opener) * MAX_NESTING
 
 
 class TestEval:
@@ -174,7 +186,3 @@ class TestRoundTrip:
                 e = random_element(sig, rng)
                 assert parse_and_eval(format_element(e), sig) == e
 
-
-def test_eval_rejects_foreign_objects(desk):
-    with pytest.raises(TypeError):
-        eval_expr(object(), desk)

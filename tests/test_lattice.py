@@ -320,11 +320,14 @@ class TestIntegerDetAdjugate:
         for _ in range(300):
             n = rng.randint(1, 4)
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if rng.random() < 0.25:
-                r, t = rng.randrange(n), rng.randrange(n)
-                m[r] = [rng.randint(-2, 2) * x for x in m[t]] if r != t else [0] * n
+            forced = rng.random() < 0.25
+            if forced:
+                # row r becomes a multiple of row t (the zero row when r == t)
+                r, t, c = rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)
+                m[r] = [c * x for x in m[t]] if r != t else [0] * n
             det, adj = integer_det_adjugate(m)
             assert type(det) is int and det == _fraction_det(m)
+            assert not (forced and det)
             if det:
                 assert all(type(x) is int for row in adj for x in row)
                 assert (tuple(tuple(Fraction(x, det) for x in row) for row in adj)

@@ -69,7 +69,8 @@ from .expressions import format_element
 from .lattice import BlockMatrix, Character, lattice_motion
 from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
                         rational_str, vector_from_json)
-from .sampling import random_element
+from .sampling import (random_A_element, random_aut2, random_character, random_element,
+                       random_shift_vector)
 
 MODE_LIE = "lie"
 MODE_ASSOC = "assoc"
@@ -507,7 +508,7 @@ class NormalFormAut:
         if self.mode not in (MODE_LIE, MODE_ASSOC):
             raise ValueError("mode must be 'lie' or 'assoc'")
         if self.eps == 1 and self.mode == MODE_ASSOC:
-            raise ValueError("the order-2 twist is not associative-mode")
+            raise NotAnAutomorphism("associative-mode data decomposes with the order-2 twist")
 
     @property
     def signature(self) -> Signature:
@@ -865,8 +866,6 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
         f_values.append(coeffs[1] / c0)
     f = Character(sig.lattice, f_values)
     eps = 1 if c0 == -1 else 0
-    if eps and phi.mode == MODE_ASSOC:
-        raise NotAnAutomorphism("associative-mode data decomposes with the order-2 twist")
 
     # the polynomial shift off the x^{1_[p]} images
     for p in range(1, ell1 + 1):
@@ -891,13 +890,6 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
 def random_normal_form_aut(sig: Signature, rng: random.Random,
                            mode: str = MODE_LIE) -> NormalFormAut:
     """A random factored automorphism for round-trip and group-law checks."""
-    from .sampling import (
-        random_A_element,
-        random_aut2,
-        random_character,
-        random_shift_vector,
-    )
-
     tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
     u = InnerExp(random_A_element(sig, rng))
     v = ShiftV(sig, random_shift_vector(sig, rng))

@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("expr1")
     p_br.add_argument("expr2")
 
-    p_aut = sub.add_parser("aut", parents=[common], help="automorphism operations")
+    # no common options here: the subcommand's defaults would overwrite them
+    p_aut = sub.add_parser("aut", help="automorphism operations")
     aut_sub = p_aut.add_subparsers(dest="aut_command", required=True)
     p_apply = aut_sub.add_parser("apply", parents=[common])
     p_apply.add_argument("--aut", required=True, metavar="FILE")
@@ -149,16 +150,11 @@ def _require_signature(args) -> Signature:
 
 
 def _load_automorphism(path: str, mode: str | None):
+    """Either file form; --mode, when given, replaces the file's "mode"."""
     data = _read_json_object(path)
-    if "images" in data:
-        aut = FunctionalAut.from_dict(data)
-        if mode is not None and mode != aut.mode:
-            aut = FunctionalAut(aut.signature, mode, aut.images)
-        return aut
-    nf = NormalFormAut.from_dict(data)
-    if mode is not None and mode != nf.mode:
-        nf = NormalFormAut(nf.tau, nf.u, nf.v, nf.eps, mode)
-    return nf
+    if mode is not None:
+        data["mode"] = mode
+    return (FunctionalAut if "images" in data else NormalFormAut).from_dict(data)
 
 
 def _as_normal_form(aut) -> NormalFormAut:

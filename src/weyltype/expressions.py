@@ -7,7 +7,7 @@ on canonical output):
     term     := scalar ("*" factor)*            -- bare scalars are terms
               | (scalar "*")? factor ("*" factor)*
     factor   := "x" "[" vector (";" natvector)? "]"
-              | "d" nat ("^" nat)?
+              | "d" nat ("^" nat)?                    -- a power <= MAX_POWER
               | "[" element "," element "]"
               | "(" element ")"
     scalar   := int ("/" posint)?
@@ -93,6 +93,9 @@ def tokenize(src: str) -> list[Token]:
 # so a fixed bound, not the interpreter's recursion limit or the caller's
 # stack depth, decides which input is refused.
 MAX_NESTING = 100
+
+# The highest power of a d_q: d_q^N times x^alpha has N + 1 terms of N-bit binomials.
+MAX_POWER = 100
 
 
 class _Parser:
@@ -192,7 +195,10 @@ class _Parser:
         power = 1
         if self.peek().kind == "CARET":
             self.take("CARET")
-            power = int(self.take("NAT").text)
+            tok = self.take("NAT")
+            power = int(tok.text)
+            if power > MAX_POWER:
+                raise ExprSyntaxError(tok.pos, {f"a power of at most {MAX_POWER}"}, tok.text)
         return self.sig.d(index, power)
 
     def vector(self, noun: str, nat_only: bool = False) -> tuple[Fraction, ...]:

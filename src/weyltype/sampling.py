@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import Element, Signature
 from .errors import InvariantViolation
-from .lattice import BlockMatrix, Character, Lattice, aut2_membership
+from .lattice import BlockMatrix, Character, Lattice, adapted_basis, aut2_membership
 
 DEFAULT_GENERATORS = ((1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2)))
 
@@ -87,37 +87,41 @@ def random_shift_vector(sig: Signature, rng: random.Random):
                  for _ in range(sig.ell))
 
 
-_AUT2_CACHE: dict = {}
-
-
 def enumerate_aut2(sig: Signature, bound: int = 2) -> list[BlockMatrix]:
     """All members of Aut2(Gamma) of the form B^{-1} N B with N integer
-    unimodular, entries of N in [-bound, bound], filtered to block shape."""
-    key = (sig, bound)
-    cached = _AUT2_CACHE.get(key)
-    if cached is not None:
-        return cached
+    unimodular, entries of N in [-bound, bound], filtered to block shape: an
+    exponential scan, kept as the reference for ``random_aut2``."""
     lattice = sig.lattice
     basis = lattice.basis
     basis_inv = lattice.basis_inverse
     found = []
-    seen = set()
     for n_mat in linalg.unimodular_matrices(sig.ell, bound):
         entries = linalg.mat_mul(linalg.mat_mul(basis_inv, n_mat), basis)
         if any(entries[r][c] != 0
                for r in range(sig.ell1) for c in range(sig.ell1, sig.ell)):
             continue
-        if entries in seen:
-            continue
-        seen.add(entries)
         G = BlockMatrix(sig.ell1, sig.ell2, entries)
         if not aut2_membership(lattice, G):
             raise InvariantViolation(f"B^-1 N B = {entries} does not stabilize the lattice")
         found.append(G)
-    _AUT2_CACHE[key] = found
     return found
 
 
-def random_aut2(sig: Signature, rng: random.Random, bound: int = 2) -> BlockMatrix:
-    candidates = enumerate_aut2(sig, bound)
-    return rng.choice(candidates)
+def random_aut2(sig: Signature, rng: random.Random) -> BlockMatrix:
+    """A^{-1} T A for the adapted basis A = K / e and T a product of 2l random
+    +-1 transvections and sign flips of rows, a row r < l1 adding only rows
+    s < l1: T is unimodular and block lower-triangular, so G = adj(K) T K / det K
+    stabilizes Gamma and has the block shape, with no rejection."""
+    ell, ell1 = sig.ell, sig.ell1
+    _, K = linalg.scaled_integer(adapted_basis(sig.lattice, ell1))
+    T = [list(row) for row in linalg.identity(ell)]
+    for _ in range(2 * ell):
+        r = rng.randrange(ell)
+        s = rng.randrange(ell1 if r < ell1 else ell)
+        if s == r:
+            T[r] = [-x for x in T[r]]
+        else:
+            sign = rng.choice((1, -1))
+            T[r] = [x + sign * y for x, y in zip(T[r], T[s])]
+    det, G = linalg.integer_product(linalg.integer_det_adjugate(K), (1, T), (1, K))
+    return BlockMatrix(ell1, sig.ell2, [[Fraction(x, det) for x in row] for row in G])

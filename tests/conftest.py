@@ -31,6 +31,14 @@ def rank3():
 
 
 @pytest.fixture(scope="session")
+def rank4():
+    """W(2, 2, <e1, e2, e3, e4, (1/2,0,1/3,1/2)>)."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return Signature(2, 2, Lattice(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                       (half, 0, third, half)]))
+
+
+@pytest.fixture(scope="session")
 def z2():
     """W(1, 1, Z^2)."""
     return Signature(1, 1, Lattice(2, [(1, 0), (0, 1)]))

@@ -101,6 +101,13 @@ def test_criterion_parser_round_trip(desk_sig):
     _run("parser", desk_sig)
 
 
+@pytest.mark.parametrize("name", ["group-laws", "decomposition", "iso"])
+@pytest.mark.parametrize("sig_name", ["rank3", "rank4"])
+def test_aut2_suites_at_ranks_3_and_4(name, sig_name, request):
+    """The suites that draw lattice symmetries pass beyond the desk algebra."""
+    _run(name, request.getfixturevalue(sig_name))
+
+
 def test_sampling_profile_matches_desk_scale(desk_sig):
     """The shared sampler respects the advertised desk-scale bounds."""
     rng = random.Random(SEED)

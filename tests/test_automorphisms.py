@@ -109,10 +109,6 @@ class TestTauAut:
         assert verify_automorphism(tau, trials=100, seed=3, mode=MODE_LIE).passed
 
 
-RANK4 = Signature(2, 2, Lattice(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-                                     (Fraction(1, 2), 0, Fraction(1, 3), Fraction(1, 2))]))
-
-
 def _aut2_generators(sig):
     """Fixed members of Aut2(Gamma): A^{-1} U A for the E1-adapted basis A and
     block lower-triangular integer U, a sign flip or a transvection per slot
@@ -163,7 +159,7 @@ class TestIntegerTau:
 
     @pytest.fixture(params=["desk", "rank3", "rank4"])
     def sig(self, request):
-        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+        return request.getfixturevalue(request.param)
 
     def test_chains_keep_lattice_matrix_and_character(self, sig):
         rng = random.Random(60)
@@ -231,7 +227,7 @@ class TestLatticeMotion:
 
     @pytest.fixture(params=["desk", "rank3", "rank4"])
     def sig(self, request):
-        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+        return request.getfixturevalue(request.param)
 
     def _check_accepted(self, src, dst, G):
         N, N_inv = lattice_motion(src, dst, G)
@@ -438,12 +434,6 @@ class TestConjugationLaw:
                     inner.apply(moved.apply(g))
 
 
-def _draw_aut2(sig, rng):
-    """random_aut2 on desk; at rank 3, where its matrix scan takes minutes,
-    one of the fixed members from _aut2_generators."""
-    return random_aut2(sig, rng) if sig.ell == 2 else rng.choice(_aut2_generators(sig))
-
-
 # ranks 3 and 4, each lattice with a point off Z^l
 _H, _T = Fraction(1, 2), Fraction(1, 3)
 HIGHER_RANK = {
@@ -456,25 +446,10 @@ HIGHER_RANK = {
 }
 
 
-def _transvection_aut2(sig, rng, steps=4):
-    """A^{-1} U A for the E1-adapted basis A and U a product of block-respecting
-    +-1 transvections on Z^l: row r adds +-row t only when r >= l1 or t < l1."""
-    ell, ell1 = sig.ell, sig.ell1
-    A = adapted_basis(sig.lattice, ell1)
-    pairs = [(r, t) for r in range(ell) for t in range(ell)
-             if t != r and (r >= ell1 or t < ell1)]
-    U = [list(row) for row in linalg.identity(ell)]
-    for _ in range(steps):
-        r, t = rng.choice(pairs)
-        sign = rng.choice((1, -1))
-        U[r] = [x + sign * y for x, y in zip(U[r], U[t])]
-    return BlockMatrix(ell1, sig.ell2, linalg.mat_mul(linalg.mat_inverse(A), linalg.mat_mul(U, A)))
-
-
 def _draw_normal_form(sig, rng, eps):
     """A random normal form with the given twist, drawn like
     random_normal_form_aut."""
-    return NormalFormAut(TauAut(sig, _draw_aut2(sig, rng), random_character(sig.lattice, rng)),
+    return NormalFormAut(TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng)),
                          InnerExp(random_A_element(sig, rng)),
                          ShiftV(sig, random_shift_vector(sig, rng)), eps)
 
@@ -596,7 +571,7 @@ class TestTwistConjugation:
         rng = random.Random(40)
         twist = Sigma1(sig)
         for _ in range(3):
-            tau = TauAut(sig, _draw_aut2(sig, rng), random_character(sig.lattice, rng))
+            tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
             u = random_A_element(sig, rng)
             v = random_shift_vector(sig, rng)
             v_conj = v[:sig.ell1] + tuple(-x for x in v[sig.ell1:])
@@ -730,7 +705,7 @@ class TestDecompose:
         extra = (sig.monomial(i=(1,) * ell1 + (0,) * sig.ell2, coeff=Fraction(2, 3))
                  + sig.x(unit_index(ell, ell), i=(1,) * ell1 + (0,) * sig.ell2, coeff=-3))
         for _ in range(2):
-            G = _transvection_aut2(sig, rng)
+            G = random_aut2(sig, rng)
             assert aut2_membership(sig.lattice, G)
             nf = NormalFormAut(TauAut(sig, G, random_character(sig.lattice, rng)),
                                InnerExp(random_A_element(sig, rng, max_terms=2) + extra),
@@ -870,13 +845,6 @@ class TestHomExtend:
     def sig(self, request):
         return request.getfixturevalue(request.param)
 
-    @staticmethod
-    def _block_matrix(sig, rng):
-        # a fixed G at rank 3: drawing one there scans 3^9 matrices
-        if sig.ell == 3:
-            return BlockMatrix(1, 2, [[-1, 0, 0], [0, -1, 0], [1, 2, 1]])
-        return random_aut2(sig, rng)
-
     def _check_apply(self, monkeypatch, apply, elems):
         got = [apply(w) for w in elems]
         with monkeypatch.context() as mp:
@@ -888,7 +856,7 @@ class TestHomExtend:
     def test_families_match_ordered_product(self, sig, monkeypatch):
         rng = random.Random(40)
         elems = _hom_elements(sig, 41)
-        tau = TauAut(sig, self._block_matrix(sig, rng), random_character(sig.lattice, rng))
+        tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
         u = InnerExp(random_A_element(sig, rng))
         v = ShiftV(sig, random_shift_vector(sig, rng))
         for aut in (tau, u, v, NormalFormAut(tau, u, v, 0), NormalFormAut(tau, u, v, 1)):
@@ -952,7 +920,7 @@ class TestIntegerForm:
 
     @pytest.fixture(params=["desk", "rank3", "rank4"])
     def sig(self, request):
-        return RANK4 if request.param == "rank4" else request.getfixturevalue(request.param)
+        return request.getfixturevalue(request.param)
 
     def test_operations_keep_canonical_form(self, sig):
         rng = random.Random(80)

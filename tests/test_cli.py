@@ -26,10 +26,9 @@ from weyltype.automorphisms import (
     verify_automorphism,
 )
 from weyltype.cli import _signature_from_file, run_command
-from weyltype.expressions import MAX_NESTING, parse_and_eval
+from weyltype.expressions import MAX_NESTING, MAX_POWER, parse_and_eval
 from weyltype.rationals import rational_str
-from weyltype.sampling import (desk_signature, random_A_element, random_character,
-                               random_shift_vector)
+from weyltype.sampling import desk_signature
 
 
 DESK_CONFIG = {
@@ -40,12 +39,13 @@ DESK_CONFIG = {
 
 
 # sha256 of `weyl aut compose --json` on the twisted pairs of
-# TestAut.test_compose_twisted_json_output_is_stable, as printed when the
-# twist was composed through the generator images and decompose_automorphism
+# TestAut.test_compose_twisted_json_output_is_stable, drawn by the
+# adapted-basis random_aut2; each output is byte for byte the one printed when
+# the pair is composed through the generator images and decompose_automorphism
 TWISTED_COMPOSE_SHA256 = {
-    (0, 1): "18d40ca4425f814c074341af66545e0b495fab05bae0380efefaa60f92d891a3",
-    (1, 0): "21529e8abde6d9e91e0041f4d7adb28024ea9a0c343396e7ac9a5579a411167a",
-    (1, 1): "4a6966c08f4458014feb2d5590c553932d2ddbe1b6b0715021896d5b65c6fb2e",
+    (0, 1): "73ebaaa4ec656fe37733ac349548d473a3bf41122aad2ef42fcc6c9cb48fe668",
+    (1, 0): "bd8047cb24a1e8cf67ea36520f13ea75586ffdf73b7f8726e6254e1058c3ee26",
+    (1, 1): "b37ee53a08d8dd2caf2fa9aacacfec129f01624b89ca94e529e8bfb3a8e4cbdc",
 }
 
 
@@ -313,14 +313,35 @@ class TestAut:
     @pytest.mark.parametrize("command", ["apply", "decompose", "compose"])
     def test_twisted_images_in_assoc_mode_exit_1(self, tmp_path, config_file, capsys,
                                                  command):
-        path = tmp_path / "phi.json"
-        path.write_text(json.dumps(FunctionalAut.from_aut(_twisted_draw()).to_dict()))
+        """The images file and the normal-form file of a twisted map, with the
+        mode from --mode or from the file's "mode": one exit code, one message."""
+        nf = _twisted_draw()
+        path = tmp_path / "aut.json"
         argv = {"apply": ["apply", "--config", config_file, "--aut", str(path), "d1"],
                 "decompose": ["decompose", "--aut", str(path)],
                 "compose": ["compose", "--a", str(path), "--b", str(path)]}[command]
-        assert run_command(["aut", *argv, "--mode", "assoc"]) == 1
-        assert capsys.readouterr() == ("", "NotAnAutomorphism: associative-mode data "
-                                           "decomposes with the order-2 twist\n")
+        for form, data in (("images", FunctionalAut.from_aut(nf).to_dict()),
+                           ("normal form", nf.to_dict())):
+            for flag, mode in ((["--mode", "assoc"], MODE_LIE), ([], MODE_ASSOC)):
+                path.write_text(json.dumps({**data, "mode": mode}))
+                context = (form, flag)
+                assert run_command(["aut", *argv, *flag]) == 1, context
+                assert capsys.readouterr() == ("", "NotAnAutomorphism: associative-mode data "
+                                                   "decomposes with the order-2 twist\n"), context
+
+    @pytest.mark.parametrize("option", [["--mode", "assoc"], ["--mode=assoc"], ["--json"],
+                                        ["--seed", "3"]], ids=" ".join)
+    def test_options_before_the_subcommand_are_refused(self, tmp_path, capsys, option):
+        # decomposed in lie mode, the twisted images file would exit 0
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(FunctionalAut.from_aut(_twisted_draw()).to_dict()))
+        assert run_command(["aut", *option, "decompose", "--aut", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err
+        if "--json" in option:
+            assert json.loads(captured.out)["ok"] is False
+        else:
+            assert captured.out == ""
 
     def test_missing_file_exits_2(self, config_file, capsys):
         assert run_command(["aut", "apply", "--config", config_file,
@@ -633,7 +654,7 @@ def _fuzz_expression(rng: random.Random, sig) -> str:
     """A short expression over sig, well formed or broken at one spot: an
     off-lattice point, a vector of the wrong length, a polynomial entry past
     l1, a derivation index outside 1..l, a zero denominator, an unbalanced or
-    stray character, or nesting past MAX_NESTING."""
+    stray character, a power past MAX_POWER, or nesting past MAX_NESTING."""
     ell, ell1 = sig.ell, sig.ell1
 
     def vector(entries) -> str:
@@ -682,6 +703,10 @@ def _fuzz_expression(rng: random.Random, sig) -> str:
         return out
 
     roll = rng.random()
+    if roll < 0.04:
+        # refused before any product: under `aut apply`, even d1^25 takes seconds
+        power = rng.choice([MAX_POWER + 1, 10 ** 30])
+        return f"d{rng.randint(1, ell)}^{power} * x[{point()}]"
     if roll < 0.08:
         opener, closer = rng.choice([("(", ")"), ("[d1, ", "]")])
         depth = rng.choice([MAX_NESTING, MAX_NESTING + 1, 10_000])
@@ -718,12 +743,8 @@ class TestFuzz:
         for name, config in (("desk", DESK_CONFIG), ("rank3", RANK3_CONFIG)):
             path = write(f"{name}.json", config)
             sig = _signature_from_file(path)
-            # G = I: random_normal_form_aut's Aut2 scan takes minutes at rank 3
-            nf = [NormalFormAut(TauAut(sig, BlockMatrix.identity(sig.ell1, sig.ell2),
-                                       random_character(sig.lattice, rng)),
-                                InnerExp(random_A_element(sig, rng)),
-                                ShiftV(sig, random_shift_vector(sig, rng)), eps)
-                  for eps in (0, 1)]
+            drawn = [random_normal_form_aut(sig, rng) for _ in range(2)]
+            nf = [NormalFormAut(n.tau, n.u, n.v, eps) for eps, n in enumerate(drawn)]
             out[name] = {
                 "sig": sig,
                 "config": path,

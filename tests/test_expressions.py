@@ -5,7 +5,7 @@ import pytest
 
 from weyltype import format_element, parse_and_eval
 from weyltype.errors import DimensionError, ExprSyntaxError, NotMember
-from weyltype.expressions import MAX_NESTING
+from weyltype.expressions import MAX_NESTING, MAX_POWER
 from weyltype.sampling import random_element
 
 
@@ -104,6 +104,20 @@ class TestNesting:
             with pytest.raises(ExprSyntaxError) as err:
                 parse_and_eval(src, desk)
             assert err.value.position == len(opener) * MAX_NESTING
+
+
+class TestPowerBound:
+    def test_bound_is_accepted(self, desk):
+        src = f"d1^{MAX_POWER} * x[(1,0)]"
+        assert parse_and_eval(src, desk) == desk.d(1, MAX_POWER) * desk.x((1, 0))
+
+    def test_higher_power_is_a_syntax_error_at_its_token(self, desk):
+        for power in (MAX_POWER + 1, 10 ** 30):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_and_eval(f"x[(1,0)] * d2^{power} * x[(1,0)]", desk)
+            assert err.value.position == len("x[(1,0)] * d2^")
+            assert str(err.value) == (f"line 1, column 15: expected a power of at most "
+                                      f"{MAX_POWER}, found {power}")
 
 
 class TestEval:

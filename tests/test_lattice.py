@@ -9,6 +9,7 @@ from weyltype import (
     BlockMatrix,
     Character,
     Lattice,
+    Signature,
     aut2_membership,
     dual_derivation_basis,
 )
@@ -21,6 +22,7 @@ from weyltype.errors import (
     SingularMatrix,
 )
 from weyltype.lattice import adapted_basis
+from weyltype.sampling import enumerate_aut2, random_aut2
 from weyltype.linalg import (dot, hermite_normal_form, identity, integer_det_adjugate, mat_det,
                              mat_inverse, mat_mul, unimodular_matrices, vec_mat)
 
@@ -389,8 +391,6 @@ class TestAut2Membership:
         assert aut2_membership(lat, BlockMatrix.identity(1, 1))
 
     def test_group_closure(self, desk):
-        from weyltype.sampling import enumerate_aut2
-
         members = enumerate_aut2(desk, bound=2)
         assert len(members) > 1
         rng = random.Random(9)
@@ -464,6 +464,48 @@ class TestAut2MembershipAgreesWithCoordinateRows:
         verdicts = [aut2_membership(lattice, G) for G in matrices]
         assert verdicts == [_ref_aut2_membership(lattice, G) for G in matrices]
         assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
+def _shape_signature(ell1, ell2):
+    """W(l1, l2, Gamma), Gamma = Z^l plus one point off it: 1/2 in the first
+    and the last slot and, from rank 3 on, 1/3 in the second."""
+    ell = ell1 + ell2
+    point = [Fraction(0)] * ell
+    point[0] = point[-1] = Fraction(1, 2)
+    if ell > 2:
+        point[1] = Fraction(1, 3)
+    return Signature(ell1, ell2, Lattice(ell, [*identity(ell), point]))
+
+
+class TestRandomAut2:
+    """The sampler against the block shape, both membership checks and the
+    matrix scan it replaced."""
+
+    SHAPES = [(ell1, ell - ell1) for ell in range(2, 7) for ell1 in sorted({0, 1, ell // 2, ell})]
+
+    @pytest.mark.parametrize("ell1, ell2", SHAPES)
+    def test_draws_are_block_shaped_members(self, ell1, ell2):
+        sig = _shape_signature(ell1, ell2)
+        ell = sig.ell
+        rng = random.Random(10 * ell1 + ell2)
+        draws = [random_aut2(sig, rng) for _ in range(40)]
+        for G in draws:
+            assert all(G.entries[r][c] == 0 for r in range(ell1) for c in range(ell1, ell))
+            assert aut2_membership(sig.lattice, G)
+            assert _ref_aut2_membership(sig.lattice, G)
+        assert len(set(draws)) > 5
+        if ell1 and ell2:
+            # the transvections reach the lower-left block
+            assert any(G.entries[r][c] for G in draws
+                       for r in range(ell1, ell) for c in range(ell1))
+
+    def test_desk_draws_cover_the_scan(self, desk):
+        members = enumerate_aut2(desk, bound=2)
+        rng = random.Random(0)
+        draws = {random_aut2(desk, rng) for _ in range(300)}
+        assert set(members) <= draws
+        # and members past the scan's entry bound
+        assert len(draws) > len(members)
 
 
 class TestCharacter:

@@ -43,7 +43,6 @@ from .lattice import (
     Character,
     Lattice,
     aut2_membership,
-    dual_derivation_basis,
 )
 from . import errors
 
@@ -53,7 +52,7 @@ __all__ = [
     "NormalFormAut", "ShiftV", "Sigma1", "Signature", "TauAut",
     "act_on_A", "alternating_binomial_sum", "apply_sigma1", "aut2_membership",
     "classify_ad_behavior", "compose_normal_forms", "conjugated_shift",
-    "decompose_automorphism", "derivation_apply", "dual_derivation_basis",
+    "decompose_automorphism", "derivation_apply",
     "element_from_dict", "element_to_dict", "errors",
     "faithfulness_witness", "filtration_data", "format_element",
     "growth_probe", "iso_search_bounded", "iso_verify", "multi_binomial",

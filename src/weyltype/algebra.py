@@ -22,8 +22,10 @@ on each read; ``Fraction`` is the type at the API boundary only.
 The product runs on integers. Grading eigenvalues lie in (1/D)Z with
 D = lattice.denominator, so the d^lam tables hold numerators over D^|lam|
 and every coefficient of a . b is an integer over a.den * b.den * D^top,
-where top is the highest level in a.  The action on A and
-derivation_apply are the level-0 part of the same kernel.
+where top is the highest level in a.  The kernel computes products and
+brackets only.  The action on A, u d^mu . v -> u d^mu(v), is the single
+term lam = mu; ``act_on_A`` runs it as a loop of its own over the same
+d^lam tables and the same denominator.
 
 A left term with mu = 0 needs no Leibniz sum: u . v d^nu = (uv) d^nu, so
 the kernel attaches it by a plain convolution of numerators (``_convolve``),
@@ -427,32 +429,29 @@ def _convolve(out: dict, al, i, n: int, terms) -> None:
         out[key] = out.get(key, 0) + n * n2
 
 
-def _right_term(sig: Signature, memo: dict, al, i, top: int, action: bool) -> tuple:
+def _right_term(sig: Signature, memo: dict, al, i, top: int) -> tuple:
     """(grade, caps, d^lam tables) of a right factor x^{al,i} outside F[D].
 
     ``memo`` maps (al, i) to the tables shared by both passes of a bracket.
     d_p^k(x^{al,i}) vanishes past the polynomial index when the grading
-    eigenvalue is zero, so the expansion is capped there (the action takes
-    lam = mu alone and needs no caps)."""
+    eigenvalue is zero, so the expansion is capped there."""
     grade = sig.lattice.grades(al)
-    caps = None if action else tuple(top if g else (i[p] if p < sig.ell1 else 0)
-                                     for p, g in enumerate(grade))
+    caps = tuple(top if g else (i[p] if p < sig.ell1 else 0) for p, g in enumerate(grade))
     return grade, caps, memo.setdefault((al, i), {})
 
 
 def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
-                powers: list, action: bool, bracket: bool, scale: int = 1) -> None:
-    """Add scale * a . b, or with ``action`` its level-0 part, to ``out`` as
-    numerators over D^top (top = len(powers) - 1, at least the level of a).
+                powers: list, bracket: bool, scale: int = 1) -> None:
+    """Add scale * a . b to ``out`` as numerators over D^top
+    (top = len(powers) - 1, at least the level of a).
 
     A left term with mu = 0 is a convolution; the others run the Leibniz
     sum, each lam scaled by binom(mu, lam) * D^(top - |lam|).  A right term
     in F[D] (alpha = 0, i = 0) is the mirror case: d^lam kills it unless
     lam = 0, so x^{al,i} d^mu . d^nu = x^{al,i} d^{mu+nu} is attached
-    directly, without grades, caps or d^lam tables, and in action mode it
-    contributes nothing.  With ``bracket`` every lam = 0 term is left out,
-    the two cases above included, since those cancel between a . b and
-    b . a."""
+    directly, without grades, caps or d^lam tables.  With ``bracket`` every
+    lam = 0 term is left out, the two cases above included, since those
+    cancel between a . b and b . a."""
     top = len(powers) - 1
     b_terms = None
     for (al1, i1, mu1), n1 in a_num.items():
@@ -465,10 +464,10 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
             b_terms = []
             for (al, i, mu), n in b_num.items():
                 if not any(al) and not any(i):
-                    if not (action or bracket):
+                    if not bracket:
                         b_terms.append((al, i, mu, n, None, None, None))
                     continue
-                b_terms.append((al, i, mu, n, *_right_term(sig, memo, al, i, top, action)))
+                b_terms.append((al, i, mu, n, *_right_term(sig, memo, al, i, top)))
         for al2, i2, mu2, n2, grade, caps, tables in b_terms:
             mu12 = tuple(map(add, mu1, mu2))
             n12 = n1 * n2
@@ -477,11 +476,7 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                 out[key] = out.get(key, 0) + n12 * powers[top]
                 continue
             alpha = tuple(map(add, al1, al2))
-            if action:
-                lams = (mu1,)
-            else:
-                lams = islice(_bounded_multi_indices(map(min, mu1, caps)), bracket, None)
-            for lam in lams:
+            for lam in islice(_bounded_multi_indices(map(min, mu1, caps)), bracket, None):
                 table = _d_lam(sig, tables, grade, i2, lam)
                 if not table:
                     continue
@@ -493,7 +488,7 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
 
 
 def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
-                       powers: list, action: bool, bracket: bool, shifts: range, bias: int,
+                       powers: list, bracket: bool, shifts: range, bias: int,
                        scale: int = 1) -> None:
     """``_accumulate`` on packed keys: ``out`` maps packed monomials to numerators.
 
@@ -521,22 +516,19 @@ def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num
                     prepared.append((k2, n2, None, None, None, None, None))
                 else:
                     prepared.append((k2 - sum(map(lshift, i2, i_shifts)), n2, i2,
-                                     *_right_term(sig, memo, al2, i2, top, action), {}))
+                                     *_right_term(sig, memo, al2, i2, top), {}))
         plan = []
         lam_lists: dict = {}
         for k2, n2, i2, grade, caps, tables, packed in prepared:
             if grade is None:
-                if not (bracket or action):
+                if not bracket:
                     plan.append((powers[top], ((k2, n2),)))
                 continue
-            if action:
-                lams = ((mu1, powers[top - sum(mu1)]),)
-            else:
-                lams = lam_lists.get(caps)
-                if lams is None:
-                    lams = lam_lists[caps] = [
-                        (lam, prod(map(comb, mu1, lam)) * powers[top - sum(lam)])
-                        for lam in _bounded_multi_indices(map(min, mu1, caps))][bracket:]
+            lams = lam_lists.get(caps)
+            if lams is None:
+                lams = lam_lists[caps] = [
+                    (lam, prod(map(comb, mu1, lam)) * powers[top - sum(lam)])
+                    for lam in _bounded_multi_indices(map(min, mu1, caps))][bracket:]
             for lam, f in lams:
                 table = packed.get(lam)
                 if table is None:
@@ -570,11 +562,9 @@ def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num
 PACKED_PAIRS = 32
 
 
-def _mul_elements(a: Element, b: Element, action: bool = False,
-                  bracket: bool = False) -> Element:
-    """a . b; with ``action`` (b in A) its level-0 part, the lam = mu terms,
-    which make up the action of a on b; with ``bracket`` a . b - b . a in one
-    pass, over a.den * b.den * D^max(top_a, top_b) and with one d^lam memo."""
+def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
+    """a . b; with ``bracket`` a . b - b . a in one pass, over
+    a.den * b.den * D^max(top_a, top_b) and with one d^lam memo."""
     a._require_same(b)
     sig = a.signature
     if not a.num or not b.num:
@@ -584,9 +574,9 @@ def _mul_elements(a: Element, b: Element, action: bool = False,
     out: dict = {}
     memo: dict = {}
     if len(a.num) * len(b.num) * (1 + bracket) < PACKED_PAIRS:
-        _accumulate(out, memo, sig, a.num, b.num, powers, action, bracket)
+        _accumulate(out, memo, sig, a.num, b.num, powers, bracket)
         if bracket:
-            _accumulate(out, memo, sig, b.num, a.num, powers, action, bracket, scale=-1)
+            _accumulate(out, memo, sig, b.num, a.num, powers, bracket, scale=-1)
         return _from_ints(sig, a.den * b.den * powers[top], out)
     ell = sig.ell
     # every output field lies in [-2 hi, 2 hi] (alpha) or [0, 2 hi] (i, mu)
@@ -594,10 +584,9 @@ def _mul_elements(a: Element, b: Element, action: bool = False,
     width = max((4 * hi).bit_length(), 1)
     shifts = range(0, 3 * ell * width, width)
     bias = sum((2 * hi) << s for s in shifts[:ell])
-    _packed_accumulate(out, memo, sig, a.num, b.num, powers, action, bracket, shifts, bias)
+    _packed_accumulate(out, memo, sig, a.num, b.num, powers, bracket, shifts, bias)
     if bracket:
-        _packed_accumulate(out, memo, sig, b.num, a.num, powers, action, bracket, shifts, bias,
-                           scale=-1)
+        _packed_accumulate(out, memo, sig, b.num, a.num, powers, bracket, shifts, bias, scale=-1)
     return _from_ints(sig, a.den * b.den * powers[top],
                       _unpack(out, ell, width, 2 * hi))
 
@@ -639,11 +628,31 @@ def derivation_apply(sig: Signature, lam, target: Element) -> Element:
 
 
 def act_on_A(w: Element, a: Element) -> Element:
-    """The natural action: each term u d^mu of w sends a to u . d^mu(a)."""
+    """The natural action: each term u d^mu of w sends a to u . d^mu(a).
+
+    This is the lam = mu term of the product w . a, over
+    w.den * a.den * D^top with top the level of w; each term x^{al,i} of a
+    gets one d^lam memo, shared by every mu of w."""
     w._require_same(a)
     if not a.in_A():
         raise NotInA("the acted-on element must lie in A")
-    return _mul_elements(w, a, action=True)
+    sig = w.signature
+    if not w.num or not a.num:
+        return sig.zero()
+    top = w.max_level()
+    D = sig.lattice.denominator
+    left = [(m, n * D ** (top - sum(m.mu))) for m, n in w.num.items()]
+    out: dict = {}
+    for (al2, i2, mu2), n2 in a.num.items():
+        grade, memo = sig.lattice.grades(al2), {}
+        for (al1, i1, mu1), n1 in left:
+            table = _d_lam(sig, memo, grade, i2, mu1)
+            if table:
+                alpha, f = tuple(map(add, al1, al2)), n1 * n2
+                for i, n in table.items():
+                    key = Monomial(alpha, tuple(map(add, i1, i)), mu2)
+                    out[key] = out.get(key, 0) + f * n
+    return _from_ints(sig, w.den * a.den * D ** top, out)
 
 
 def _antinormal(w: Element) -> Element:
@@ -661,7 +670,7 @@ def _antinormal(w: Element) -> Element:
     memo: dict = {}
     for (al, i, mu), n in w.num.items():
         _accumulate(out, memo, sig, {Monomial(zero, zero, mu): n}, {Monomial(al, i, zero): 1},
-                    powers, False, False)
+                    powers, False)
     return _from_ints(sig, w.den * powers[top], out)
 
 

@@ -22,7 +22,7 @@ from .automorphisms import (
     decompose_automorphism,
 )
 from .classification import iso_search_bounded
-from .errors import (DimensionError, DimensionMismatch, EmptyGenerators, ExprSyntaxError,
+from .errors import (DimensionMismatch, EmptyGenerators, ExpressionError,
                      HomomorphismCounterexample, NondegenerateViolation, NotMember, WeylError)
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
@@ -77,7 +77,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise WeylError(f"WEYL_SEED must be an integer, got {env!r}") from None
+            raise CliUsageError(f"WEYL_SEED must be an integer, got {env!r}") from None
     return 0
 
 
@@ -182,7 +182,7 @@ def run_command(argv) -> int:
 
     try:
         return _dispatch(args)
-    except (ExprSyntaxError, DimensionError, NotMember) as exc:
+    except (ExpressionError, NotMember) as exc:
         _print_error(args, f"parse error: {exc}")
         return USAGE_ERROR
     except CliUsageError as exc:

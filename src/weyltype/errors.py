@@ -21,10 +21,6 @@ class NotMember(WeylError):
     """A vector is not a point of the lattice."""
 
 
-class SingularBasis(WeylError):
-    """The chosen lattice points are linearly dependent."""
-
-
 class SingularMatrix(WeylError):
     """A matrix required to be invertible is singular."""
 
@@ -75,29 +71,9 @@ class HomomorphismCounterexample(WeylError):
         self.rhs = rhs
 
 
-class ExprSyntaxError(WeylError):
-    """Surface-syntax parse failure with position and expected-token set."""
-
-    def __init__(self, position, expected, found):
-        self.position = position
-        self.expected = frozenset(expected)
-        self.found = found
-        self.line = 1
-        self.column = position + 1
-        exp = ", ".join(sorted(self.expected))
-        super().__init__(f"expected {exp}, found {found}")
-
-    def __str__(self):
-        return f"line {self.line}, column {self.column}: {self.args[0]}"
-
-    def locate(self, src: str) -> "ExprSyntaxError":
-        self.line = src.count("\n", 0, self.position) + 1
-        self.column = self.position - src.rfind("\n", 0, self.position)
-        return self
-
-
-class DimensionError(WeylError):
-    """A vector literal in the surface syntax has the wrong length."""
+class ExpressionError(WeylError):
+    """An error at a character ``position`` of an expression's source text;
+    ``locate`` turns the position into a line and a column."""
 
     def __init__(self, position, message):
         self.position = position
@@ -108,7 +84,20 @@ class DimensionError(WeylError):
     def __str__(self):
         return f"line {self.line}, column {self.column}: {self.args[0]}"
 
-    def locate(self, src: str) -> "DimensionError":
+    def locate(self, src: str) -> "ExpressionError":
         self.line = src.count("\n", 0, self.position) + 1
         self.column = self.position - src.rfind("\n", 0, self.position)
         return self
+
+
+class ExprSyntaxError(ExpressionError):
+    """Surface-syntax parse failure with position and expected-token set."""
+
+    def __init__(self, position, expected, found):
+        self.expected = frozenset(expected)
+        self.found = found
+        super().__init__(position, f"expected {', '.join(sorted(self.expected))}, found {found}")
+
+
+class DimensionError(ExpressionError):
+    """A vector literal in the surface syntax has the wrong length."""

@@ -22,11 +22,12 @@ lattice raises NotMember before any syntax error further right.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Element, Signature
-from .errors import DimensionError, ExprSyntaxError
+from .errors import DimensionError, ExpressionError, ExprSyntaxError
 from .rationals import point_str, rational_str
 
 
@@ -61,9 +62,9 @@ def tokenize(src: str) -> list[Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = k
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             out.append(Token("NAT", src[k:j], k))
             k = j
@@ -114,6 +115,17 @@ class _Parser:
             raise ExprSyntaxError(tok.pos, {_label(kind)}, _label(tok.kind))
         self.k += 1
         return tok
+
+    def nat(self) -> tuple[Token, int]:
+        """The next NAT token and its value.  A number longer than the
+        interpreter's limit for int() (sys.get_int_max_str_digits) is a
+        syntax error at the token."""
+        tok = self.take("NAT")
+        try:
+            return tok, int(tok.text)
+        except ValueError:
+            raise ExprSyntaxError(tok.pos, {f"a number of at most {sys.get_int_max_str_digits()} "
+                                            f"digits"}, f"{len(tok.text)} digits") from None
 
     def error(self, expected) -> ExprSyntaxError:
         tok = self.peek()
@@ -188,15 +200,13 @@ class _Parser:
 
     def gen_d(self) -> Element:
         self.take("D")
-        tok = self.take("NAT")
-        index = int(tok.text)
+        tok, index = self.nat()
         if not 1 <= index <= self.sig.ell:
             raise DimensionError(tok.pos, f"derivation index {index} outside 1..{self.sig.ell}")
         power = 1
         if self.peek().kind == "CARET":
             self.take("CARET")
-            tok = self.take("NAT")
-            power = int(tok.text)
+            tok, power = self.nat()
             if power > MAX_POWER:
                 raise ExprSyntaxError(tok.pos, {f"a power of at most {MAX_POWER}"}, tok.text)
         return self.sig.d(index, power)
@@ -224,13 +234,13 @@ class _Parser:
                 raise self.error({"NAT"})
             self.take("MINUS")
             sign = -1
-        num = int(self.take("NAT").text)
+        num = self.nat()[1]
         if not nat_only and self.peek().kind == "SLASH":
             self.take("SLASH")
-            den_tok = self.take("NAT")
-            if int(den_tok.text) == 0:
+            den_tok, den = self.nat()
+            if den == 0:
                 raise ExprSyntaxError(den_tok.pos, {"positive integer"}, "0")
-            return Fraction(sign * num, int(den_tok.text))
+            return Fraction(sign * num, den)
         return Fraction(sign * num)
 
 
@@ -244,7 +254,7 @@ def parse_and_eval(src: str, sig: Signature) -> Element:
         if end.kind != "END":
             raise ExprSyntaxError(end.pos, {"+", "-", "*", "end of input"}, end.kind)
         return out
-    except (ExprSyntaxError, DimensionError) as exc:
+    except ExpressionError as exc:
         raise exc.locate(src)
 
 

@@ -19,7 +19,6 @@ from .errors import (
     EmptyGenerators,
     LatticeNotMapped,
     NondegenerateViolation,
-    SingularBasis,
     SingularMatrix,
 )
 from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
@@ -131,21 +130,6 @@ def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ..
     rows = [tuple(Fraction(x, lattice.denominator) for x in reversed(row))
             for row in linalg.hermite_normal_form(flipped)]
     return tuple(rows[ell - ell1:] + rows[:ell - ell1])
-
-
-def dual_derivation_basis(lattice: Lattice, alphas):
-    """Rows of the returned matrix express d_p in the standard derivation basis.
-
-    The defining property is <alpha^(p), d_q> = delta_{p,q} exactly.
-    """
-    rows = tuple(tuple(as_fraction(x) for x in a) for a in alphas)
-    if len(rows) != lattice.ambient_dim or any(
-            len(r) != lattice.ambient_dim for r in rows):
-        raise DimensionMismatch("need l points of length l")
-    try:
-        return linalg.mat_inverse(linalg.transpose(rows))
-    except SingularMatrix:
-        raise SingularBasis("chosen points are linearly dependent") from None
 
 
 class BlockMatrix:

@@ -93,6 +93,19 @@ class TestDerivationApply:
         with pytest.raises(NotInA):
             derivation_apply(w10, (1,), w10.d(1))
 
+    def test_rejects_a_target_in_another_algebra(self, desk, z2):
+        with pytest.raises(SignatureMismatch):
+            derivation_apply(desk, (1, 0), z2.x((1, 0)))
+
+    def test_rejects_lam_of_the_wrong_length(self, desk):
+        for lam in ((1,), (1, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                derivation_apply(desk, lam, desk.x((1, 0)))
+
+    def test_rejects_a_negative_entry(self, desk):
+        with pytest.raises(ValueError):
+            derivation_apply(desk, (1, -1), desk.x((1, 0)))
+
 
 class TestProduct:
     def test_derivation_past_polynomial_generator(self, w10):

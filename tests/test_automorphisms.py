@@ -387,6 +387,22 @@ class TestSigma1:
         e = w01.x((1,)) * w01.d(1)
         assert apply_sigma1(w01, e) == e + w01.x((1,))
 
+    @pytest.mark.parametrize("fixture", ("desk", "rank3", "rank4"))
+    def test_matches_the_product(self, request, fixture):
+        """sigma_1(w) = -sum c (-1)^|mu| d^mu . x^{al,i} over the terms
+        c x^{al,i} d^mu of w, each product formed by the kernel."""
+        sig = request.getfixturevalue(fixture)
+        rng = random.Random(13)
+        zero = (0,) * sig.ell
+        elems = [sig.zero(), sig.one()] + [random_element(sig, rng, max_terms=4, max_level=4)
+                                           for _ in range(20)]
+        for w in elems:
+            want = sig.zero()
+            for (al, i, mu), c in w.terms.items():
+                d_mu = Element(sig, {Monomial(zero, zero, mu): -c * (-1) ** sum(mu)})
+                want = want + d_mu * Element(sig, {Monomial(al, i, zero): 1})
+            assert apply_sigma1(sig, w) == want
+
     def test_order_two(self, desk):
         rng = random.Random(11)
         for _ in range(25):

@@ -331,11 +331,10 @@ class TestFaithfulnessWitness:
             faithfulness_witness(w01, w01.x((1,)))
 
     def test_dual_basis_polynomial(self, desk):
-        # d dual to the canonical rows acts on x^{n . basis} by n directly
-        from weyltype import dual_derivation_basis
-
-        dual = dual_derivation_basis(desk.lattice, desk.lattice.basis)
-        d = sum((desk.d(p + 1).scale(c) for p, c in enumerate(dual[0])), desk.zero())
+        # d = 2 d_1 pairs to 1 with the first canonical row (1/2, 1/2) and to 0
+        # with the second, (0, 1), so it acts on x^{n . basis} by n_1
+        assert desk.lattice.basis == ((Fraction(1, 2), Fraction(1, 2)), (0, 1))
+        d = desk.d(1, coeff=2)
         u = d * d - d
         alpha = faithfulness_witness(desk, u)
         coords = desk.lattice.coordinates(alpha)

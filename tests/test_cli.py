@@ -442,6 +442,17 @@ class TestSelftest:
         assert run_command(["selftest", "--suite", "parser", "--seed", "11"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, json_flag):
+        monkeypatch.setenv("WEYL_SEED", "abc")
+        assert run_command(["selftest", "--suite", "parser", *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "WEYL_SEED must be an integer, got 'abc'"
+        if json_flag:
+            assert json.loads(captured.out) == {"ok": False, "error": captured.err.strip()}
+        else:
+            assert captured.out == ""
+
     def test_iso_suite_without_derivation_slots(self, tmp_path, capsys):
         # the suite's invariant-mismatch target must have another shape than
         # the algebra, here (0, 2) for W(2, 0, Gamma)

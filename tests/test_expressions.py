@@ -1,9 +1,12 @@
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from weyltype import format_element, parse_and_eval
+from weyltype.cli import run_command
 from weyltype.errors import DimensionError, ExprSyntaxError, NotMember
 from weyltype.expressions import MAX_NESTING, MAX_POWER
 from weyltype.sampling import random_element
@@ -118,6 +121,50 @@ class TestPowerBound:
             assert err.value.position == len("x[(1,0)] * d2^")
             assert str(err.value) == (f"line 1, column 15: expected a power of at most "
                                       f"{MAX_POWER}, found {power}")
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="int() has no digit limit in this interpreter")
+class TestNumberLength:
+    """A number longer than the interpreter's digit limit for int() is a
+    syntax error at its token, in every place a number is read."""
+
+    LONG = "9" * (_INT_DIGITS + 700)
+    CASES = {"power": "d1^" + LONG, "scalar": LONG + " * d1",
+             "denominator": "1/" + LONG + " * d1", "index": "d" + LONG}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_parse_error_at_the_token(self, desk, name):
+        src = self.CASES[name]
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_and_eval(src, desk)
+        assert err.value.position == src.index(self.LONG)
+        assert err.value.args[0] == (f"expected a number of at most {_INT_DIGITS} digits, "
+                                     f"found {len(self.LONG)} digits")
+
+    @pytest.mark.parametrize("name", ("power", "scalar"))
+    def test_cli_exits_2_with_a_parse_error(self, tmp_path, capsys, name):
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps({"ell1": 1, "ell2": 1,
+                                      "gamma_generators": [["1", "0"], ["0", "1"],
+                                                           ["1/2", "1/2"]]}))
+        assert run_command(["eval", "--json", "--config", str(config), self.CASES[name]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: line 1, column ")
+        assert json.loads(captured.out)["error"] == captured.err.strip()
+
+    def test_the_limit_itself_is_accepted(self, desk):
+        nines = "9" * _INT_DIGITS
+        assert parse_and_eval(nines + " * d1", desk) == desk.d(1, coeff=int(nines))
+
+
+def test_non_decimal_digits_are_not_numbers(desk):
+    # str.isdigit accepts superscripts, which int() refuses
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_and_eval("d1\u00b2", desk)
+    assert err.value.position == 2
 
 
 class TestEval:

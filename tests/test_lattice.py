@@ -11,14 +11,12 @@ from weyltype import (
     Lattice,
     Signature,
     aut2_membership,
-    dual_derivation_basis,
 )
 from weyltype.errors import (
     BlockShapeViolation,
     DimensionMismatch,
     EmptyGenerators,
     NondegenerateViolation,
-    SingularBasis,
     SingularMatrix,
 )
 from weyltype.lattice import adapted_basis
@@ -232,45 +230,6 @@ class TestCoordinates:
         lat = Lattice(2, [(1, 0), (0, 1)])
         with pytest.raises(DimensionMismatch):
             lat.ambient((1, 0, 0))
-
-
-class TestDualBasis:
-    def test_standard_unit_vectors(self):
-        lat = Lattice(2, [(1, 0), (0, 1)])
-        C = dual_derivation_basis(lat, [(1, 0), (0, 1)])
-        assert C == ((1, 0), (0, 1))
-
-    def test_rank_one_scaling(self):
-        lat = Lattice(1, [(2,)])
-        C = dual_derivation_basis(lat, [(2,)])
-        assert C == ((Fraction(1, 2),),)
-
-    def test_two_dimensional_example(self):
-        lat = Lattice(2, [(1, 1), (0, 1)])
-        C = dual_derivation_basis(lat, [(1, 1), (0, 1)])
-        assert C == ((1, 0), (-1, 1))
-
-    def test_dependent_points_rejected(self):
-        lat = Lattice(2, [(1, 0), (0, 1)])
-        with pytest.raises(SingularBasis):
-            dual_derivation_basis(lat, [(1, 1), (2, 2)])
-
-    def test_duality_property(self):
-        rng = random.Random(11)
-        lat = Lattice(2, [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))])
-        for _ in range(15):
-            alphas = None
-            while alphas is None:
-                cand = [lat.ambient((rng.randint(-3, 3), rng.randint(-3, 3)))
-                        for _ in range(2)]
-                try:
-                    C = dual_derivation_basis(lat, cand)
-                    alphas = cand
-                except SingularBasis:
-                    continue
-            for p in range(2):
-                for q in range(2):
-                    assert dot(alphas[p], C[q]) == (1 if p == q else 0)
 
 
 class TestPairing:

@@ -71,8 +71,8 @@ from .errors import (
     SignatureMismatch,
 )
 from .lattice import Lattice
-from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json, point_str,
-                        rational_from_json, rational_str)
+from .rationals import (as_fraction, field_from_json, int_from_json, list_from_json,
+                        object_from_json, point_str, rational_from_json, rational_str)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +235,9 @@ class Signature:
     @classmethod
     def from_dict(cls, data: dict) -> "Signature":
         data = object_from_json(data, "signature")
-        return cls(int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2"),
-                   Lattice.from_dict(data["lattice"]))
+        return cls(int_from_json(field_from_json(data, "ell1", "signature"), "ell1"),
+                   int_from_json(field_from_json(data, "ell2", "signature"), "ell2"),
+                   Lattice.from_dict(field_from_json(data, "lattice", "signature")))
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +714,18 @@ def element_to_dict(e: Element) -> dict:
 
 def element_from_dict(data: dict, signature: Signature | None = None) -> Element:
     data = object_from_json(data, "element")
-    sig = signature if signature is not None else Signature.from_dict(data["signature"])
+    sig = (signature if signature is not None
+           else Signature.from_dict(field_from_json(data, "signature", "element")))
     out: dict = {}
-    for t in list_from_json(data["terms"], "terms"):
+    for t in list_from_json(field_from_json(data, "terms", "element"), "terms"):
         t = object_from_json(t, "term")
+        alpha, i, mu, coeff = (field_from_json(t, key, "term")
+                               for key in ("alpha", "i", "mu", "coeff"))
         term = sig.monomial(
-            alpha=[rational_from_json(x) for x in list_from_json(t["alpha"], "alpha")],
-            i=[int_from_json(x, "i") for x in list_from_json(t["i"], "i")],
-            mu=[int_from_json(x, "mu") for x in list_from_json(t["mu"], "mu")],
-            coeff=rational_from_json(t["coeff"]),
+            alpha=[rational_from_json(x) for x in list_from_json(alpha, "alpha")],
+            i=[int_from_json(x, "i") for x in list_from_json(i, "i")],
+            mu=[int_from_json(x, "mu") for x in list_from_json(mu, "mu")],
+            coeff=rational_from_json(coeff),
         )
         for m, c in term.terms.items():
             out[m] = out.get(m, Fraction(0)) + c

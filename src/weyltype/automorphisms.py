@@ -14,8 +14,8 @@ extension ``_hom_extend``.  Every table sends x^alpha and x^{1_[p]} into A,
 so the image of x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of
 A times the product of the d_q-image powers; the extension builds each D(mu)
 once per call and attaches the A-part by an integer convolution.  sigma_tau
-and sigma_v keep their table from the first apply on.  exp(ad u) is the table
-d_q -> d_q + [u, d_q] with A fixed, not a series.
+and the normal form keep their table from the first apply on.  exp(ad u) is
+the table d_q -> d_q + [u, d_q] with A fixed, not a series.
 
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
@@ -28,6 +28,8 @@ decision).  The tables and the extension run on the integer form of the
 elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
+After the twist it is one homomorphism: the form keeps one composite
+generator table and applies it in one pass of the extension.
 ``compose_normal_forms`` is the one group law: it composes any two normal
 forms symbolically, the twist included, since conjugation by sigma_1 maps
 each family to itself.  ``decompose_automorphism`` recovers the factored
@@ -67,8 +69,8 @@ from .errors import (
 )
 from .expressions import format_element
 from .lattice import BlockMatrix, Character, lattice_motion
-from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
-                        rational_str, vector_from_json)
+from .rationals import (as_fraction, field_from_json, int_from_json, list_from_json,
+                        object_from_json, rational_str, vector_from_json)
 from .sampling import (random_A_element, random_aut2, random_character, random_element,
                        random_shift_vector)
 
@@ -148,7 +150,10 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
     def power(tag, base: Element, k: int) -> Element:
         cached = powers.get((tag, k))
         if cached is None:
-            cached = base if k == 1 else power(tag, base, k - 1) * base
+            # the base on the left: a term of level <= 1 meets each term of
+            # the power in at most two Leibniz terms, while the power on the
+            # left would expand its high d-powers over the base's A-part
+            cached = base if k == 1 else base * power(tag, base, k - 1)
             powers[(tag, k)] = cached
         return cached
 
@@ -393,9 +398,9 @@ class InnerExp:
         if w.in_A():
             return w
         sig = self.signature
-        # built per call and only for the d_q that occur in w: a derivation
-        # pass over u is cheap, while a kept table would hold every d_q(u)
-        # for as long as the automorphism lives
+        # built per call and only for the d_q that occur in w, since a
+        # derivation pass over u is cheap; a normal form keeps its composite
+        # table instead, which holds l + l1 elements, as TauAut's does
         used = {q for m in w.num for q, k in enumerate(m.mu) if k}
         d_images = [generator_element(sig, ("d", q + 1))
                     - derivation_apply(sig, unit_index(sig.ell, q + 1), self.u)
@@ -420,7 +425,7 @@ class ShiftV:
     """sigma_v: fixes every x^a, shifts the polynomial generator row by the
     first l1 slots of v and the derivation row by the last l2 slots."""
 
-    __slots__ = ("signature", "v", "_images")
+    __slots__ = ("signature", "v")
 
     def __init__(self, signature: Signature, v):
         vv = tuple(as_fraction(x) for x in v)
@@ -428,20 +433,17 @@ class ShiftV:
             raise DimensionMismatch("shift vector length differs from l")
         self.signature = signature
         self.v = vv
-        self._images = None
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
         sig = self.signature
-        if self._images is None:
-            x1_images = [generator_element(sig, ("xi", p + 1)) + sig.scalar(self.v[p])
-                         for p in range(sig.ell1)]
-            d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
-                        if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
-                        for q in range(sig.ell)]
-            self._images = (_fixed_x_image(sig), x1_images, d_images)
-        return _hom_extend(w, sig, *self._images)
+        x1_images = [generator_element(sig, ("xi", p + 1)) + sig.scalar(self.v[p])
+                     for p in range(sig.ell1)]
+        d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
+                    if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
+                    for q in range(sig.ell)]
+        return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
@@ -487,15 +489,40 @@ class Sigma1:
 # normal form and the group law
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _normal_form_table(nf: "NormalFormAut"):
+    """Generator table of the homomorphism sigma_tau . sigma_u . sigma_v.
+
+    sigma_v sends x^{1_[p]} to x^{1_[p]} + v_p and d_q to d_q + v_q [q > l1],
+    sigma_u fixes A and sends d_q to d_q - d_q(u), and both fix x^a, so
+
+        x^a -> tau(x^a),  x^{1_[p]} -> tau(x^{1_[p]}) + v_p,
+        d_q -> tau(d_q) - tau(d_q(u)) + v_q [q > l1].
+    """
+    tau, sig, v = nf.tau, nf.signature, nf.v.v
+    x_image, x1_images, d_images = tau._table()
+    x1_images = [e + sig.scalar(v[p]) for p, e in enumerate(x1_images)]
+    d_images = [e - tau.apply(derivation_apply(sig, unit_index(sig.ell, q + 1), nf.u.u))
+                + sig.scalar(v[q] if q >= sig.ell1 else 0)
+                for q, e in enumerate(d_images)]
+    return x_image, x1_images, d_images
+
+
+@dataclass(frozen=True)
 class NormalFormAut:
-    """The factored automorphism sigma_tau . sigma_u . sigma_v . sigma_1^eps."""
+    """The factored automorphism sigma_tau . sigma_u . sigma_v . sigma_1^eps.
+
+    After the twist it is one algebra homomorphism, applied through one
+    extension of its composite generator table (``_normal_form_table``),
+    built on first use and kept.  The fields are frozen, so the kept table
+    always matches them.
+    """
 
     tau: TauAut
     u: InnerExp
     v: ShiftV
     eps: int = 0
     mode: str = MODE_LIE
+    _images: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = self.tau.signature
@@ -514,10 +541,17 @@ class NormalFormAut:
     def signature(self) -> Signature:
         return self.tau.signature
 
+    def _table(self):
+        if self._images is None:
+            object.__setattr__(self, "_images", _normal_form_table(self))
+        return self._images
+
     def apply(self, w: Element) -> Element:
+        if w.signature != self.signature:
+            raise SignatureMismatch("element belongs to a different algebra")
         if self.eps:
             w = apply_sigma1(self.signature, w)
-        return self.tau.apply(self.u.apply(self.v.apply(w)))
+        return _hom_extend(w, self.signature, *self._table())
 
     @classmethod
     def identity(cls, sig: Signature, mode: str = MODE_LIE) -> "NormalFormAut":
@@ -544,16 +578,16 @@ class NormalFormAut:
     @classmethod
     def from_dict(cls, data: dict, signature: Signature | None = None) -> "NormalFormAut":
         data = object_from_json(data, "normal form")
-        u_elem = element_from_dict(data["u"], signature)
+        u_elem = element_from_dict(field_from_json(data, "u", "normal form"), signature)
         sig = u_elem.signature
-        tau = object_from_json(data["tau"], "tau")
-        rows = list_from_json(tau["G"], "G")
+        tau = object_from_json(field_from_json(data, "tau", "normal form"), "tau")
+        rows = list_from_json(field_from_json(tau, "G", "tau"), "G")
         if len(rows) != sig.ell:
             raise ValueError(f"G has {len(rows)} rows, expected {sig.ell}")
         G = BlockMatrix(sig.ell1, sig.ell2,
                         [vector_from_json(row, sig.ell, "G row") for row in rows])
-        f = Character(sig.lattice, vector_from_json(tau["f"], sig.ell, "f"))
-        v = ShiftV(sig, vector_from_json(data["v"], sig.ell, "v"))
+        f = Character(sig.lattice, vector_from_json(field_from_json(tau, "f", "tau"), sig.ell, "f"))
+        v = ShiftV(sig, vector_from_json(field_from_json(data, "v", "normal form"), sig.ell, "v"))
         return cls(TauAut(sig, G, f), InnerExp(u_elem), v,
                    int_from_json(data.get("eps", 0), "eps"), data.get("mode", MODE_LIE))
 
@@ -699,13 +733,16 @@ class FunctionalAut:
     @classmethod
     def from_dict(cls, data: dict) -> "FunctionalAut":
         data = object_from_json(data, "automorphism")
-        sig = Signature.from_dict(data["signature"])
+        sig = Signature.from_dict(field_from_json(data, "signature", "automorphism"))
         keys = {_gen_label(k): k for k in generator_keys(sig)}
-        images = {}
-        for label, e in object_from_json(data["images"], "images").items():
+        given = object_from_json(field_from_json(data, "images", "automorphism"), "images")
+        for label in given:
             if label not in keys:
                 raise ValueError(f"unknown generator label {label!r}")
-            images[keys[label]] = element_from_dict(e, sig)
+        missing = [label for label in keys if label not in given]
+        if missing:
+            raise ValueError(f"images has no entry for {', '.join(missing)}")
+        images = {keys[label]: element_from_dict(e, sig) for label, e in given.items()}
         return cls(sig, data.get("mode", MODE_LIE), images)
 
 

@@ -26,7 +26,7 @@ from .errors import (DimensionMismatch, EmptyGenerators, ExpressionError,
                      HomomorphismCounterexample, NondegenerateViolation, NotMember, WeylError)
 from .expressions import format_element, parse_and_eval
 from .lattice import Lattice
-from .rationals import int_from_json, list_from_json, vector_from_json
+from .rationals import field_from_json, int_from_json, list_from_json, vector_from_json
 from .selftest import SUITES, run_suites
 from .sampling import desk_signature
 
@@ -59,9 +59,10 @@ def _read_json_object(path: str) -> dict:
 
 def _signature_from_file(path: str) -> Signature:
     data = _read_json_object(path)
-    ell1, ell2 = int_from_json(data["ell1"], "ell1"), int_from_json(data["ell2"], "ell2")
-    gens = [vector_from_json(row, ell1 + ell2, "generator")
-            for row in list_from_json(data["gamma_generators"], "gamma_generators")]
+    ell1, ell2 = (int_from_json(field_from_json(data, key, "config"), key)
+                  for key in ("ell1", "ell2"))
+    rows = list_from_json(field_from_json(data, "gamma_generators", "config"), "gamma_generators")
+    gens = [vector_from_json(row, ell1 + ell2, "generator") for row in rows]
     try:
         return Signature(ell1, ell2, Lattice(ell1 + ell2, gens))
     except (NondegenerateViolation, EmptyGenerators, DimensionMismatch) as exc:

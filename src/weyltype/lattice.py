@@ -21,8 +21,8 @@ from .errors import (
     NondegenerateViolation,
     SingularMatrix,
 )
-from .rationals import (as_fraction, int_from_json, list_from_json, object_from_json,
-                        point_str, rational_str, vector_from_json, vector_strs)
+from .rationals import (as_fraction, field_from_json, int_from_json, list_from_json,
+                        object_from_json, point_str, rational_str, vector_from_json, vector_strs)
 
 
 class Lattice:
@@ -114,9 +114,9 @@ class Lattice:
     @classmethod
     def from_dict(cls, data: dict) -> "Lattice":
         data = object_from_json(data, "lattice")
-        dim = int_from_json(data["ambient_dim"], "ambient_dim")
-        return cls(dim, [vector_from_json(g, dim, "generator")
-                         for g in list_from_json(data["generators"], "generators")])
+        dim = int_from_json(field_from_json(data, "ambient_dim", "lattice"), "ambient_dim")
+        gens = list_from_json(field_from_json(data, "generators", "lattice"), "generators")
+        return cls(dim, [vector_from_json(g, dim, "generator") for g in gens])
 
 
 def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ...]:

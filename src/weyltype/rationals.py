@@ -38,6 +38,14 @@ def object_from_json(value, name: str) -> dict:
     return value
 
 
+def field_from_json(data: dict, key: str, name: str):
+    """The field ``key`` of the JSON object ``name``; ValueError naming both
+    when it is absent."""
+    if key not in data:
+        raise ValueError(f"{name} has no field {key!r}")
+    return data[key]
+
+
 def list_from_json(value, name: str) -> list:
     """A JSON list; ValueError naming ``name`` for any other JSON value."""
     if not isinstance(value, list):

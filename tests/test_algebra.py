@@ -435,7 +435,8 @@ class TestPackedKernel:
                 assert a.bracket(c) == zero
         assert zero.den == 1 and zero.num == {}
 
-    def test_action_and_derivation_apply(self, wide, path):
+    def test_action_and_derivation_apply(self, wide):
+        """Neither reads PACKED_PAIRS, so one run per wide case."""
         sig, _, seed = wide
         rng = random.Random(seed + 5)
         for nw, na in ((1, 1), (4, 4), (8, 6)):

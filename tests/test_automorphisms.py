@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from weyltype import (
     verify_automorphism,
 )
 from weyltype import automorphisms, linalg
-from weyltype.algebra import Element, Monomial, act_on_A, unit_index
+from weyltype.algebra import Element, Monomial, act_on_A, derivation_apply, unit_index
 from weyltype.lattice import adapted_basis, aut2_membership, lattice_motion
 from weyltype.rationals import point_str
 from weyltype.classification import iso_search_bounded
@@ -39,6 +40,7 @@ from weyltype.errors import (
     LatticeNotMapped,
     NotAnAutomorphism,
     NotInA,
+    SignatureMismatch,
 )
 from weyltype.sampling import (
     random_A_element,
@@ -477,6 +479,58 @@ def _decomposition_route(a, b):
     images = {key: a.apply(b.apply(generator_element(sig, key)))
               for key in generator_keys(sig)}
     return decompose_automorphism(FunctionalAut(sig, MODE_LIE, images))
+
+
+def _factor_chain(nf, w):
+    """The definition tau(u(v(sigma_1^eps(w)))), one factor at a time: the
+    reference for the normal form's one-pass apply."""
+    if nf.eps:
+        w = apply_sigma1(nf.signature, w)
+    return nf.tau.apply(nf.u.apply(nf.v.apply(w)))
+
+
+class TestNormalFormApply:
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_matches_factor_chain(self, sig_name, eps, request):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(40 + eps)
+        gens = [generator_element(sig, key) for key in generator_keys(sig)]
+        for _ in range(3):
+            nf = _draw_normal_form(sig, rng, eps)
+            elements = gens + [random_element(sig, rng) for _ in range(4)]
+            elements += [random_A_element(sig, rng) for _ in range(2)]
+            for w in elements:
+                assert nf.apply(w) == _factor_chain(nf, w)
+
+    def test_foreign_element_raises(self, desk, rank3):
+        rng = random.Random(42)
+        for eps in (0, 1):
+            nf = _draw_normal_form(desk, rng, eps)
+            with pytest.raises(SignatureMismatch):
+                nf.apply(rank3.d(1))
+
+    def test_fields_are_frozen(self, desk):
+        nf = random_normal_form_aut(desk, random.Random(43))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nf.u = InnerExp.identity(desk)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nf.eps = 1 - nf.eps
+
+    def test_table_built_once(self, rank3, monkeypatch):
+        rng = random.Random(44)
+        nf = _draw_normal_form(rank3, rng, 1)
+        elements = [random_element(rank3, rng) for _ in range(10)]
+        expected = [_factor_chain(nf, w) for w in elements]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derivation_apply(*args)
+
+        monkeypatch.setattr(automorphisms, "derivation_apply", counted)
+        assert [nf.apply(w) for w in elements] == expected
+        assert 0 < len(calls) <= rank3.ell
 
 
 class TestComposeNormalForms:

@@ -603,6 +603,65 @@ class TestMalformedFiles:
         assert capsys.readouterr().out == "-1 + d1\n"
 
 
+def _drop(path):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
+def _without_images(*labels):
+    def edit(data):
+        for label in labels:
+            del data["images"][label]
+    return edit
+
+
+# (config data, automorphism data or None, message): each file lacks a field,
+# and the message names the object and the field, or the generator labels
+MISSING_FIELDS = {
+    "config-as-normal-form": (DESK_CONFIG, DESK_CONFIG, "normal form has no field 'u'"),
+    "normal-form-without-u": (DESK_CONFIG, _nf_file(_drop(("u",))),
+                              "normal form has no field 'u'"),
+    "tau-without-f": (DESK_CONFIG, _nf_file(_drop(("tau", "f"))), "tau has no field 'f'"),
+    "term-without-coeff": (DESK_CONFIG, _nf_file(_drop(("u", "terms", 0, "coeff"))),
+                           "term has no field 'coeff'"),
+    "config-without-ell2": ({"ell1": 1, "gamma_generators": DESK_CONFIG["gamma_generators"]},
+                            None, "config has no field 'ell2'"),
+    "images-without-d2": (DESK_CONFIG, _functional_file(_without_images("d2")),
+                          "images has no entry for d2"),
+    "images-without-d1-and-xi1": (DESK_CONFIG, _functional_file(_without_images("d1", "xi1")),
+                                  "images has no entry for xi1, d1"),
+    "signature-without-lattice": (DESK_CONFIG, _functional_file(_drop(("signature", "lattice"))),
+                                  "signature has no field 'lattice'"),
+}
+
+
+class TestMissingFields:
+    @pytest.fixture(params=sorted(MISSING_FIELDS))
+    def case(self, request, tmp_path):
+        config, aut, message = MISSING_FIELDS[request.param]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        if aut is None:
+            return ["eval", "--config", str(cfg), "d1"], message
+        path = tmp_path / "aut.json"
+        path.write_text(json.dumps(aut))
+        return ["aut", "apply", "--config", str(cfg), "--aut", str(path), "d1"], message
+
+    def test_names_the_object_and_the_field(self, case, capsys):
+        argv, message = case
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == f"bad input: {message}\n"
+
+    def test_json_envelope(self, case, capsys):
+        argv, message = case
+        assert run_command(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"ok": False,
+                                                      "error": f"bad input: {message}"}
+
+
 def _repeated_label_file():
     """The identity automorphism in functional form with a second "x-1" label,
     holding the image of x^{+b_1}, ahead of the real one."""

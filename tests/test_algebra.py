@@ -435,14 +435,18 @@ class TestPackedKernel:
                 assert a.bracket(c) == zero
         assert zero.den == 1 and zero.num == {}
 
-    def test_action_and_derivation_apply(self, wide):
-        """Neither reads PACKED_PAIRS, so one run per wide case."""
+    def test_action_and_derivation_apply(self, wide, path):
+        """Neither reads PACKED_PAIRS; on each kernel path the action must
+        equal the mu = 0 part of the product w . a (its lam = mu terms)."""
         sig, _, seed = wide
         rng = random.Random(seed + 5)
         for nw, na in ((1, 1), (4, 4), (8, 6)):
             w = _wide_element(sig, rng, nw, max_level=4)
             a = _wide_element(sig, rng, na, max_level=0) + sig.scalar(F(5, 2))
-            _same(act_on_A(w, a), _ref_act_on_A(w, a))
+            want = _ref_act_on_A(w, a)
+            _same(act_on_A(w, a), want)
+            product = (w * a).terms
+            _same(Element(sig, {m: c for m, c in product.items() if not any(m.mu)}), want)
             lam = tuple(rng.randint(0, 2) for _ in range(sig.ell))
             d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
             _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))

@@ -148,13 +148,15 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
     d_parts: dict = {zero: out_sig.one()}
 
     def power(tag, base: Element, k: int) -> Element:
-        cached = powers.get((tag, k))
-        if cached is None:
+        top = k
+        while top > 1 and (tag, top) not in powers:
+            top -= 1
+        cached = powers.setdefault((tag, top), base)  # top = 1: the base itself
+        for j in range(top + 1, k + 1):
             # the base on the left: a term of level <= 1 meets each term of
             # the power in at most two Leibniz terms, while the power on the
             # left would expand its high d-powers over the base's A-part
-            cached = base if k == 1 else base * power(tag, base, k - 1)
-            powers[(tag, k)] = cached
+            cached = powers[(tag, j)] = base * cached
         return cached
 
     def require_A(num: dict, gen: tuple) -> None:
@@ -812,8 +814,8 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
 
     G is the level-1 part of the derivation images.  With tau_g = (G, 1),
     psi = tau_g^{-1} phi = tau_f sigma_u sigma_v sigma_1^eps (tau_f = (I, f)) is
-    applied to the images once, and every other factor is read off them in
-    closed form.  sigma_1 fixes each d_q and tau_f commutes with d_q, so
+    applied to the d_q and x^{1_[p]} images, and the other factors are read
+    off in closed form.  sigma_1 fixes each d_q and tau_f commutes with d_q, so
 
         psi(d_q) = d_q - d_q(u') + v_q [q > l1],   u' = tau_f(u),
 
@@ -828,8 +830,8 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
       on a closed polynomial form;
     * al = 0 and q > l1: a constant c, which is v_q.
 
-    The unit image is c0 = (-1)^eps and the x^{+-b_k} images are
-    c0 f(+-b_k) x^{+-b_k}, which give eps and f; u is u' with the coefficient
+    The unit image is c0 = (-1)^eps and the x^{+-b_k} images of phi are
+    c0 f(+-b_k) x^{+-b_k G^{-1}}, which give eps and f; u is u' with the coefficient
     of x^{al,i} divided by f(al); c0 psi(x^{1_[p]}) = x^{1_[p]} + v_p gives the
     polynomial shift.  Raises NotAnAutomorphism as soon as an image violates
     the shape this factorization forces.  The form is then applied to every
@@ -856,10 +858,10 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     except (BlockShapeViolation, DimensionMismatch, SingularMatrix) as exc:
         raise NotAnAutomorphism(f"derivation images give no block matrix: {exc}") from exc
     try:
-        back = TauAut(sig, G, Character.trivial(sig.lattice)).inverse()
+        tau_g = TauAut(sig, G, Character.trivial(sig.lattice))
     except LatticeNotMapped as exc:
         raise NotAnAutomorphism("derivation images do not stabilize the lattice") from exc
-    images = {key: back.apply(e) for key, e in phi.images.items()}
+    back = tau_g.inverse()
 
     # u' and the derivation shifts off w_q = psi(d_q) - d_q
     u_prime: dict = {}
@@ -867,7 +869,7 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     for q0 in range(ell):
         q = q0 + 1
         # w_q lies in A: tau_g^{-1} sends the level-1 part of phi(d_q) to d_q
-        for (al, i, _), c in (images[("d", q)] - sig.d(q)).terms.items():
+        for (al, i, _), c in (back.apply(phi.images[("d", q)]) - sig.d(q)).terms.items():
             if al != zero:
                 if next(k for k, g in enumerate(sig.lattice.grades(al)) if g) == q0:
                     for key, val in _solve_d_preimage(sig, q0, al, i, -c):
@@ -880,8 +882,10 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
             else:
                 v[q0] = c
 
-    # the sign c0 = (-1)^eps and the character off the unit and x-images
-    unit = images[("one",)]
+    # the sign c0 = (-1)^eps and the character off the unit and x-images of
+    # phi itself: tau_g fixes scalars and moves x^{+-b_k} to x^{+-b_k G^{-1}},
+    # the lattice point with coordinates +-(row k of N)
+    unit = phi.images[("one",)]
     if set(unit.num) != {Monomial(zero, zero, zero)}:
         raise NotAnAutomorphism("image of the unit is not scalar")
     c0 = unit.constant_coefficient()
@@ -891,8 +895,8 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     for k in range(1, ell + 1):
         coeffs = {}
         for s in (1, -1):
-            image = images[("x", k, s)]
-            expected = Monomial(unit_index(ell, k, s), zero, zero)
+            image = phi.images[("x", k, s)]
+            expected = Monomial(tuple(s * n for n in tau_g.N[k - 1]), zero, zero)
             if set(image.num) != {expected}:
                 raise NotAnAutomorphism(
                     f"image of x^{{{'+' if s > 0 else '-'}b_{k}}} is not a scalar multiple")
@@ -904,13 +908,18 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     f = Character(sig.lattice, f_values)
     eps = 1 if c0 == -1 else 0
 
-    # the polynomial shift off the x^{1_[p]} images
+    # the polynomial shift off the x^{1_[p]} images; tau_g^{-1} keeps the span
+    # of 1 and the x^{1_[r]}, so other terms are refused before the pull-back
     for p in range(1, ell1 + 1):
-        extra = {m: c0 * c for m, c in images[("xi", p)].terms.items()}
-        if extra.pop(Monomial(zero, unit_index(ell, p), zero), None) != 1:
-            raise NotAnAutomorphism(
-                f"image of x^{{1_[{p}]}} has no unit x^{{1_[{p}]}} part")
-        v[p - 1] = extra.pop(Monomial(zero, zero, zero), Fraction(0))
+        image = phi.images[("xi", p)]
+        extra = {m: c for m, c in image.terms.items()
+                 if m.alpha != zero or sum(m.i) > 1 or m.mu != zero}
+        if not extra:
+            extra = {m: c0 * c for m, c in back.apply(image).terms.items()}
+            if extra.pop(Monomial(zero, unit_index(ell, p), zero), None) != 1:
+                raise NotAnAutomorphism(
+                    f"image of x^{{1_[{p}]}} has no unit x^{{1_[{p}]}} part")
+            v[p - 1] = extra.pop(Monomial(zero, zero, zero), Fraction(0))
         if extra:
             raise NotAnAutomorphism(
                 f"image of x^{{1_[{p}]}} has stray terms {format_element(Element(sig, extra))}")

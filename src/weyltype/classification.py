@@ -124,11 +124,13 @@ def iso_search_bounded(src: Signature, dst: Signature,
         return IsoSearchResult(
             "impossible",
             reason=f"(l1, l2) = {(src.ell1, src.ell2)} != {(dst.ell1, dst.ell2)}")
-    a_src = adapted_basis(src.lattice, src.ell1)
-    a_dst = adapted_basis(dst.lattice, dst.ell1)
+    # A = K / D for each adapted basis: G = D_dst adj(K_dst) K_src / (det K_dst D_src)
+    det, adj = linalg.integer_det_adjugate(adapted_basis(dst.lattice, dst.ell1))
+    k_src = adapted_basis(src.lattice, src.ell1)
+    den, g = linalg.integer_product((det, adj), (src.lattice.denominator, k_src))
     try:
         G = BlockMatrix(src.ell1, src.ell2,
-                        linalg.mat_mul(linalg.mat_inverse(a_dst), a_src))
+                        [[Fraction(dst.lattice.denominator * x, den) for x in row] for row in g])
         cand = IsoCandidate(G, Character.trivial(src.lattice))
         iso = iso_verify(src, dst, cand, trials=trials)
     except WeylError as exc:

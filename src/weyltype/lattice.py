@@ -29,7 +29,7 @@ class Lattice:
     """A rank-l subgroup of Q^l with a canonical Z-basis (rows of ``basis``)."""
 
     __slots__ = ("ambient_dim", "generators", "basis", "denominator",
-                 "integer_basis", "_inverse", "_scaled_inverse")
+                 "integer_basis", "scaled_inverse", "basis_inverse")
 
     def __init__(self, ambient_dim: int, generators):
         if ambient_dim < 1:
@@ -55,21 +55,13 @@ class Lattice:
         self.integer_basis = tuple(tuple(x // g for x in row) for row in hnf)
         self.basis = tuple(tuple(Fraction(x, denominator) for x in row)
                            for row in self.integer_basis)
-        self._inverse = None
-        self._scaled_inverse = None
-
-    @property
-    def basis_inverse(self):
-        if self._inverse is None:
-            self._inverse = linalg.mat_inverse(self.basis)
-        return self._inverse
-
-    @property
-    def scaled_inverse(self) -> tuple[int, tuple]:
-        """basis_inverse as (E, K), an integer matrix K over one denominator E."""
-        if self._scaled_inverse is None:
-            self._scaled_inverse = linalg.scaled_integer(self.basis_inverse)
-        return self._scaled_inverse
+        # basis^{-1} = denominator adj(integer_basis) / det over its least
+        # denominator; det > 0, as the HNF is triangular with positive pivots
+        det, adj = linalg.integer_det_adjugate(self.integer_basis)
+        g = gcd(det, *(denominator * x for row in adj for x in row))
+        inverse = tuple(tuple(denominator * x // g for x in row) for row in adj)
+        self.scaled_inverse = det // g, inverse
+        self.basis_inverse = tuple(tuple(Fraction(x, det // g) for x in row) for row in inverse)
 
     def coordinates(self, v):
         """Integer coordinates n with n . basis = v, or None when v is not in the lattice."""
@@ -77,10 +69,11 @@ class Lattice:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
-        coords = linalg.vec_mat(v, self.basis_inverse)
-        if any(c.denominator != 1 for c in coords):
+        den, (coords,) = linalg.integer_product(linalg.scaled_integer((v,)),
+                                                self.scaled_inverse)
+        if any(c % den for c in coords):
             return None
-        return tuple(int(c) for c in coords)
+        return tuple(c // den for c in coords)
 
     def grades(self, coords) -> tuple[int, ...]:
         """denominator * the lattice point with the given integer basis coordinates."""
@@ -119,23 +112,24 @@ class Lattice:
         return cls(dim, [vector_from_json(g, dim, "generator") for g in gens])
 
 
-def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[Fraction, ...], ...]:
-    """A Z-basis of Gamma whose first ``ell1`` rows span Gamma ∩ (Q^l1 x 0):
-    the row HNF of the column-reversed basis, with its last ``ell1`` rows
-    (zero past slot l1) moved to the front."""
+def adapted_basis(lattice: Lattice, ell1: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows K of a Z-basis K / lattice.denominator of Gamma whose
+    first ``ell1`` rows span Gamma ∩ (Q^l1 x 0): the row HNF of the
+    column-reversed integer basis, with its last ``ell1`` rows (zero past
+    slot l1) moved to the front."""
     ell = lattice.ambient_dim
     if not 0 <= ell1 <= ell:
         raise DimensionMismatch(f"l1 = {ell1} outside 0..{ell}")
     flipped = [row[::-1] for row in lattice.integer_basis]
-    rows = [tuple(Fraction(x, lattice.denominator) for x in reversed(row))
-            for row in linalg.hermite_normal_form(flipped)]
+    rows = [row[::-1] for row in linalg.hermite_normal_form(flipped)]
     return tuple(rows[ell - ell1:] + rows[:ell - ell1])
 
 
 class BlockMatrix:
-    """Invertible l x l rational matrix with vanishing upper-right l1 x l2 block."""
+    """Invertible l x l rational matrix with vanishing upper-right l1 x l2 block;
+    ``scaled`` is (den, K), K an integer matrix over the least denominator."""
 
-    __slots__ = ("ell1", "ell2", "entries")
+    __slots__ = ("ell1", "ell2", "entries", "scaled")
 
     def __init__(self, ell1: int, ell2: int, entries):
         ell = ell1 + ell2
@@ -147,8 +141,9 @@ class BlockMatrix:
                 if rows[r][c] != 0:
                     raise BlockShapeViolation(
                         f"entry ({r + 1},{c + 1}) must vanish in block form")
+        self.scaled = linalg.scaled_integer(rows)
         # the upper-right block vanishes, so det G = det M * det Q
-        if linalg.mat_det(rows) == 0:
+        if not linalg.integer_det_adjugate(self.scaled[1])[0]:
             raise SingularMatrix("diagonal blocks must be invertible")
         self.ell1 = ell1
         self.ell2 = ell2
@@ -178,15 +173,15 @@ def lattice_motion(src: Lattice, dst: Lattice, G: BlockMatrix) -> tuple[tuple, t
     """(N, N^{-1}): row k of the integer matrix N holds the dst-coordinates of
     b_k . G^{-1} for the basis row b_k of src, so N = B_src G^{-1} B_dst^{-1}.
 
-    Integers only: with G = K / e, G^{-1} = e adj(K) / det K from
-    ``linalg.integer_det_adjugate``; the rows of N come from integer products
+    Integers only: with G = K / e, its ``scaled`` form, G^{-1} = e adj(K) / det K
+    from ``linalg.integer_det_adjugate``; the rows of N come from integer products
     over one denominator and are checked for integrality in order, then
     det N = +-1 with the same routine, which also gives N^{-1} = det N adj N.
     Raises LatticeNotMapped unless src . G^{-1} = dst, so it is the lattice
     check of every (G, f) map: sigma_tau, the isomorphism maps and Aut2
     membership.
     """
-    e, K = linalg.scaled_integer(G.entries)
+    e, K = G.scaled
     det_k, adj_k = linalg.integer_det_adjugate(K)  # nonzero: a BlockMatrix is invertible
     # row k of images, times e / img_den, is b_k . G^{-1}
     img_den, images = linalg.integer_product((src.denominator, src.integer_basis),

@@ -3,9 +3,9 @@
 Vectors act from the left (row vector times matrix) throughout the package.
 A rational matrix is a tuple of row tuples of Fraction, or travels as
 (den, K), an integer matrix K over one denominator, which
-``integer_product`` multiplies without building a Fraction.  Every
-elimination is fraction-free: ``integer_det_adjugate`` (Bareiss) is the
-only one, and ``mat_det`` and ``mat_inverse`` are its Fraction views.
+``integer_product`` multiplies without building a Fraction; lattice data
+keep that form.  ``integer_det_adjugate`` (Bareiss, fraction-free) is the
+only elimination; its Fraction view ``mat_det`` is a perfbench probe target.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -57,14 +57,6 @@ def dot(u, v) -> Fraction:
 def mat_det(m: Matrix) -> Fraction:
     e, k = scaled_integer(m)
     return Fraction(integer_det_adjugate(k)[0], e ** len(m))
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    e, k = scaled_integer(m)
-    det, adj = integer_det_adjugate(k)
-    if not det:
-        raise SingularMatrix("matrix is not invertible")
-    return tuple(tuple(Fraction(e * x, det) for x in row) for row in adj)
 
 
 def integer_det_adjugate(m) -> tuple[int, tuple[tuple[int, ...], ...] | None]:

@@ -113,7 +113,7 @@ def random_aut2(sig: Signature, rng: random.Random) -> BlockMatrix:
     s < l1: T is unimodular and block lower-triangular, so G = adj(K) T K / det K
     stabilizes Gamma and has the block shape, with no rejection."""
     ell, ell1 = sig.ell, sig.ell1
-    _, K = linalg.scaled_integer(adapted_basis(sig.lattice, ell1))
+    K = adapted_basis(sig.lattice, ell1)
     T = [list(row) for row in linalg.identity(ell)]
     for _ in range(2 * ell):
         r = rng.randrange(ell)

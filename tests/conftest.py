@@ -3,7 +3,28 @@ from fractions import Fraction
 import pytest
 
 from weyltype import Lattice, Signature
+from weyltype.errors import SingularMatrix
 from weyltype.sampling import desk_signature
+
+
+def fraction_inverse(m):
+    """Gauss-Jordan inversion on Fractions: the reference for the package's
+    fraction-free inverses."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is not invertible")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [a * inv for a in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from weyltype import (
     ShiftV,
     TauAut,
     element_from_dict,
+    element_to_dict,
 )
 from weyltype.automorphisms import (
     MODE_ASSOC,
@@ -277,6 +280,32 @@ class TestAut:
         captured = capsys.readouterr()
         assert captured.err == f"NotAnAutomorphism: {message}\n"
         assert "Monomial(" not in captured.err and "('" not in captured.err
+
+    def test_apply_past_the_recursion_limit(self, tmp_path, config_file, capsys):
+        power = sys.getrecursionlimit() + 100
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps(NormalFormAut.identity(desk_signature()).to_dict()))
+        expr = f"x[(0,0);({power},0)]"
+        assert run_command(["aut", "apply", "--config", config_file,
+                            "--aut", str(path), expr]) == 0
+        assert capsys.readouterr().out.strip() == expr
+
+    def test_decompose_refuses_a_high_power_before_expanding_it(self, tmp_path, capsys):
+        """An x^{1_[1]} image d1^3000 is refused by its shape; a G with a
+        nonzero lower-left block would mix d1 and d2 in its pull-back."""
+        sig = desk_signature()
+        G = BlockMatrix(1, 1, [[1, 0], [2, 1]])
+        nf = NormalFormAut(TauAut(sig, G, Character.trivial(sig.lattice)),
+                           InnerExp.identity(sig), ShiftV.identity(sig))
+        data = FunctionalAut.from_aut(nf).to_dict()
+        data["images"]["xi1"] = element_to_dict(sig.d(1, power=3000))
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert run_command(["aut", "decompose", "--aut", str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "NotAnAutomorphism: image of x^{1_[1]} has stray terms d1^3000\n")
 
     def test_broken_group_law_exits_1_with_json_envelope(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -22,11 +22,13 @@ from weyltype.errors import (
 from weyltype.lattice import adapted_basis
 from weyltype.sampling import enumerate_aut2, random_aut2
 from weyltype.linalg import (dot, hermite_normal_form, identity, integer_det_adjugate, mat_det,
-                             mat_inverse, mat_mul, unimodular_matrices, vec_mat)
+                             mat_mul, scaled_integer, unimodular_matrices, vec_mat)
+
+from conftest import fraction_inverse
 
 
-# Gauss and Gauss-Jordan elimination on Fractions: a reference for the
-# fraction-free routine behind mat_det, mat_inverse and the lattice checks
+# Gauss elimination on Fractions, and Gauss-Jordan from conftest: a reference
+# for the fraction-free routine behind mat_det, the inverses and the lattice checks
 
 def _fraction_det(m) -> Fraction:
     n = len(m)
@@ -46,24 +48,6 @@ def _fraction_det(m) -> Fraction:
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
-
-
-def _fraction_inverse(m):
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is not invertible")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [a * inv for a in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -147,6 +131,20 @@ class TestLatticeFromGenerators:
             assert (lat.basis, lat.denominator, lat.integer_basis) == want
             assert all(type(x) is Fraction for row in lat.basis for x in row)
             assert all(type(x) is int for row in lat.integer_basis for x in row)
+            inverse = fraction_inverse(want[0])
+            assert lat.basis_inverse == inverse
+            assert lat.scaled_inverse == scaled_integer(inverse)
+            assert all(type(x) is int for row in lat.scaled_inverse[1] for x in row)
+            # a lattice point, then a point off the lattice (or the same point
+            # when the rational coordinates happen to be integers)
+            n = tuple(rng.randint(-5, 5) for _ in range(ell))
+            point = vec_mat(n, want[0])
+            assert lat.coordinates(point) == n
+            point = tuple(x + Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for x in point)
+            coords = vec_mat(point, inverse)
+            want_coords = (tuple(int(c) for c in coords)
+                           if all(c.denominator == 1 for c in coords) else None)
+            assert lat.coordinates(point) == want_coords
         assert deficient < 100
 
 
@@ -167,18 +165,21 @@ class TestAdaptedBasis:
         for ell1 in range(ell + 1):
             rows = adapted_basis(lat, ell1)
             assert len(rows) == ell
-            assert Lattice(ell, rows) == lat
+            assert all(type(x) is int for row in rows for x in row)
+            assert Lattice(ell, [[Fraction(x, lat.denominator) for x in row]
+                                 for row in rows]) == lat
             for row in rows[:ell1]:
                 assert all(x == 0 for x in row[ell1:])
             # an invertible trailing block on the other rows forces every
             # lattice point of Q^l1 x 0 into the span of the first l1 rows
             trailing = tuple(row[ell1:] for row in rows[ell1:])
-            assert ell1 == ell or mat_det(trailing) != 0
+            assert ell1 == ell or integer_det_adjugate(trailing)[0] != 0
 
     def test_e1_part_of_a_skew_lattice(self):
         # <(1,1/2),(0,1)> meets Q x 0 in Z(2,0); neither canonical row lies there
         lat = Lattice(2, [(1, Fraction(1, 2)), (0, 1)])
-        assert adapted_basis(lat, 1)[0] == (2, 0)
+        assert lat.denominator == 2
+        assert adapted_basis(lat, 1)[0] == (4, 0)
 
     def test_split_out_of_range(self):
         lat = Lattice(2, [(1, 0), (0, 1)])
@@ -270,8 +271,11 @@ class TestBlockMatrix:
 
     def test_blocks(self):
         G = BlockMatrix(1, 1, [[2, 0], [3, 5]])
-        assert mat_inverse(G.entries) == ((Fraction(1, 2), 0),
-                                          (Fraction(-3, 10), Fraction(1, 5)))
+        assert fraction_inverse(G.entries) == ((Fraction(1, 2), 0),
+                                               (Fraction(-3, 10), Fraction(1, 5)))
+        assert G.scaled == (1, ((2, 0), (3, 5)))
+        assert BlockMatrix(1, 1, [[Fraction(1, 2), 0], [Fraction(1, 3), 1]]).scaled == (
+            6, ((3, 0), (2, 6)))
 
 
 class TestIntegerDetAdjugate:
@@ -292,7 +296,7 @@ class TestIntegerDetAdjugate:
             if det:
                 assert all(type(x) is int for row in adj for x in row)
                 assert (tuple(tuple(Fraction(x, det) for x in row) for row in adj)
-                        == _fraction_inverse(m))
+                        == fraction_inverse(m))
             else:
                 singular += 1
                 assert adj is None
@@ -312,23 +316,22 @@ class TestIntegerDetAdjugate:
             m = tuple(map(tuple, m))
             det = mat_det(m)
             assert type(det) is Fraction and det == _fraction_det(m)
+            # m^{-1} = e adj(K) / det K for m = K / e
+            e, k = scaled_integer(m)
+            det_k, adj = integer_det_adjugate(k)
             try:
-                want = _fraction_inverse(m)
-            except SingularMatrix as exc:
+                want = fraction_inverse(m)
+            except SingularMatrix:
                 singular += 1
-                with pytest.raises(SingularMatrix) as got:
-                    mat_inverse(m)
-                assert str(got.value) == str(exc)
+                assert det == det_k == 0 and adj is None
                 continue
-            inverse = mat_inverse(m)
-            assert inverse == want
-            assert all(type(x) is Fraction for row in inverse for x in row)
+            assert tuple(tuple(Fraction(e * x, det_k) for x in row) for row in adj) == want
         assert 650 < singular < 1000
 
     def test_identity_is_integer(self):
         assert identity(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert all(type(x) is int for row in identity(3) for x in row)
-        assert mat_det(identity(3)) == 1 and mat_inverse(identity(3)) == identity(3)
+        assert mat_det(identity(3)) == 1 and integer_det_adjugate(identity(3)) == (1, identity(3))
 
     def test_row_swaps_keep_the_sign(self):
         assert integer_det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
@@ -357,13 +360,13 @@ class TestAut2Membership:
         for _ in range(25):
             a, b = rng.choice(members), rng.choice(members)
             assert aut2_membership(lat, BlockMatrix(1, 1, mat_mul(a.entries, b.entries)))
-            assert aut2_membership(lat, BlockMatrix(1, 1, mat_inverse(a.entries)))
+            assert aut2_membership(lat, BlockMatrix(1, 1, fraction_inverse(a.entries)))
 
 
 def _ref_aut2_membership(lattice, G):
     """The coordinate-row check: Gamma . G = Gamma iff each basis row times G
     has integer coordinates and those rows have determinant +-1."""
-    basis_inverse = _fraction_inverse(lattice.basis)
+    basis_inverse = fraction_inverse(lattice.basis)
     coord_rows = []
     for row in lattice.basis:
         coords = vec_mat(vec_mat(row, G.entries), basis_inverse)
@@ -380,7 +383,7 @@ def _seeded_block_matrices(ell1, lattice, rng, count):
     only the determinant test rejects), and V with a halved entry."""
     ell = lattice.ambient_dim
     A = adapted_basis(lattice, ell1)
-    a_inv = _fraction_inverse(A)
+    a_inv = fraction_inverse(A)
     out = []
     for n in range(count):
         V = [[int(r == c) for c in range(ell)] for r in range(ell)]
@@ -395,7 +398,7 @@ def _seeded_block_matrices(ell1, lattice, rng, count):
             r = rng.randrange(ell)
             V[r] = [2 * x for x in V[r]]
             if kind == 2:
-                V = _fraction_inverse(V)
+                V = fraction_inverse(V)
         elif kind == 3:
             r = rng.randrange(ell)
             t = rng.randrange(ell1) if r < ell1 else rng.randrange(ell)

@@ -157,6 +157,7 @@ INTEGER_CORE = {
     "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements", "_packed_accumulate",
                 "_right_term", "_unpack", "act_on_A", "derivation_apply"),
     "automorphisms": ("_hom_extend",),
+    "lattice": ("adapted_basis",),
     "linalg": ("integer_det_adjugate", "integer_product", "hermite_normal_form"),
 }
 
@@ -193,3 +194,15 @@ def test_integer_core_checker_sees_every_form():
            "    return inner\n")
     assert _fraction_sites(ast.parse(src), ("core", "nested")) == [
         ("core", 2, "Fraction"), ("core", 3, "terms"), ("nested", 8, "Fraction")]
+
+
+def test_lattice_data_have_no_fraction_inverse():
+    """Lattice data stay integer matrices over one denominator: the name
+    ``mat_inverse`` appears nowhere in the package, and the Fraction
+    determinant ``mat_det`` is defined, for the probe in
+    ``perfbench/layers.json``, but referenced nowhere."""
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert not any("mat_inverse" in text for text in texts.values())
+    trees = {mod: ast.parse(text) for mod, text in texts.items()}
+    assert sum((_used_names(tree) for tree in trees.values()), Counter())["mat_det"] == 0
+    assert "mat_det" in {name for name, _ in _definitions(trees["linalg"])}

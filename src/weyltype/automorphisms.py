@@ -29,12 +29,14 @@ elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 After the twist it is one homomorphism: the form keeps one composite
-generator table and applies it in one pass of the extension.
-``compose_normal_forms`` is the one group law: it composes any two normal
-forms symbolically, the twist included, since conjugation by sigma_1 maps
-each family to itself.  ``decompose_automorphism`` recovers the factored
-form from the images of the generating set alone: it reads every factor off
-them in closed form and checks the result on every generator.
+generator table and applies it in one pass of the extension.  Its images
+of the generating set are read off that table (``generator_images``), with
+no extension at all.  ``compose_normal_forms`` is the one group law: it
+composes any two normal forms symbolically, the twist included, since
+conjugation by sigma_1 maps each family to itself.
+``decompose_automorphism`` recovers the factored form from the images of
+the generating set alone: it reads every factor off them in closed form and
+compares the result's table images with them on every generator.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .algebra import (
     _antinormal,
     _convolve,
     _from_ints,
+    act_on_A,
     derivation_apply,
     element_from_dict,
     element_to_dict,
@@ -499,12 +502,15 @@ def _normal_form_table(nf: "NormalFormAut"):
 
         x^a -> tau(x^a),  x^{1_[p]} -> tau(x^{1_[p]}) + v_p,
         d_q -> tau(d_q) - tau(d_q(u)) + v_q [q > l1].
+
+    tau is a homomorphism, so tau(d_q(u)) = [tau(d_q), tau(u)] = e_q(tau(u))
+    for the derivation e_q = tau(d_q): one extension, of u, serves every q.
     """
     tau, sig, v = nf.tau, nf.signature, nf.v.v
     x_image, x1_images, d_images = tau._table()
+    tau_u = tau.apply(nf.u.u)
     x1_images = [e + sig.scalar(v[p]) for p, e in enumerate(x1_images)]
-    d_images = [e - tau.apply(derivation_apply(sig, unit_index(sig.ell, q + 1), nf.u.u))
-                + sig.scalar(v[q] if q >= sig.ell1 else 0)
+    d_images = [e - act_on_A(e, tau_u) + sig.scalar(v[q] if q >= sig.ell1 else 0)
                 for q, e in enumerate(d_images)]
     return x_image, x1_images, d_images
 
@@ -554,6 +560,24 @@ class NormalFormAut:
         if self.eps:
             w = apply_sigma1(self.signature, w)
         return _hom_extend(w, self.signature, *self._table())
+
+    def generator_images(self) -> dict:
+        """The images of the generating set, keyed in ``generator_keys`` order
+        and read off the composite table.  sigma_1 negates A and fixes each
+        d_q, so the unit goes to (-1)^eps, x^{+-b_k} and x^{1_[p]} to (-1)^eps
+        times their table entries, and d_q to its entry: each is what
+        ``apply`` returns on that generator, with no extension."""
+        sig = self.signature
+        x_image, x1_images, d_images = self._table()
+        sign = -1 if self.eps else 1
+        images = {("one",): sig.scalar(sign)}
+        for k in range(1, sig.ell + 1):
+            for s in (1, -1):
+                x = _from_ints(sig, *x_image(unit_index(sig.ell, k, s)))
+                images[("x", k, s)] = x.scale(sign)
+        images.update((("xi", p), e.scale(sign)) for p, e in enumerate(x1_images, 1))
+        images.update((("d", q), e) for q, e in enumerate(d_images, 1))
+        return images
 
     @classmethod
     def identity(cls, sig: Signature, mode: str = MODE_LIE) -> "NormalFormAut":
@@ -646,8 +670,8 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
 
     With sigma_1^2 = 1, a . b is the twist-free law applied to a and to b,
     with b's u and v conjugated when a.eps = 1, followed by
-    sigma_1^(a.eps xor b.eps).  The result is checked against sequential
-    application on the generating set.
+    sigma_1^(a.eps xor b.eps).  The result is checked on the generating
+    set: its table images must equal a applied to b's table images.
     """
     if a.signature != b.signature:
         raise SignatureMismatch("normal forms belong to different algebras")
@@ -664,10 +688,10 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
     v = ShiftV(sig, tuple(x + y for x, y in zip(moved_shift.v, v_b)))
     mode = a.mode if a.mode == b.mode else MODE_LIE
     result = NormalFormAut(tau, InnerExp(u_elem), v, a.eps ^ b.eps, mode)
-    for key in generator_keys(sig):
-        gen = generator_element(sig, key)
-        if result.apply(gen) != a.apply(b.apply(gen)):
-            raise InvariantViolation(f"group law violated on generator {key}")
+    b_images = b.generator_images()
+    for key, image in result.generator_images().items():
+        if image != a.apply(b_images[key]):
+            raise InvariantViolation(f"group law violated on generator {_gen_label(key)}")
     return result
 
 
@@ -709,12 +733,9 @@ class FunctionalAut:
         self._normal_form = None
 
     @classmethod
-    def from_aut(cls, aut, mode: str | None = None) -> "FunctionalAut":
-        sig = aut.signature
-        mode = mode if mode is not None else getattr(aut, "mode", MODE_LIE)
-        images = {key: aut.apply(generator_element(sig, key))
-                  for key in generator_keys(sig)}
-        return cls(sig, mode, images)
+    def from_aut(cls, nf: NormalFormAut, mode: str | None = None) -> "FunctionalAut":
+        """The presentation of a normal form, in its own mode by default."""
+        return cls(nf.signature, nf.mode if mode is None else mode, nf.generator_images())
 
     def as_normal_form(self) -> NormalFormAut:
         if self._normal_form is None:
@@ -834,9 +855,10 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     c0 f(+-b_k) x^{+-b_k G^{-1}}, which give eps and f; u is u' with the coefficient
     of x^{al,i} divided by f(al); c0 psi(x^{1_[p]}) = x^{1_[p]} + v_p gives the
     polynomial shift.  Raises NotAnAutomorphism as soon as an image violates
-    the shape this factorization forces.  The form is then applied to every
-    generator and compared with the given images: that check is the
-    certificate, and it also decides the consistency conditions.
+    the shape this factorization forces.  The form's own generator images,
+    read off its table, are then compared with the given images key by key:
+    that check is the certificate, and it also decides the consistency
+    conditions.
     """
     sig = phi.signature
     ell, ell1 = sig.ell, sig.ell1
@@ -927,8 +949,8 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     u = Element(sig, {Monomial(al, i, zero): c / f.evaluate_coords(al)
                       for (al, i), c in u_prime.items()})
     result = NormalFormAut(TauAut(sig, G, f), InnerExp(u), ShiftV(sig, v), eps, phi.mode)
-    for key in generator_keys(sig):
-        if result.apply(generator_element(sig, key)) != phi.images[key]:
+    for key, image in result.generator_images().items():
+        if image != phi.images[key]:
             raise NotAnAutomorphism(f"normal form disagrees on generator {_gen_label(key)}")
     return result
 

@@ -537,11 +537,40 @@ class TestNormalFormApply:
 
         def counted(*args):
             calls.append(args)
-            return derivation_apply(*args)
+            return act_on_A(*args)
 
-        monkeypatch.setattr(automorphisms, "derivation_apply", counted)
+        monkeypatch.setattr(automorphisms, "act_on_A", counted)
         assert [nf.apply(w) for w in elements] == expected
         assert 0 < len(calls) <= rank3.ell
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_table_matches_per_derivation_formula(self, sig_name, seed, request):
+        """The table's d_q entries, built from one tau(u), equal the per-q
+        formula tau(d_q) - tau(d_q(u)) + v_q [q > l1]."""
+        sig = request.getfixturevalue(sig_name)
+        nf = _draw_normal_form(sig, random.Random(60 + seed), seed % 2)
+        tau, u, v = nf.tau, nf.u.u, nf.v.v
+        _, x1_images, d_images = automorphisms._normal_form_table(nf)
+        for q, image in enumerate(d_images, 1):
+            reference = (tau.apply(sig.d(q))
+                         - tau.apply(derivation_apply(sig, unit_index(sig.ell, q), u))
+                         + sig.scalar(v[q - 1] if q > sig.ell1 else 0))
+            _same(image, reference)
+        for p, image in enumerate(x1_images, 1):
+            _same(image, tau.apply(sig.x_poly(p)) + sig.scalar(v[p - 1]))
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_generator_images_match_apply(self, sig_name, eps, request):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(50 + eps)
+        for _ in range(3):
+            nf = _draw_normal_form(sig, rng, eps)
+            images = nf.generator_images()
+            assert list(images) == generator_keys(sig)
+            for key, image in images.items():
+                _same(image, nf.apply(generator_element(sig, key)))
 
 
 class TestComposeNormalForms:
@@ -689,7 +718,10 @@ class TestDecompose:
         assert nf.same_data(NormalFormAut.identity(desk))
 
     def test_sigma1_images(self, desk):
-        phi = FunctionalAut.from_aut(Sigma1(desk), mode=MODE_LIE)
+        # the twist's images from apply_sigma1, independent of any table
+        images = {key: apply_sigma1(desk, generator_element(desk, key))
+                  for key in generator_keys(desk)}
+        phi = FunctionalAut(desk, MODE_LIE, images)
         nf = decompose_automorphism(phi)
         assert nf.eps == 1
         assert nf.tau == TauAut.identity(desk)
@@ -842,6 +874,35 @@ class TestFunctionalAut:
     def test_missing_image_rejected(self, desk):
         with pytest.raises(KeyError):
             FunctionalAut(desk, MODE_LIE, {("one",): desk.one()})
+
+
+def test_certificates_read_generator_images_off_the_table(rank3, monkeypatch):
+    """The extensions each certificate runs on fresh rank-3 forms: one per
+    table (its tau(u)), the pull-backs of decomposition, the two conjugates
+    of the group law and one per generator for a applied to b's images.  An
+    extension per generator for the forms' own images would add 11 each."""
+    rng = random.Random(70)
+    calls = []
+    real = automorphisms._hom_extend
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(automorphisms, "_hom_extend", counted)
+    for eps in (0, 1):
+        nf = _draw_normal_form(rank3, rng, eps)
+        calls.clear()
+        phi = FunctionalAut.from_aut(nf)
+        assert len(calls) == 1
+        phi = FunctionalAut(rank3, MODE_LIE, phi.images)
+        calls.clear()
+        assert decompose_automorphism(phi).same_data(nf)
+        assert len(calls) == rank3.ell + rank3.ell1 + 1
+        a, b = _draw_normal_form(rank3, rng, eps), _draw_normal_form(rank3, rng, 1 - eps)
+        calls.clear()
+        compose_normal_forms(a, b)
+        assert len(calls) == len(generator_keys(rank3)) + 5
 
 
 class TestAutomorphismJson:

@@ -21,7 +21,7 @@ from weyltype.automorphisms import (
     MODE_ASSOC,
     MODE_LIE,
     FunctionalAut,
-    Sigma1,
+    apply_sigma1,
     decompose_automorphism,
     generator_element,
     generator_keys,
@@ -258,7 +258,10 @@ class TestAut:
 
     def test_decompose_rejects_corrupt_data_with_exit_1(self, tmp_path, capsys):
         sig = desk_signature()
-        phi = FunctionalAut.from_aut(Sigma1(sig), mode=MODE_LIE)
+        # the twist's images from apply_sigma1, independent of any table
+        images = {key: apply_sigma1(sig, generator_element(sig, key))
+                  for key in generator_keys(sig)}
+        phi = FunctionalAut(sig, MODE_LIE, images)
         data = phi.to_dict()
         data["images"]["one"]["terms"][0]["coeff"] = "2"
         path = tmp_path / "bad.json"
@@ -323,7 +326,7 @@ class TestAut:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["error"].startswith("InvariantViolation: group law violated")
+        assert payload["error"] == "InvariantViolation: group law violated on generator x+1"
 
     def test_apply_functional_form_file(self, tmp_path, config_file, capsys):
         sig = desk_signature()

@@ -35,8 +35,8 @@ no extension at all.  ``compose_normal_forms`` is the one group law: it
 composes any two normal forms symbolically, the twist included, since
 conjugation by sigma_1 maps each family to itself.
 ``decompose_automorphism`` recovers the factored form from the images of
-the generating set alone: it reads every factor off them in closed form and
-compares the result's table images with them on every generator.
+the generating set alone: it reads every factor off them in closed form, with
+one pull-back for u, and checks the result's table images on every generator.
 """
 
 from __future__ import annotations
@@ -831,34 +831,33 @@ def _solve_d_preimage(sig: Signature, q: int, al, i, c):
 
 def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     """Recover the normal form sigma_tau sigma_u sigma_v sigma_1^eps, with
-    tau = (G, f), from generator images.
+    tau = (G, f), from generator images, with one extension.
 
-    G is the level-1 part of the derivation images.  With tau_g = (G, 1),
-    psi = tau_g^{-1} phi = tau_f sigma_u sigma_v sigma_1^eps (tau_f = (I, f)) is
-    applied to the d_q and x^{1_[p]} images, and the other factors are read
-    off in closed form.  sigma_1 fixes each d_q and tau_f commutes with d_q, so
+    G is the level-1 part of the derivation images.  sigma_1 fixes each d_q,
+    so phi(d_q) = sum_p G[p][q] (d_p - d_p(U)) + v_q [q > l1] with U = tau(u).
+    G has the block shape and d_p(U) has no alpha = 0 part for p > l1, so for
+    q > l1 the alpha = 0 part of the A-part A_q of phi(d_q) is v_q.  Hence
+    d_r(U) = -sum_q (G^{-1})[q][r] (A_q - v_q [q > l1]), with no alpha = 0
+    term for r > l1, as (G^{-1})[q][r] = 0 for q <= l1 < r.  Each term
+    c x^{al,i} of d_r(U) gives U:
 
-        psi(d_q) = d_q - d_q(u') + v_q [q > l1],   u' = tau_f(u),
-
-    and w_q = psi(d_q) - d_q lies in A.  Its terms c x^{al,i} give u':
-
-    * al != 0: only in the first slot q where the ambient point of al is
-      nonzero.  On the al block that d_q is a nonzero grading plus a
+    * al != 0: only in the first slot r where the ambient point of al is
+      nonzero.  On the al block that d_r is a nonzero grading plus a
       nilpotent lowering, so it is injective and ``_solve_d_preimage`` fixes
-      the block of u'.  The other slots are consistency conditions;
-    * al = 0 and q <= l1: the radial primitive -c x^{0, i + e_q} / (|i| + 1).
-      d_q is d/dt_q there, and by Euler's identity the sum over q inverts it
-      on a closed polynomial form;
-    * al = 0 and q > l1: a constant c, which is v_q.
+      the block of U.  The other slots are consistency conditions;
+    * al = 0, so r <= l1: the radial primitive c x^{0, i + e_r} / (|i| + 1).
+      d_r is d/dt_r there, and by Euler's identity the sum over r inverts
+      it on a closed polynomial form.
 
-    The unit image is c0 = (-1)^eps and the x^{+-b_k} images of phi are
-    c0 f(+-b_k) x^{+-b_k G^{-1}}, which give eps and f; u is u' with the coefficient
-    of x^{al,i} divided by f(al); c0 psi(x^{1_[p]}) = x^{1_[p]} + v_p gives the
-    polynomial shift.  Raises NotAnAutomorphism as soon as an image violates
-    the shape this factorization forces.  The form's own generator images,
-    read off its table, are then compared with the given images key by key:
-    that check is the certificate, and it also decides the consistency
-    conditions.
+    The unit image c0 = (-1)^eps and the x^{+-b_k} images
+    c0 f(+-b_k) x^{+-b_k G^{-1}} give eps and f; v_p is c0 times the constant
+    term of phi(x^{1_[p]}), as c0 phi(x^{1_[p]}) - v_p = tau(x^{1_[p]}) is
+    linear.  The one extension pulls U back to u' = tau_g^{-1}(U) = tau_f(u)
+    (tau_g = (G, 1), tau_f = (I, f)); u is u' with x^{al,i} divided by f(al).
+    Raises NotAnAutomorphism as soon as an image violates the shape this
+    factorization forces, or when the form's own generator images, read off
+    its table, differ from the given ones: that check is the certificate,
+    and it also decides the consistency conditions.
     """
     sig = phi.signature
     ell, ell1 = sig.ell, sig.ell1
@@ -885,24 +884,31 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
         raise NotAnAutomorphism("derivation images do not stabilize the lattice") from exc
     back = tau_g.inverse()
 
-    # u' and the derivation shifts off w_q = psi(d_q) - d_q
-    u_prime: dict = {}
+    # the A-parts A_q = phi(d_q) - tau_g(d_q); for q > l1 their alpha = 0 part is v_q
     v = [Fraction(0)] * ell
-    for q0 in range(ell):
-        q = q0 + 1
-        # w_q lies in A: tau_g^{-1} sends the level-1 part of phi(d_q) to d_q
-        for (al, i, _), c in (back.apply(phi.images[("d", q)]) - sig.d(q)).terms.items():
-            if al != zero:
-                if next(k for k, g in enumerate(sig.lattice.grades(al)) if g) == q0:
-                    for key, val in _solve_d_preimage(sig, q0, al, i, -c):
-                        u_prime[key] = u_prime.get(key, 0) + val
-            elif q0 < ell1:
-                key = (zero, i[:q0] + (i[q0] + 1,) + i[q0 + 1:])
-                u_prime[key] = u_prime.get(key, 0) - c / (sum(i) + 1)
-            elif any(i):
-                raise NotAnAutomorphism(f"image of d{q} has a non-constant degree-0 part")
-            else:
-                v[q0] = c
+    a_parts = []
+    for q0, level_one in enumerate(tau_g._table()[2]):
+        a_q = phi.images[("d", q0 + 1)] - level_one
+        if q0 >= ell1:
+            if any(m.alpha == zero and any(m.i) for m in a_q.num):
+                raise NotAnAutomorphism(f"image of d{q0 + 1} has a non-constant degree-0 part")
+            v[q0] = a_q.constant_coefficient()
+        a_parts.append(a_q - sig.scalar(v[q0]))
+
+    # U off d_r(U), combinations of the A-parts by G^{-1}; al != 0 in its first graded slot
+    first = {al: next(k for k, g in enumerate(sig.lattice.grades(al)) if g)
+             for al in {m.alpha for a in a_parts for m in a.num} if al != zero}
+    den, g_inv = back.scaled_G
+    u_terms: dict = {}
+    for r in range(ell):
+        d_r = sum((a.scale(Fraction(-g_inv[q][r], den)) for q, a in enumerate(a_parts)), sig.zero())
+        for (al, i, _), c in d_r.terms.items():
+            if al == zero:
+                key = (zero, i[:r] + (i[r] + 1,) + i[r + 1:])
+                u_terms[key] = u_terms.get(key, 0) + c / (sum(i) + 1)
+            elif first[al] == r:
+                for key, val in _solve_d_preimage(sig, r, al, i, c):
+                    u_terms[key] = u_terms.get(key, 0) + val
 
     # the sign c0 = (-1)^eps and the character off the unit and x-images of
     # phi itself: tau_g fixes scalars and moves x^{+-b_k} to x^{+-b_k G^{-1}},
@@ -924,31 +930,25 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
                     f"image of x^{{{'+' if s > 0 else '-'}b_{k}}} is not a scalar multiple")
             coeffs[s] = image.terms[expected]
         if coeffs[1] * coeffs[-1] != c0 * c0:
-            raise NotAnAutomorphism(
-                f"images of x^{{+-b_{k}}} violate multiplicativity")
+            raise NotAnAutomorphism(f"images of x^{{+-b_{k}}} violate multiplicativity")
         f_values.append(coeffs[1] / c0)
     f = Character(sig.lattice, f_values)
     eps = 1 if c0 == -1 else 0
 
-    # the polynomial shift off the x^{1_[p]} images; tau_g^{-1} keeps the span
-    # of 1 and the x^{1_[r]}, so other terms are refused before the pull-back
+    # the polynomial shift off the constant terms of the affine x^{1_[p]} images
     for p in range(1, ell1 + 1):
         image = phi.images[("xi", p)]
         extra = {m: c for m, c in image.terms.items()
                  if m.alpha != zero or sum(m.i) > 1 or m.mu != zero}
-        if not extra:
-            extra = {m: c0 * c for m, c in back.apply(image).terms.items()}
-            if extra.pop(Monomial(zero, unit_index(ell, p), zero), None) != 1:
-                raise NotAnAutomorphism(
-                    f"image of x^{{1_[{p}]}} has no unit x^{{1_[{p}]}} part")
-            v[p - 1] = extra.pop(Monomial(zero, zero, zero), Fraction(0))
         if extra:
             raise NotAnAutomorphism(
                 f"image of x^{{1_[{p}]}} has stray terms {format_element(Element(sig, extra))}")
+        v[p - 1] = c0 * image.constant_coefficient()
 
-    u = Element(sig, {Monomial(al, i, zero): c / f.evaluate_coords(al)
-                      for (al, i), c in u_prime.items()})
-    result = NormalFormAut(TauAut(sig, G, f), InnerExp(u), ShiftV(sig, v), eps, phi.mode)
+    u_prime = back.apply(Element(sig, {Monomial(al, i, zero): c for (al, i), c in u_terms.items()}))
+    u = Element(sig, {m: c / f.evaluate_coords(m.alpha) for m, c in u_prime.terms.items()})
+    tau = TauAut._from_motion(sig, sig, f, tau_g.N, tau_g.N_inv)
+    result = NormalFormAut(tau, InnerExp(u), ShiftV(sig, v), eps, phi.mode)
     for key, image in result.generator_images().items():
         if image != phi.images[key]:
             raise NotAnAutomorphism(f"normal form disagrees on generator {_gen_label(key)}")

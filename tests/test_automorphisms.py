@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -776,6 +777,22 @@ class TestDecompose:
         with pytest.raises(NotAnAutomorphism):
             decompose_automorphism(FunctionalAut(desk, MODE_LIE, images))
 
+    def test_refuses_a_degree_zero_power_before_expanding_it(self, rank4):
+        """x^{1_[1]}^800 in the image of d3 is refused off the A-part itself;
+        a pull-back through the mixed M block of this G would first expand
+        (a x^{1_[1]} + b x^{1_[2]})^800."""
+        G = random_aut2(rank4, random.Random(1))
+        nf = NormalFormAut(TauAut(rank4, G, Character.trivial(rank4.lattice)),
+                           InnerExp.identity(rank4), ShiftV.identity(rank4))
+        images = dict(FunctionalAut.from_aut(nf).images)
+        images[("d", 3)] = images[("d", 3)] + rank4.x_poly(1, power=800)
+        phi = FunctionalAut(rank4, MODE_LIE, images)
+        start = time.perf_counter()
+        with pytest.raises(NotAnAutomorphism) as info:
+            decompose_automorphism(phi)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "image of d3 has a non-constant degree-0 part"
+
     def test_associative_mode_rejects_twist(self, desk):
         images = {key: apply_sigma1(desk, generator_element(desk, key))
                   for key in generator_keys(desk)}
@@ -827,7 +844,7 @@ class TestDecompose:
             assert recovered.same_data(nf)
             assert recovered.eps == eps
 
-    @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
     def test_mutated_presentations_are_refused_or_exact(self, sig_name, request):
         """One generator image of a valid presentation, changed: the result is
         NotAnAutomorphism or a form with exactly the changed images."""
@@ -878,9 +895,10 @@ class TestFunctionalAut:
 
 def test_certificates_read_generator_images_off_the_table(rank3, monkeypatch):
     """The extensions each certificate runs on fresh rank-3 forms: one per
-    table (its tau(u)), the pull-backs of decomposition, the two conjugates
-    of the group law and one per generator for a applied to b's images.  An
-    extension per generator for the forms' own images would add 11 each."""
+    table (its tau(u)), the one pull-back of decomposition, the two
+    conjugates of the group law and one per generator for a applied to b's
+    images.  An extension per generator for the forms' own images would add
+    11 each, and a pull-back of each d_q and x^{1_[p]} image l + l1 - 1."""
     rng = random.Random(70)
     calls = []
     real = automorphisms._hom_extend
@@ -898,7 +916,7 @@ def test_certificates_read_generator_images_off_the_table(rank3, monkeypatch):
         phi = FunctionalAut(rank3, MODE_LIE, phi.images)
         calls.clear()
         assert decompose_automorphism(phi).same_data(nf)
-        assert len(calls) == rank3.ell + rank3.ell1 + 1
+        assert len(calls) == 2
         a, b = _draw_normal_form(rank3, rng, eps), _draw_normal_form(rank3, rng, 1 - eps)
         calls.clear()
         compose_normal_forms(a, b)

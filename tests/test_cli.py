@@ -272,7 +272,8 @@ class TestAut:
     @pytest.mark.parametrize("key, extra, message", [
         (("xi", 1), "d1", "image of x^{1_[1]} has stray terms d1"),
         (("d", 2), "x[(1,0)]", "normal form disagrees on generator d2"),
-    ], ids=["stray-terms", "generator-label"])
+        (("xi", 1), "x[(0,0);(1,0)]", "normal form disagrees on generator xi1"),
+    ], ids=["stray-terms", "generator-label", "linear-part"])
     def test_decompose_errors_use_file_notation(self, tmp_path, capsys, key, extra, message):
         sig = desk_signature()
         images = dict(FunctionalAut.from_aut(NormalFormAut.identity(sig)).images)

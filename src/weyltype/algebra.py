@@ -404,7 +404,10 @@ def _d_lam(sig: Signature, memo: dict, grade, i0, lam) -> dict:
         table = {i0: 1}
     else:
         p = next(idx for idx, v in enumerate(lam) if v)
-        prev = _d_lam(sig, memo, grade, i0, lam[:p] + (lam[p] - 1,) + lam[p + 1:])
+        lower = lam[:p] + (lam[p] - 1,) + lam[p + 1:]
+        prev = memo.get(lower)
+        if prev is None:
+            prev = _d_lam(sig, memo, grade, i0, lower)
         g, lowers, D = grade[p], p < sig.ell1, sig.lattice.denominator
         table = {}
         for i, n in prev.items():
@@ -629,31 +632,41 @@ def derivation_apply(sig: Signature, lam, target: Element) -> Element:
 
 
 def act_on_A(w: Element, a: Element) -> Element:
-    """The natural action: each term u d^mu of w sends a to u . d^mu(a).
+    """The natural action: each term u d^mu of w sends a to u . d^mu(a)."""
+    return act_each_on_A([w], a)[0]
 
-    This is the lam = mu term of the product w . a, over
-    w.den * a.den * D^top with top the level of w; each term x^{al,i} of a
-    gets one d^lam memo, shared by every mu of w."""
-    w._require_same(a)
+
+def act_each_on_A(ws: list, a: Element) -> list[Element]:
+    """``act_on_A(w, a)`` for each w of ``ws``, in one pass over the terms of a.
+
+    The action of w is the lam = mu term of the product w . a, over
+    w.den * a.den * D^top with top the level of w.  Each term x^{al,i} of a
+    gets one d^lam memo, shared by every mu of every w, so each of its
+    tables is built once."""
+    for w in ws:
+        w._require_same(a)
     if not a.in_A():
         raise NotInA("the acted-on element must lie in A")
-    sig = w.signature
-    if not w.num or not a.num:
-        return sig.zero()
-    top = w.max_level()
+    sig = a.signature
     D = sig.lattice.denominator
-    left = [(m, n * D ** (top - sum(m.mu))) for m, n in w.num.items()]
-    out: dict = {}
+    tops = [w.max_level() or 0 for w in ws]
+    lefts = [[(m, n * D ** (top - sum(m.mu))) for m, n in w.num.items()]
+             for w, top in zip(ws, tops)]
+    outs: list = [{} for _ in ws]
     for (al2, i2, mu2), n2 in a.num.items():
         grade, memo = sig.lattice.grades(al2), {}
-        for (al1, i1, mu1), n1 in left:
-            table = _d_lam(sig, memo, grade, i2, mu1)
-            if table:
-                alpha, f = tuple(map(add, al1, al2)), n1 * n2
-                for i, n in table.items():
-                    key = Monomial(alpha, tuple(map(add, i1, i)), mu2)
-                    out[key] = out.get(key, 0) + f * n
-    return _from_ints(sig, w.den * a.den * D ** top, out)
+        for left, out in zip(lefts, outs):
+            for (al1, i1, mu1), n1 in left:
+                table = memo.get(mu1)
+                if table is None:
+                    table = _d_lam(sig, memo, grade, i2, mu1)
+                if table:
+                    alpha, f = tuple(map(add, al1, al2)), n1 * n2
+                    for i, n in table.items():
+                        key = Monomial(alpha, tuple(map(add, i1, i)), mu2)
+                        out[key] = out.get(key, 0) + f * n
+    return [_from_ints(sig, w.den * a.den * D ** top, out)
+            for w, top, out in zip(ws, tops, outs)]
 
 
 def _antinormal(w: Element) -> Element:

@@ -10,12 +10,16 @@ Four families generate everything:
 
 The first three are algebra homomorphisms fixed by the images of x^alpha,
 x^{1_[p]} and d_q.  Each applies its generator table through the one
-extension ``_hom_extend``.  Every table sends x^alpha and x^{1_[p]} into A,
-so the image of x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of
-A times the product of the d_q-image powers; the extension builds each D(mu)
-once per call and attaches the A-part by an integer convolution.  sigma_tau
-and the normal form keep their table from the first apply on.  exp(ad u) is
-the table d_q -> d_q + [u, d_q] with A fixed, not a series.
+extension ``_hom_extend``, which turns a table into an image function.
+Every table sends x^alpha and x^{1_[p]} into A, so the image of
+x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of A times the
+product of the d_q-image powers; an image function builds each power and
+each D(mu) once for all the elements it maps, and attaches the A-part by an
+integer convolution.  ``image_function`` returns it and ``apply`` is it on
+one element; the product-law check and the group law's certificate each hold
+one across their elements, and no object keeps one.  sigma_tau and the
+normal form keep their table from the first apply on.  exp(ad u) is the
+table d_q -> d_q + [u, d_q] with A fixed, not a series.
 
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
@@ -44,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from . import linalg
@@ -54,7 +59,7 @@ from .algebra import (
     _antinormal,
     _convolve,
     _from_ints,
-    act_on_A,
+    act_each_on_A,
     derivation_apply,
     element_from_dict,
     element_to_dict,
@@ -130,31 +135,40 @@ def _gen_label(key: tuple) -> str:
 # homomorphic extension from a generator table
 # ---------------------------------------------------------------------------
 
-def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) -> Element:
-    """Extend generator images multiplicatively over w.
+def _hom_extend(out_sig: Signature, x_image, x1_images, d_image):
+    """The multiplicative extension of a generator table, as a function
+    ``image(w)``.
 
     The table is ``x_image``, a function from lattice coordinates alpha to
-    the image of x^alpha as integer parts (den, num), plus the image lists
-    of x^{1_[p]} and d_q.  The image of x^{alpha,i} d^mu is A(alpha,i) . D(mu):
-    A(alpha,i) is the image of x^alpha times the ascending powers of the
-    x^{1_[p]} images, an element of A, and D(mu) the ascending powers of the
-    d_q images multiplied left to right, built once per distinct mu.  Left
+    the image of x^alpha as integer parts (den, num), the list of x^{1_[p]}
+    images and ``d_image``, a function from q - 1 to the image of d_q, asked
+    only for the d_q that occur.  The image of x^{alpha,i} d^mu is
+    A(alpha,i) . D(mu): A(alpha,i) is the image of x^alpha times the
+    ascending powers of the x^{1_[p]} images, an element of A, and D(mu) the
+    ascending powers of the d_q images multiplied left to right.  Left
     multiplication by an element of A is a convolution, so every A-part is
     built and attached on integer numerators over one common denominator.
     By associativity this is the ordered product of the images.  It needs
     the x- and xi-images in A and raises InvariantViolation otherwise.
-    """
-    sig = w.signature
-    zero = (0,) * sig.ell
-    powers: dict = {}
-    xi_parts: dict = {}
-    d_parts: dict = {zero: out_sig.one()}
 
-    def power(tag, base: Element, k: int) -> Element:
+    The x-images per lattice point, the image powers and each D(mu) are
+    built once for every element the function is applied to, and live only
+    as long as the caller holds the function.
+    """
+    ell, ell1 = out_sig.ell, out_sig.ell1
+    powers: dict = {}
+    x_parts: dict = {}
+    xi_parts: dict = {}
+    d_parts: dict = {(0,) * ell: out_sig.one()}
+
+    def power(tag, k: int, first) -> Element:
         top = k
         while top > 1 and (tag, top) not in powers:
             top -= 1
-        cached = powers.setdefault((tag, top), base)  # top = 1: the base itself
+        cached = powers.get((tag, top))
+        if cached is None:  # top = 1: the image itself, built on first use
+            cached = powers[(tag, 1)] = first()
+        base = powers[(tag, 1)]
         for j in range(top + 1, k + 1):
             # the base on the left: a term of level <= 1 meets each term of
             # the power in at most two Leibniz terms, while the power on the
@@ -166,35 +180,41 @@ def _hom_extend(w: Element, out_sig: Signature, x_image, x1_images, d_images) ->
         if any(any(m.mu) for m in num):
             raise InvariantViolation(f"the table's image of generator {gen} is not in A")
 
-    parts = []
-    for (al, i, mu), n in w.num.items():
-        den, a_num = x_image(al)
-        require_A(a_num, ("x", al))
-        for p in range(sig.ell1):
-            if i[p]:
-                xi = xi_parts.get((p, i[p]))
-                if xi is None:
-                    xi = xi_parts[(p, i[p])] = power(("xi", p), x1_images[p], i[p])
-                    require_A(xi.num, ("xi", p + 1))
-                prod_num: dict = {}
-                for (al1, i1, _), n1 in a_num.items():
-                    _convolve(prod_num, al1, i1, n1, xi.num.items())
-                den, a_num = den * xi.den, prod_num
-        d_mu = d_parts.get(mu)
-        if d_mu is None:
-            for q in range(sig.ell):
-                if mu[q]:
-                    d_q = power(("d", q), d_images[q], mu[q])
-                    d_mu = d_q if d_mu is None else d_mu * d_q
-            d_parts[mu] = d_mu
-        parts.append((n, den * d_mu.den, a_num, d_mu.num))
-    common = lcm(*(den for _, den, _, _ in parts))
-    out: dict = {}
-    for n, den, a_num, d_num in parts:
-        scale = n * (common // den)
-        for (al, i, _), n_a in a_num.items():
-            _convolve(out, al, i, scale * n_a, d_num.items())
-    return _from_ints(out_sig, w.den * common, out)
+    def image(w: Element) -> Element:
+        parts = []
+        for (al, i, mu), n in w.num.items():
+            x = x_parts.get(al)
+            if x is None:
+                x = x_parts[al] = x_image(al)
+                require_A(x[1], ("x", al))
+            den, a_num = x
+            for p in range(ell1):
+                if i[p]:
+                    xi = xi_parts.get((p, i[p]))
+                    if xi is None:
+                        xi = xi_parts[(p, i[p])] = power(("xi", p), i[p], lambda: x1_images[p])
+                        require_A(xi.num, ("xi", p + 1))
+                    prod_num: dict = {}
+                    for (al1, i1, _), n1 in a_num.items():
+                        _convolve(prod_num, al1, i1, n1, xi.num.items())
+                    den, a_num = den * xi.den, prod_num
+            d_mu = d_parts.get(mu)
+            if d_mu is None:
+                for q in range(ell):
+                    if mu[q]:
+                        d_q = power(("d", q), mu[q], lambda: d_image(q))
+                        d_mu = d_q if d_mu is None else d_mu * d_q
+                d_parts[mu] = d_mu
+            parts.append((n, den * d_mu.den, a_num, d_mu.num))
+        common = lcm(*(den for _, den, _, _ in parts))
+        out: dict = {}
+        for n, den, a_num, d_num in parts:
+            scale = n * (common // den)
+            for (al, i, _), n_a in a_num.items():
+                _convolve(out, al, i, scale * n_a, d_num.items())
+        return _from_ints(out_sig, w.den * common, out)
+
+    return image
 
 
 def _fixed_x_image(sig: Signature):
@@ -324,10 +344,15 @@ class TauAut:
             self._images = _tau_table(self)
         return self._images
 
+    def image_function(self):
+        """``image(w)``, the extension of the generator table."""
+        x_image, x1_images, d_images = self._table()
+        return _hom_extend(self.target, x_image, x1_images, d_images.__getitem__)
+
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        return _hom_extend(w, self.target, *self._table())
+        return self.image_function()(w)
 
     def generator_table(self) -> dict:
         """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
@@ -397,21 +422,24 @@ class InnerExp:
         self.signature = u.signature
         self.u = u.without_constant()
 
+    def image_function(self):
+        """``image(w)``: elements of A unchanged, the others extended.  The
+        table is not kept: each d_q - d_q(u) is built, once per function,
+        only when d_q occurs, since a derivation pass over u is cheap; a
+        normal form keeps its composite table instead, which holds l + l1
+        elements, as TauAut's does."""
+        sig, u = self.signature, self.u
+        x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
+        extend = _hom_extend(sig, _fixed_x_image(sig), x1_images,
+                             lambda q: generator_element(sig, ("d", q + 1))
+                             - derivation_apply(sig, unit_index(sig.ell, q + 1), u))
+        return lambda w: w if w.in_A() else extend(w)
+
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        if w.in_A():
-            return w
-        sig = self.signature
-        # built per call and only for the d_q that occur in w, since a
-        # derivation pass over u is cheap; a normal form keeps its composite
-        # table instead, which holds l + l1 elements, as TauAut's does
-        used = {q for m in w.num for q, k in enumerate(m.mu) if k}
-        d_images = [generator_element(sig, ("d", q + 1))
-                    - derivation_apply(sig, unit_index(sig.ell, q + 1), self.u)
-                    if q in used else None for q in range(sig.ell)]
-        x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
-        return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
+        # sigma_u fixes A: such an element builds no image function
+        return w if w.in_A() else self.image_function()(w)
 
     @classmethod
     def identity(cls, sig: Signature) -> "InnerExp":
@@ -439,16 +467,20 @@ class ShiftV:
         self.signature = signature
         self.v = vv
 
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.signature:
-            raise SignatureMismatch("element belongs to a different algebra")
+    def image_function(self):
+        """``image(w)``, the extension of the shifted generator table."""
         sig = self.signature
         x1_images = [generator_element(sig, ("xi", p + 1)) + sig.scalar(self.v[p])
                      for p in range(sig.ell1)]
         d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
                     if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
                     for q in range(sig.ell)]
-        return _hom_extend(w, sig, _fixed_x_image(sig), x1_images, d_images)
+        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images.__getitem__)
+
+    def apply(self, w: Element) -> Element:
+        if w.signature != self.signature:
+            raise SignatureMismatch("element belongs to a different algebra")
+        return self.image_function()(w)
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
@@ -486,6 +518,9 @@ class Sigma1:
     def __init__(self, signature: Signature):
         self.signature = signature
 
+    def image_function(self):
+        return partial(apply_sigma1, self.signature)
+
     def apply(self, w: Element) -> Element:
         return apply_sigma1(self.signature, w)
 
@@ -504,14 +539,16 @@ def _normal_form_table(nf: "NormalFormAut"):
         d_q -> tau(d_q) - tau(d_q(u)) + v_q [q > l1].
 
     tau is a homomorphism, so tau(d_q(u)) = [tau(d_q), tau(u)] = e_q(tau(u))
-    for the derivation e_q = tau(d_q): one extension, of u, serves every q.
+    for the derivation e_q = tau(d_q): one extension, of u, serves every q,
+    and one pass of the e_q over tau(u) builds each d^lam table of its terms
+    once for all q.
     """
     tau, sig, v = nf.tau, nf.signature, nf.v.v
     x_image, x1_images, d_images = tau._table()
     tau_u = tau.apply(nf.u.u)
     x1_images = [e + sig.scalar(v[p]) for p, e in enumerate(x1_images)]
-    d_images = [e - act_on_A(e, tau_u) + sig.scalar(v[q] if q >= sig.ell1 else 0)
-                for q, e in enumerate(d_images)]
+    d_images = [e - acted + sig.scalar(v[q] if q >= sig.ell1 else 0)
+                for q, (e, acted) in enumerate(zip(d_images, act_each_on_A(d_images, tau_u)))]
     return x_image, x1_images, d_images
 
 
@@ -554,12 +591,20 @@ class NormalFormAut:
             object.__setattr__(self, "_images", _normal_form_table(self))
         return self._images
 
+    def image_function(self):
+        """``image(w)``: the twist, if any, then the extension of the
+        composite table."""
+        x_image, x1_images, d_images = self._table()
+        extend = _hom_extend(self.signature, x_image, x1_images, d_images.__getitem__)
+        if not self.eps:
+            return extend
+        sig = self.signature
+        return lambda w: extend(apply_sigma1(sig, w))
+
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
-        if self.eps:
-            w = apply_sigma1(self.signature, w)
-        return _hom_extend(w, self.signature, *self._table())
+        return self.image_function()(w)
 
     def generator_images(self) -> dict:
         """The images of the generating set, keyed in ``generator_keys`` order
@@ -689,8 +734,9 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
     mode = a.mode if a.mode == b.mode else MODE_LIE
     result = NormalFormAut(tau, InnerExp(u_elem), v, a.eps ^ b.eps, mode)
     b_images = b.generator_images()
+    a_image = a.image_function()
     for key, image in result.generator_images().items():
-        if image != a.apply(b_images[key]):
+        if image != a_image(b_images[key]):
             raise InvariantViolation(f"group law violated on generator {_gen_label(key)}")
     return result
 
@@ -742,6 +788,9 @@ class FunctionalAut:
             self._normal_form = decompose_automorphism(self)
         return self._normal_form
 
+    def image_function(self):
+        return self.as_normal_form().image_function()
+
     def apply(self, w: Element) -> Element:
         return self.as_normal_form().apply(w)
 
@@ -790,21 +839,23 @@ class VerifyReport:
 
 
 def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) -> VerifyReport:
-    """Sample element pairs and check the homomorphism law in the given mode."""
+    """Sample element pairs and check the homomorphism law in the given mode,
+    through one image function of phi for all the trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sig = phi.signature
     mode = mode if mode is not None else getattr(phi, "mode", MODE_LIE)
     rng = random.Random(seed)
+    image = phi.image_function()
     for trial in range(1, trials + 1):
         a = random_element(sig, rng)
         b = random_element(sig, rng)
         if mode == MODE_ASSOC:
-            lhs = phi.apply(a * b)
-            rhs = phi.apply(a) * phi.apply(b)
+            lhs = image(a * b)
+            rhs = image(a) * image(b)
         else:
-            lhs = phi.apply(a.bracket(b))
-            rhs = phi.apply(a).bracket(phi.apply(b))
+            lhs = image(a.bracket(b))
+            rhs = image(a).bracket(image(b))
         if lhs != rhs:
             return VerifyReport(False, mode, trials, seed,
                                 {"trial": trial, "a": a, "b": b,

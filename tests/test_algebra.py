@@ -19,7 +19,7 @@ from weyltype import (
     total_order_cmp,
 )
 from weyltype import algebra
-from weyltype.algebra import Monomial, unit_index
+from weyltype.algebra import Monomial, act_each_on_A, unit_index
 from weyltype.errors import (
     DimensionMismatch,
     NotInA,
@@ -259,6 +259,20 @@ class TestIntegerKernel:
                 lam = tuple(rng.randint(0, 5) for _ in range(sig.ell))
                 d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
                 _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
+
+    def test_action_of_many_in_one_pass(self, case):
+        """act_each_on_A, which shares each d^lam memo across its elements,
+        gives each action with the terms in act_on_A's order."""
+        sig, elems = case
+        rng = random.Random(22)
+        targets = [sig.zero(), sig.scalar(F(5, 2))] + [
+            random_element(sig, rng, max_level=0) for _ in range(6)]
+        for a in targets:
+            ws = rng.sample(elems, 5) + [elems[0]]
+            for got, w in zip(act_each_on_A(ws, a), ws):
+                want = act_on_A(w, a)
+                _same(got, want)
+                assert list(got.num) == list(want.num)
 
     def test_level_zero_left_terms(self, case):
         """Left terms with mu = 0 take the kernel's convolution path: a wholly

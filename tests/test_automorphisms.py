@@ -25,8 +25,9 @@ from weyltype import (
     decompose_automorphism,
     verify_automorphism,
 )
-from weyltype import automorphisms, linalg
-from weyltype.algebra import Element, Monomial, act_on_A, derivation_apply, unit_index
+from weyltype import algebra, automorphisms, linalg
+from weyltype.algebra import (Element, Monomial, act_each_on_A, act_on_A, derivation_apply,
+                              unit_index)
 from weyltype.lattice import adapted_basis, aut2_membership, lattice_motion
 from weyltype.rationals import point_str
 from weyltype.classification import iso_search_bounded
@@ -530,19 +531,39 @@ class TestNormalFormApply:
             nf.eps = 1 - nf.eps
 
     def test_table_built_once(self, rank3, monkeypatch):
+        """Ten applies build the table once, with one pass of the l
+        derivation images over tau(u)."""
         rng = random.Random(44)
         nf = _draw_normal_form(rank3, rng, 1)
         elements = [random_element(rank3, rng) for _ in range(10)]
         expected = [_factor_chain(nf, w) for w in elements]
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return act_on_A(*args)
+        def counted(ws, a):
+            calls.append(ws)
+            return act_each_on_A(ws, a)
 
-        monkeypatch.setattr(automorphisms, "act_on_A", counted)
+        monkeypatch.setattr(automorphisms, "act_each_on_A", counted)
         assert [nf.apply(w) for w in elements] == expected
-        assert 0 < len(calls) <= rank3.ell
+        assert [len(ws) for ws in calls] == [rank3.ell]
+
+    def test_table_builds_each_d_lam_table_once(self, rank4, monkeypatch):
+        """The l derivation images share one d^lam memo per term of tau(u):
+        the table builds call ``_d_lam`` once per distinct (grade, i, lam)."""
+        real = algebra._d_lam
+        calls = []
+
+        def counted(sig, memo, grade, i0, lam):
+            calls.append((grade, i0, lam))
+            return real(sig, memo, grade, i0, lam)
+
+        monkeypatch.setattr(algebra, "_d_lam", counted)
+        rng = random.Random(5)
+        for eps in (0, 1):
+            nf = _draw_normal_form(rank4, rng, eps)
+            calls.clear()
+            automorphisms._normal_form_table(nf)
+            assert calls and len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
@@ -621,6 +642,37 @@ class TestComposeNormalForms:
             right = compose_normal_forms(a, compose_normal_forms(b, c))
             assert left.same_data(right)
         assert twisted > 0
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
+    def test_certificate_refuses_one_wrong_term(self, sig_name, request, monkeypatch):
+        """A composite with one wrong u term or one wrong v slot is refused on
+        the first generator whose table image the change moves: a u term
+        c x^{al,i} moves d_q for the first q with d_q(x^{al,i}) != 0, a
+        polynomial slot p of v moves xi<p>, a derivation slot q moves d<q>."""
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(72)
+        a, b = _draw_normal_form(sig, rng, 1), _draw_normal_form(sig, rng, 0)
+        compose_normal_forms(a, b)
+        real = automorphisms.NormalFormAut
+        ell = sig.ell
+        cases = [("u", term, next(f"d{q}" for q in range(1, ell + 1)
+                                  if derivation_apply(sig, unit_index(ell, q), term)))
+                 for term in (sig.x_poly(1, coeff=Fraction(2, 3)),
+                              sig.x(unit_index(ell, ell), coeff=-3))]
+        cases += [("v", k, f"xi{k + 1}" if k < sig.ell1 else f"d{k + 1}") for k in range(ell)]
+        for kind, change, label in cases:
+            def corrupted(tau, u, v, eps, mode, kind=kind, change=change):
+                if kind == "u":
+                    u = InnerExp(u.u + change)
+                else:
+                    v = ShiftV(sig, v.v[:change] + (v.v[change] + 1,) + v.v[change + 1:])
+                return real(tau, u, v, eps, mode)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(automorphisms, "NormalFormAut", corrupted)
+                with pytest.raises(InvariantViolation,
+                                   match=f"^group law violated on generator {label}$"):
+                    compose_normal_forms(a, b)
 
     def test_symbolic_law_agrees_with_decomposition_route(self, desk):
         # two independent paths to the composite's factored form
@@ -710,6 +762,50 @@ class TestVerify:
         twist = Sigma1(desk)
         assert twist.apply(a * b) == lhs_check
         assert twist.apply(a) * twist.apply(b) == ce["rhs"]
+
+    @pytest.mark.parametrize("mode", [MODE_ASSOC, MODE_LIE])
+    def test_counterexample_matches_elementwise_apply(self, rank3, monkeypatch, mode):
+        """Under an extension perturbed on its level >= 2 images, one image
+        function per verification reports the trial, pair and both sides
+        that applying the map element by element finds on the same draws."""
+        rng = random.Random(90)
+        tau = TauAut(rank3, random_aut2(rank3, rng), random_character(rank3.lattice, rng))
+        u = InnerExp(random_A_element(rank3, rng))
+        v = ShiftV(rank3, random_shift_vector(rank3, rng))
+        nf = NormalFormAut(tau, u, v, 1)
+        nf.generator_images()  # the table's own extension runs before the count
+        real = automorphisms._hom_extend
+        built = []
+
+        def perturbed(out_sig, *table):
+            built.append(table)
+            image = real(out_sig, *table)
+
+            def perturbed_image(w):
+                out = image(w)
+                return out + out_sig.one() if (out.max_level() or 0) >= 2 else out
+
+            return perturbed_image
+
+        monkeypatch.setattr(automorphisms, "_hom_extend", perturbed)
+        for phi in (tau, u, v, nf):
+            built.clear()
+            report = verify_automorphism(phi, trials=30, seed=91, mode=mode)
+            assert len(built) == 1
+            draws = random.Random(91)
+            for trial in range(1, 31):
+                a, b = random_element(rank3, draws), random_element(rank3, draws)
+                if mode == MODE_ASSOC:
+                    lhs, rhs = phi.apply(a * b), phi.apply(a) * phi.apply(b)
+                else:
+                    lhs, rhs = phi.apply(a.bracket(b)), phi.apply(a).bracket(phi.apply(b))
+                if lhs != rhs:
+                    break
+            else:
+                pytest.fail(f"the perturbation left {phi!r} a homomorphism")
+            assert not report.passed
+            assert report.counterexample == {"trial": trial, "a": a, "b": b,
+                                             "lhs": lhs, "rhs": rhs}
 
 
 class TestDecompose:
@@ -894,33 +990,47 @@ class TestFunctionalAut:
 
 
 def test_certificates_read_generator_images_off_the_table(rank3, monkeypatch):
-    """The extensions each certificate runs on fresh rank-3 forms: one per
-    table (its tau(u)), the one pull-back of decomposition, the two
-    conjugates of the group law and one per generator for a applied to b's
+    """The extensions each certificate runs on fresh rank-3 forms, as (image
+    functions built, elements extended): one function for one element per
+    table (its tau(u)) and for the one pull-back of decomposition; for the
+    group law the same for the two conjugates and the three tables (a's, b's
+    and the result's), plus one function of a for all of b's generator
     images.  An extension per generator for the forms' own images would add
-    11 each, and a pull-back of each d_q and x^{1_[p]} image l + l1 - 1."""
+    11 of each, a pull-back of each d_q and x^{1_[p]} image l + l1 - 1, and
+    a function of a per generator 10 functions."""
     rng = random.Random(70)
-    calls = []
+    built, extended = [], []
     real = automorphisms._hom_extend
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(*table):
+        built.append(table)
+        image = real(*table)
+
+        def counted_image(w):
+            extended.append(w)
+            return image(w)
+
+        return counted_image
+
+    def counts():
+        counted_now = len(built), len(extended)
+        built.clear()
+        extended.clear()
+        return counted_now
 
     monkeypatch.setattr(automorphisms, "_hom_extend", counted)
     for eps in (0, 1):
         nf = _draw_normal_form(rank3, rng, eps)
-        calls.clear()
+        counts()
         phi = FunctionalAut.from_aut(nf)
-        assert len(calls) == 1
+        assert counts() == (1, 1)
         phi = FunctionalAut(rank3, MODE_LIE, phi.images)
-        calls.clear()
         assert decompose_automorphism(phi).same_data(nf)
-        assert len(calls) == 2
+        assert counts() == (2, 2)
         a, b = _draw_normal_form(rank3, rng, eps), _draw_normal_form(rank3, rng, 1 - eps)
-        calls.clear()
+        counts()
         compose_normal_forms(a, b)
-        assert len(calls) == len(generator_keys(rank3)) + 5
+        assert counts() == (6, len(generator_keys(rank3)) + 5)
 
 
 class TestAutomorphismJson:
@@ -952,33 +1062,38 @@ class TestAutomorphismJson:
         assert data["v"] == ["0", "0"]
 
 
-def _ref_hom_extend(w, out_sig, x_image, x1_images, d_images):
-    """The ordered-product extension _hom_extend replaced: per term, the
-    x-image times ascending x^{1_[p]}-image powers times ascending d_q-image
-    powers, multiplied left to right and summed with Fraction arithmetic."""
-    sig = w.signature
-    out = {}
-    powers = {}
+def _ref_hom_extend(out_sig, x_image, x1_images, d_image):
+    """The ordered-product extension _hom_extend replaced, with the same
+    signature: per term, the x-image times ascending x^{1_[p]}-image powers
+    times ascending d_q-image powers, multiplied left to right and summed
+    with Fraction arithmetic, every element on its own."""
 
-    def power(tag, base, k):
-        cached = powers.get((tag, k))
-        if cached is None:
-            cached = base if k == 1 else power(tag, base, k - 1) * base
-            powers[(tag, k)] = cached
-        return cached
+    def image(w):
+        sig = w.signature
+        out = {}
+        powers = {}
 
-    for (al, i, mu), c in w.terms.items():
-        den, num = x_image(al)
-        acc = Element(out_sig, {m: Fraction(n, den) for m, n in num.items()})
-        for p in range(sig.ell1):
-            if i[p]:
-                acc = acc * power(("xi", p), x1_images[p], i[p])
-        for q in range(sig.ell):
-            if mu[q]:
-                acc = acc * power(("d", q), d_images[q], mu[q])
-        for m, v in acc.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c * v
-    return Element(out_sig, out)
+        def power(tag, base, k):
+            cached = powers.get((tag, k))
+            if cached is None:
+                cached = base if k == 1 else power(tag, base, k - 1) * base
+                powers[(tag, k)] = cached
+            return cached
+
+        for (al, i, mu), c in w.terms.items():
+            den, num = x_image(al)
+            acc = Element(out_sig, {m: Fraction(n, den) for m, n in num.items()})
+            for p in range(sig.ell1):
+                if i[p]:
+                    acc = acc * power(("xi", p), x1_images[p], i[p])
+            for q in range(sig.ell):
+                if mu[q]:
+                    acc = acc * power(("d", q), d_image(q), mu[q])
+            for m, v in acc.terms.items():
+                out[m] = out.get(m, Fraction(0)) + c * v
+        return Element(out_sig, out)
+
+    return image
 
 
 def _same(got, want):
@@ -1045,9 +1160,12 @@ class TestHomExtend:
             d_images = [random_element(sig, rng, max_terms=2, max_level=2)
                         for _ in range(sig.ell)]
             assert any(a * b != b * a for a in d_images for b in d_images)
+            # one function for all the elements, so later ones reuse the
+            # powers and D(mu) that earlier ones built
+            image = automorphisms._hom_extend(sig, x_image, x1_images, d_images.__getitem__)
+            reference = _ref_hom_extend(sig, x_image, x1_images, d_images.__getitem__)
             for w in _hom_elements(sig, rng.randint(0, 99)):
-                _same(automorphisms._hom_extend(w, sig, x_image, x1_images, d_images),
-                      _ref_hom_extend(w, sig, x_image, x1_images, d_images))
+                _same(image(w), reference(w))
 
     def test_rejects_images_outside_A(self, desk):
         fixed = automorphisms._fixed_x_image(desk)
@@ -1060,10 +1178,41 @@ class TestHomExtend:
             return den, {**num, Monomial((0, 0), (0, 0), (0, 1)): den}
 
         with pytest.raises(InvariantViolation):
-            automorphisms._hom_extend(w, desk, moved_x_image, x1_images, d_images)
+            automorphisms._hom_extend(desk, moved_x_image, x1_images, d_images.__getitem__)(w)
         with pytest.raises(InvariantViolation):
-            automorphisms._hom_extend(w, desk, fixed, [desk.x_poly(1) * desk.d(1)],
-                                      d_images)
+            automorphisms._hom_extend(desk, fixed, [desk.x_poly(1) * desk.d(1)],
+                                      d_images.__getitem__)(w)
+
+    def test_substituted_seam_changes_every_family(self, sig, monkeypatch):
+        """The seam the tests above substitute reaches every family: an
+        extension off by the unit changes each apply and fails each
+        verification, so a comparison through it cannot pass vacuously."""
+        rng = random.Random(44)
+        tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
+        u = InnerExp(random_A_element(sig, rng))
+        v = ShiftV(sig, random_shift_vector(sig, rng))
+        functional = FunctionalAut.from_aut(NormalFormAut(tau, u, v, 1))
+        functional.as_normal_form()
+        third = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
+        families = [tau, u, v, NormalFormAut(tau, u, v, 0), NormalFormAut(tau, u, v, 1),
+                    functional]
+        if sig.ell == 2:
+            families.append(iso_search_bounded(sig, third, trials=1).iso)
+        w = random_element(sig, rng, max_level=2)
+        assert not w.in_A()
+        real = automorphisms._hom_extend
+
+        def plus_one(out_sig, *table):
+            image = real(out_sig, *table)
+            return lambda w: image(w) + out_sig.one()
+
+        for phi in families:
+            image = phi.apply(w)
+            assert verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE).passed
+            with monkeypatch.context() as mp:
+                mp.setattr(automorphisms, "_hom_extend", plus_one)
+                assert phi.apply(w) != image, phi
+                assert not verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE).passed
 
 
 def _assert_canonical(e):

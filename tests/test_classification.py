@@ -292,11 +292,16 @@ class TestCrossSignatureTau:
     def test_product_law_failure_is_reported(self, desk, iso, monkeypatch):
         real = automorphisms._hom_extend
 
-        def perturbed(w, out_sig, *table):
-            out = real(w, out_sig, *table)
-            if any(sum(mu) >= 2 for _, _, mu in out.terms):
-                out = out + out_sig.one()
-            return out
+        def perturbed(out_sig, *table):
+            image = real(out_sig, *table)
+
+            def perturbed_image(w):
+                out = image(w)
+                if any(sum(mu) >= 2 for _, _, mu in out.terms):
+                    out = out + out_sig.one()
+                return out
+
+            return perturbed_image
 
         monkeypatch.setattr(automorphisms, "_hom_extend", perturbed)
         cand = IsoCandidate(iso.G, iso.f)

@@ -424,14 +424,14 @@ class TestIso:
         doubled), the --json error envelope keeps the trial and the elements,
         and a, b read back from it reproduce the printed mismatch."""
         maps = []
-        original = TauAut.apply
+        original = TauAut.image_function
 
-        def defective(self, w):
+        def defective(self):
             maps.append(self)
-            image = original(self, w)
-            return image.scale(2) if (w.max_level() or 0) >= 2 else image
+            image = original(self)
+            return lambda w: image(w).scale(2) if (w.max_level() or 0) >= 2 else image(w)
 
-        monkeypatch.setattr(TauAut, "apply", defective)
+        monkeypatch.setattr(TauAut, "image_function", defective)
         assert run_command(["iso", *scaled_pair, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False

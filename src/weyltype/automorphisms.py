@@ -8,18 +8,23 @@ Four families generate everything:
 * ``Sigma1``       -- the order-2 twist x^{a,i} d^mu -> -(-d)^mu . x^{a,i},
                       a bracket automorphism only.
 
-The first three are algebra homomorphisms fixed by the images of x^alpha,
-x^{1_[p]} and d_q.  Each applies its generator table through the one
-extension ``_hom_extend``, which turns a table into an image function.
-Every table sends x^alpha and x^{1_[p]} into A, so the image of
-x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an element of A times the
-product of the d_q-image powers; an image function builds each power and
-each D(mu) once for all the elements it maps, and attaches the A-part by an
-integer convolution.  ``image_function`` returns it and ``apply`` is it on
-one element; the product-law check and the group law's certificate each hold
-one across their elements, and no object keeps one.  sigma_tau and the
-normal form keep their table from the first apply on.  exp(ad u) is the
-table d_q -> d_q + [u, d_q] with A fixed, not a series.
+The first three, and the normal form below, are table maps: algebra
+homomorphisms fixed by the images of x^alpha, x^{1_[p]} and d_q, which all
+apply one way.  Each ``image_function`` hands its table (the x-image
+function and the lists of the x^{1_[p]} and d_q images) to the one
+extension ``_hom_extend``, and the one ``apply``, on their shared base
+``_TableMap``, is that function on one element.  Every table sends x^alpha
+and x^{1_[p]} into A, so the image of x^{alpha,i} d^mu factors as
+A(alpha,i) . D(mu), an element of A times the product of the d_q-image
+powers; an image function builds each power and each D(mu) once for all the
+elements it maps, and attaches the A-part by an integer convolution.  The
+product-law check ``verify_automorphism``, which raises
+HomomorphismCounterexample at the first pair that breaks the law, and the
+group law's certificate each hold one image function across their elements,
+and no object keeps one.  sigma_tau and the normal form keep their table
+from the first apply on.  exp(ad u) is the table d_q -> d_q + [u, d_q] with
+A fixed, not a series; each of its image functions builds the l images in
+one pass of the d_q over u.
 
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
@@ -38,9 +43,11 @@ of the generating set are read off that table (``generator_images``), with
 no extension at all.  ``compose_normal_forms`` is the one group law: it
 composes any two normal forms symbolically, the twist included, since
 conjugation by sigma_1 maps each family to itself.
-``decompose_automorphism`` recovers the factored form from the images of
-the generating set alone: it reads every factor off them in closed form, with
-one pull-back for u, and checks the result's table images on every generator.
+``FunctionalAut`` is a presentation, the images of the generating set, and
+does not apply.  ``decompose_automorphism`` is the one way from it to a map:
+it recovers the factored form from those images alone, reads every factor
+off them in closed form, with one pull-back for u, and checks the result's
+table images on every generator.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ from .algebra import (
     _convolve,
     _from_ints,
     act_each_on_A,
-    derivation_apply,
     element_from_dict,
     element_to_dict,
     unit_index,
@@ -68,6 +74,7 @@ from .algebra import (
 from .errors import (
     BlockShapeViolation,
     DimensionMismatch,
+    HomomorphismCounterexample,
     InvariantViolation,
     LatticeNotMapped,
     NotAnAutomorphism,
@@ -135,14 +142,13 @@ def _gen_label(key: tuple) -> str:
 # homomorphic extension from a generator table
 # ---------------------------------------------------------------------------
 
-def _hom_extend(out_sig: Signature, x_image, x1_images, d_image):
+def _hom_extend(out_sig: Signature, x_image, x1_images, d_images):
     """The multiplicative extension of a generator table, as a function
-    ``image(w)``.
+    ``image(w)``: the one way every table map applies.
 
     The table is ``x_image``, a function from lattice coordinates alpha to
-    the image of x^alpha as integer parts (den, num), the list of x^{1_[p]}
-    images and ``d_image``, a function from q - 1 to the image of d_q, asked
-    only for the d_q that occur.  The image of x^{alpha,i} d^mu is
+    the image of x^alpha as integer parts (den, num), and the lists of the
+    x^{1_[p]} and the d_q images.  The image of x^{alpha,i} d^mu is
     A(alpha,i) . D(mu): A(alpha,i) is the image of x^alpha times the
     ascending powers of the x^{1_[p]} images, an element of A, and D(mu) the
     ascending powers of the d_q images multiplied left to right.  Left
@@ -161,14 +167,11 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_image):
     xi_parts: dict = {}
     d_parts: dict = {(0,) * ell: out_sig.one()}
 
-    def power(tag, k: int, first) -> Element:
+    def power(tag, k: int, base: Element) -> Element:
         top = k
         while top > 1 and (tag, top) not in powers:
             top -= 1
-        cached = powers.get((tag, top))
-        if cached is None:  # top = 1: the image itself, built on first use
-            cached = powers[(tag, 1)] = first()
-        base = powers[(tag, 1)]
+        cached = powers[(tag, top)] if top > 1 else base
         for j in range(top + 1, k + 1):
             # the base on the left: a term of level <= 1 meets each term of
             # the power in at most two Leibniz terms, while the power on the
@@ -192,7 +195,7 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_image):
                 if i[p]:
                     xi = xi_parts.get((p, i[p]))
                     if xi is None:
-                        xi = xi_parts[(p, i[p])] = power(("xi", p), i[p], lambda: x1_images[p])
+                        xi = xi_parts[(p, i[p])] = power(("xi", p), i[p], x1_images[p])
                         require_A(xi.num, ("xi", p + 1))
                     prod_num: dict = {}
                     for (al1, i1, _), n1 in a_num.items():
@@ -202,7 +205,7 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_image):
             if d_mu is None:
                 for q in range(ell):
                     if mu[q]:
-                        d_q = power(("d", q), mu[q], lambda: d_image(q))
+                        d_q = power(("d", q), mu[q], d_images[q])
                         d_mu = d_q if d_mu is None else d_mu * d_q
                 d_parts[mu] = d_mu
             parts.append((n, den * d_mu.den, a_num, d_mu.num))
@@ -259,7 +262,19 @@ def _tau_table(tau: "TauAut"):
 # the four families
 # ---------------------------------------------------------------------------
 
-class TauAut:
+class _TableMap:
+    """A homomorphism fixed by its generator table: ``image_function()``
+    extends the table, and ``apply`` is that function on one element."""
+
+    __slots__ = ()
+
+    def apply(self, w: Element) -> Element:
+        if w.signature != self.signature:
+            raise SignatureMismatch("element belongs to a different algebra")
+        return self.image_function()(w)
+
+
+class TauAut(_TableMap):
     """sigma_tau for tau = (G, f): x^a -> f(a) x^{a G^{-1}}, derivation row
     times G, polynomial row times (M^t)^{-1}.
 
@@ -346,13 +361,7 @@ class TauAut:
 
     def image_function(self):
         """``image(w)``, the extension of the generator table."""
-        x_image, x1_images, d_images = self._table()
-        return _hom_extend(self.target, x_image, x1_images, d_images.__getitem__)
-
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.signature:
-            raise SignatureMismatch("element belongs to a different algebra")
-        return self.image_function()(w)
+        return _hom_extend(self.target, *self._table())
 
     def generator_table(self) -> dict:
         """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
@@ -406,7 +415,7 @@ class TauAut:
         return f"TauAut(G={self.G.entries}, f={self.f})"
 
 
-class InnerExp:
+class InnerExp(_TableMap):
     """sigma_u = exp(ad u) for u in A, stored with its constant term dropped
     (sigma_{u+c} = sigma_u).
 
@@ -423,23 +432,14 @@ class InnerExp:
         self.u = u.without_constant()
 
     def image_function(self):
-        """``image(w)``: elements of A unchanged, the others extended.  The
-        table is not kept: each d_q - d_q(u) is built, once per function,
-        only when d_q occurs, since a derivation pass over u is cheap; a
-        normal form keeps its composite table instead, which holds l + l1
-        elements, as TauAut's does."""
-        sig, u = self.signature, self.u
+        """``image(w)``, the extension of the table.  The table is not kept:
+        one pass of the d_q over u builds every d_q(u), as for a normal
+        form's table."""
+        sig = self.signature
         x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
-        extend = _hom_extend(sig, _fixed_x_image(sig), x1_images,
-                             lambda q: generator_element(sig, ("d", q + 1))
-                             - derivation_apply(sig, unit_index(sig.ell, q + 1), u))
-        return lambda w: w if w.in_A() else extend(w)
-
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.signature:
-            raise SignatureMismatch("element belongs to a different algebra")
-        # sigma_u fixes A: such an element builds no image function
-        return w if w.in_A() else self.image_function()(w)
+        d_gens = [generator_element(sig, ("d", q)) for q in range(1, sig.ell + 1)]
+        d_images = [d - acted for d, acted in zip(d_gens, act_each_on_A(d_gens, self.u))]
+        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images)
 
     @classmethod
     def identity(cls, sig: Signature) -> "InnerExp":
@@ -454,7 +454,7 @@ class InnerExp:
         return f"InnerExp({self.u!r})"
 
 
-class ShiftV:
+class ShiftV(_TableMap):
     """sigma_v: fixes every x^a, shifts the polynomial generator row by the
     first l1 slots of v and the derivation row by the last l2 slots."""
 
@@ -475,12 +475,7 @@ class ShiftV:
         d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
                     if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
                     for q in range(sig.ell)]
-        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images.__getitem__)
-
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.signature:
-            raise SignatureMismatch("element belongs to a different algebra")
-        return self.image_function()(w)
+        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images)
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
@@ -553,7 +548,7 @@ def _normal_form_table(nf: "NormalFormAut"):
 
 
 @dataclass(frozen=True)
-class NormalFormAut:
+class NormalFormAut(_TableMap):
     """The factored automorphism sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 
     After the twist it is one algebra homomorphism, applied through one
@@ -594,17 +589,11 @@ class NormalFormAut:
     def image_function(self):
         """``image(w)``: the twist, if any, then the extension of the
         composite table."""
-        x_image, x1_images, d_images = self._table()
-        extend = _hom_extend(self.signature, x_image, x1_images, d_images.__getitem__)
+        extend = _hom_extend(self.signature, *self._table())
         if not self.eps:
             return extend
         sig = self.signature
         return lambda w: extend(apply_sigma1(sig, w))
-
-    def apply(self, w: Element) -> Element:
-        if w.signature != self.signature:
-            raise SignatureMismatch("element belongs to a different algebra")
-        return self.image_function()(w)
 
     def generator_images(self) -> dict:
         """The images of the generating set, keyed in ``generator_keys`` order
@@ -746,14 +735,15 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
 # ---------------------------------------------------------------------------
 
 class FunctionalAut:
-    """An automorphism given by its images on the generating set.
+    """An automorphism presented by its images on the generating set.
 
     The stored images cover the unit, x^{+-b_k} for each canonical basis row,
-    the polynomial generators and the derivations.  Application to arbitrary
-    elements goes through decomposition into normal form.
+    the polynomial generators and the derivations.  A presentation does not
+    apply: ``decompose_automorphism`` is the one way from the images to a
+    map, the normal form, which applies as every table map does.
     """
 
-    __slots__ = ("signature", "mode", "images", "_normal_form")
+    __slots__ = ("signature", "mode", "images")
 
     def __init__(self, signature: Signature, mode: str, images: dict):
         if mode not in (MODE_LIE, MODE_ASSOC):
@@ -776,23 +766,11 @@ class FunctionalAut:
         self.signature = signature
         self.mode = mode
         self.images = dict(images)
-        self._normal_form = None
 
     @classmethod
     def from_aut(cls, nf: NormalFormAut, mode: str | None = None) -> "FunctionalAut":
         """The presentation of a normal form, in its own mode by default."""
         return cls(nf.signature, nf.mode if mode is None else mode, nf.generator_images())
-
-    def as_normal_form(self) -> NormalFormAut:
-        if self._normal_form is None:
-            self._normal_form = decompose_automorphism(self)
-        return self._normal_form
-
-    def image_function(self):
-        return self.as_normal_form().image_function()
-
-    def apply(self, w: Element) -> Element:
-        return self.as_normal_form().apply(w)
 
     def to_dict(self) -> dict:
         return {
@@ -822,25 +800,11 @@ class FunctionalAut:
 # randomized verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyReport:
-    passed: bool
-    mode: str
-    trials: int
-    seed: int
-    counterexample: dict | None = field(default=None, repr=False)
-
-    def describe(self) -> str:
-        if self.passed:
-            return f"pass ({self.trials} random pairs, mode={self.mode}, seed={self.seed})"
-        ce = self.counterexample
-        return (f"fail at trial {ce['trial']} (mode={self.mode}, seed={self.seed}): "
-                f"phi(a op b) != phi(a) op phi(b)")
-
-
-def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) -> VerifyReport:
+def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) -> None:
     """Sample element pairs and check the homomorphism law in the given mode,
-    through one image function of phi for all the trials."""
+    through one image function of phi for all the trials.  Raises
+    HomomorphismCounterexample, with the trial, the pair and both sides, at
+    the first pair that breaks it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sig = phi.signature
@@ -857,10 +821,9 @@ def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) ->
             lhs = image(a.bracket(b))
             rhs = image(a).bracket(image(b))
         if lhs != rhs:
-            return VerifyReport(False, mode, trials, seed,
-                                {"trial": trial, "a": a, "b": b,
-                                 "lhs": lhs, "rhs": rhs})
-    return VerifyReport(True, mode, trials, seed)
+            raise HomomorphismCounterexample(
+                f"product law fails at trial {trial} (mode={mode}, seed={seed})",
+                a=a, b=b, lhs=lhs, rhs=rhs, trial=trial)
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,7 @@ def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
                     lhs=lhs, rhs=rhs)
 
     if trials > 0:
-        report = verify_automorphism(iso, trials, seed, MODE_ASSOC)
-        if not report.passed:
-            ce = report.counterexample
-            raise HomomorphismCounterexample(
-                f"product law fails at trial {ce['trial']}",
-                a=ce["a"], b=ce["b"], lhs=ce["lhs"], rhs=ce["rhs"], trial=ce["trial"])
+        verify_automorphism(iso, trials, seed, MODE_ASSOC)
     return iso
 
 

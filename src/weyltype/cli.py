@@ -276,7 +276,8 @@ def _dispatch_aut(args) -> int:
         aut = _load_automorphism(args.aut, args.mode)
         if aut.signature != sig:
             raise WeylError("automorphism file and --config disagree on the algebra")
-        result = aut.apply(parse_and_eval(args.expr, sig))
+        w = parse_and_eval(args.expr, sig)
+        result = _as_normal_form(aut).apply(w)
         _emit(args, {"ok": True, "element": element_to_dict(result),
                      "text": format_element(result)}, format_element(result))
         return 0

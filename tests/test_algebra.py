@@ -28,6 +28,8 @@ from weyltype.errors import (
 )
 from weyltype.sampling import random_element, random_fd_element
 
+from conftest import oracle_bracket_is, oracle_product_is
+
 
 class TestMultiBinomial:
     def test_componentwise_product(self):
@@ -464,6 +466,55 @@ class TestPackedKernel:
             lam = tuple(rng.randint(0, 2) for _ in range(sig.ell))
             d_lam = Element(sig, {Monomial((0,) * sig.ell, (0,) * sig.ell, lam): 1})
             _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
+
+
+# (pairs, highest level) per fixture; a pair of level-2 elements already
+# needs C(4 + l, l) probes, 70 at rank 4
+ORACLE_DRAWS = {"desk": (100, 3), "rank3": (100, 2), "rank4": (40, 2)}
+
+
+class TestOperatorOracle:
+    """The kernel against the operator oracle of conftest, which decides a
+    product or a bracket through the action on A alone, on both kernel
+    paths."""
+
+    @pytest.fixture(params=("tuple", "packed"))
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr(algebra, "PACKED_PAIRS", 10 ** 9 if request.param == "tuple" else 0)
+        return request.param
+
+    @pytest.mark.parametrize("sig_name", sorted(ORACLE_DRAWS))
+    def test_products_and_brackets(self, sig_name, path, request):
+        sig = request.getfixturevalue(sig_name)
+        pairs, level = ORACLE_DRAWS[sig_name]
+        rng = random.Random(sorted(ORACLE_DRAWS).index(sig_name))
+        for _ in range(pairs):
+            a, b = (random_element(sig, rng, max_level=level) for _ in range(2))
+            assert oracle_product_is(a, b, a * b)
+            assert oracle_bracket_is(a, b, a.bracket(b))
+
+    @pytest.mark.parametrize("sig_name", sorted(ORACLE_DRAWS))
+    def test_every_one_coefficient_mutant_is_caught(self, sig_name, request):
+        """Each term of a product or a bracket, moved by one or dropped, and
+        one term added where there was none: the oracle refuses each."""
+        sig = request.getfixturevalue(sig_name)
+        _, level = ORACLE_DRAWS[sig_name]
+        rng = random.Random(10 + sorted(ORACLE_DRAWS).index(sig_name))
+        mutants = 0
+        for _ in range(10):
+            a, b = (random_element(sig, rng, max_level=level) for _ in range(2))
+            for holds, c in ((oracle_product_is, a * b), (oracle_bracket_is, a.bracket(b))):
+                terms = c.terms
+                fresh = next(m for m in random_element(sig, rng, max_level=level).terms
+                             if m not in terms)
+                changed = [{**terms, fresh: Fraction(1)}]
+                for m, q in terms.items():
+                    changed.append({**terms, m: q + 1})
+                    changed.append({k: v for k, v in terms.items() if k != m})
+                for num in changed:
+                    assert not holds(a, b, Element(sig, num)), num
+                mutants += len(changed)
+        assert mutants >= 100
 
 
 class TestBracket:

@@ -39,6 +39,7 @@ from weyltype.automorphisms import (
     random_normal_form_aut,
 )
 from weyltype.errors import (
+    HomomorphismCounterexample,
     InvariantViolation,
     LatticeNotMapped,
     NotAnAutomorphism,
@@ -112,8 +113,8 @@ class TestTauAut:
     def test_preserves_product_and_bracket(self, desk):
         rng = random.Random(2)
         tau = TauAut(desk, random_aut2(desk, rng), random_character(desk.lattice, rng))
-        assert verify_automorphism(tau, trials=100, seed=3, mode=MODE_ASSOC).passed
-        assert verify_automorphism(tau, trials=100, seed=3, mode=MODE_LIE).passed
+        verify_automorphism(tau, trials=100, seed=3, mode=MODE_ASSOC)
+        verify_automorphism(tau, trials=100, seed=3, mode=MODE_LIE)
 
     def test_powers_past_the_recursion_limit(self, desk):
         """The extension builds generator-image powers in a loop, not by one
@@ -316,14 +317,18 @@ class TestInnerExp:
             assert sigma.apply(a) == a
 
     @pytest.mark.parametrize("sig_name", ["desk", "rank3"])
-    def test_returns_A_elements_without_extension(self, sig_name, request, monkeypatch):
+    def test_fixes_A_elements_through_the_extension(self, sig_name, request, monkeypatch):
+        """An element of A takes the one path every element takes."""
         sig = request.getfixturevalue(sig_name)
         rng = random.Random(8)
         sigma = InnerExp(random_A_element(sig, rng))
-        monkeypatch.setattr(automorphisms, "_hom_extend", None)
+        real, built = automorphisms._hom_extend, []
+        monkeypatch.setattr(automorphisms, "_hom_extend",
+                            lambda *table: built.append(table) or real(*table))
         for _ in range(50):
             a = random_A_element(sig, rng)
             assert sigma.apply(a) == a
+        assert len(built) == 50
 
     def test_constant_normalized_away(self, desk):
         u = desk.x_poly(1) + desk.scalar(5)
@@ -358,8 +363,8 @@ class TestInnerExp:
         # the acceptance suite runs the 100-pair check; keep the unit run light
         rng = random.Random(6)
         sigma = InnerExp(random_A_element(desk, rng))
-        assert verify_automorphism(sigma, trials=25, seed=7, mode=MODE_ASSOC).passed
-        assert verify_automorphism(sigma, trials=25, seed=7, mode=MODE_LIE).passed
+        verify_automorphism(sigma, trials=25, seed=7, mode=MODE_ASSOC)
+        verify_automorphism(sigma, trials=25, seed=7, mode=MODE_LIE)
 
 
 class TestShiftV:
@@ -385,8 +390,8 @@ class TestShiftV:
     def test_both_mode_verification(self, desk):
         rng = random.Random(9)
         shift = ShiftV(desk, random_shift_vector(desk, rng))
-        assert verify_automorphism(shift, trials=100, seed=10, mode=MODE_ASSOC).passed
-        assert verify_automorphism(shift, trials=100, seed=10, mode=MODE_LIE).passed
+        verify_automorphism(shift, trials=100, seed=10, mode=MODE_ASSOC)
+        verify_automorphism(shift, trials=100, seed=10, mode=MODE_LIE)
 
 
 class TestSigma1:
@@ -425,17 +430,15 @@ class TestSigma1:
             assert apply_sigma1(desk, apply_sigma1(desk, w)) == w
 
     def test_bracket_mode_passes(self, desk):
-        assert verify_automorphism(Sigma1(desk), trials=100, seed=12,
-                                   mode=MODE_LIE).passed
+        verify_automorphism(Sigma1(desk), trials=100, seed=12, mode=MODE_LIE)
 
     def test_associative_mode_fails_on_squared_derivation(self, desk):
         d1 = desk.d(1)
         assert apply_sigma1(desk, d1 * d1) == -(d1 * d1)
         assert apply_sigma1(desk, d1) * apply_sigma1(desk, d1) == d1 * d1
-        report = verify_automorphism(Sigma1(desk), trials=100, seed=12,
-                                     mode=MODE_ASSOC)
-        assert not report.passed
-        assert report.counterexample is not None
+        with pytest.raises(HomomorphismCounterexample) as info:
+            verify_automorphism(Sigma1(desk), trials=100, seed=12, mode=MODE_ASSOC)
+        assert info.value.lhs != info.value.rhs
 
 
 class TestConjugationLaw:
@@ -748,20 +751,16 @@ class TestTwistConjugation:
 
 class TestVerify:
     def test_identity_passes(self, desk):
-        report = verify_automorphism(NormalFormAut.identity(desk), trials=20, seed=19)
-        assert report.passed
-        assert "pass" in report.describe()
+        assert verify_automorphism(NormalFormAut.identity(desk), trials=20, seed=19) is None
 
     def test_report_counterexample_fields(self, desk):
-        report = verify_automorphism(Sigma1(desk), trials=50, seed=20,
-                                     mode=MODE_ASSOC)
-        assert not report.passed
-        ce = report.counterexample
-        lhs_check = ce["lhs"]
-        a, b = ce["a"], ce["b"]
+        with pytest.raises(HomomorphismCounterexample) as info:
+            verify_automorphism(Sigma1(desk), trials=50, seed=20, mode=MODE_ASSOC)
+        ce = info.value
+        assert str(ce) == f"product law fails at trial {ce.trial} (mode=assoc, seed=20)"
         twist = Sigma1(desk)
-        assert twist.apply(a * b) == lhs_check
-        assert twist.apply(a) * twist.apply(b) == ce["rhs"]
+        assert twist.apply(ce.a * ce.b) == ce.lhs
+        assert twist.apply(ce.a) * twist.apply(ce.b) == ce.rhs
 
     @pytest.mark.parametrize("mode", [MODE_ASSOC, MODE_LIE])
     def test_counterexample_matches_elementwise_apply(self, rank3, monkeypatch, mode):
@@ -790,7 +789,8 @@ class TestVerify:
         monkeypatch.setattr(automorphisms, "_hom_extend", perturbed)
         for phi in (tau, u, v, nf):
             built.clear()
-            report = verify_automorphism(phi, trials=30, seed=91, mode=mode)
+            with pytest.raises(HomomorphismCounterexample) as info:
+                verify_automorphism(phi, trials=30, seed=91, mode=mode)
             assert len(built) == 1
             draws = random.Random(91)
             for trial in range(1, 31):
@@ -803,9 +803,8 @@ class TestVerify:
                     break
             else:
                 pytest.fail(f"the perturbation left {phi!r} a homomorphism")
-            assert not report.passed
-            assert report.counterexample == {"trial": trial, "a": a, "b": b,
-                                             "lhs": lhs, "rhs": rhs}
+            ce = info.value
+            assert (ce.trial, ce.a, ce.b, ce.lhs, ce.rhs) == (trial, a, b, lhs, rhs)
 
 
 class TestDecompose:
@@ -900,7 +899,7 @@ class TestDecompose:
     def test_functional_apply_matches_source(self, desk):
         rng = random.Random(23)
         nf = random_normal_form_aut(desk, rng)
-        phi = FunctionalAut.from_aut(nf)
+        phi = decompose_automorphism(FunctionalAut.from_aut(nf))
         for _ in range(5):
             w = random_element(desk, rng)
             assert phi.apply(w) == nf.apply(w)
@@ -1062,7 +1061,7 @@ class TestAutomorphismJson:
         assert data["v"] == ["0", "0"]
 
 
-def _ref_hom_extend(out_sig, x_image, x1_images, d_image):
+def _ref_hom_extend(out_sig, x_image, x1_images, d_images):
     """The ordered-product extension _hom_extend replaced, with the same
     signature: per term, the x-image times ascending x^{1_[p]}-image powers
     times ascending d_q-image powers, multiplied left to right and summed
@@ -1088,7 +1087,7 @@ def _ref_hom_extend(out_sig, x_image, x1_images, d_image):
                     acc = acc * power(("xi", p), x1_images[p], i[p])
             for q in range(sig.ell):
                 if mu[q]:
-                    acc = acc * power(("d", q), d_image(q), mu[q])
+                    acc = acc * power(("d", q), d_images[q], mu[q])
             for m, v in acc.terms.items():
                 out[m] = out.get(m, Fraction(0)) + c * v
         return Element(out_sig, out)
@@ -1162,8 +1161,8 @@ class TestHomExtend:
             assert any(a * b != b * a for a in d_images for b in d_images)
             # one function for all the elements, so later ones reuse the
             # powers and D(mu) that earlier ones built
-            image = automorphisms._hom_extend(sig, x_image, x1_images, d_images.__getitem__)
-            reference = _ref_hom_extend(sig, x_image, x1_images, d_images.__getitem__)
+            image = automorphisms._hom_extend(sig, x_image, x1_images, d_images)
+            reference = _ref_hom_extend(sig, x_image, x1_images, d_images)
             for w in _hom_elements(sig, rng.randint(0, 99)):
                 _same(image(w), reference(w))
 
@@ -1178,10 +1177,9 @@ class TestHomExtend:
             return den, {**num, Monomial((0, 0), (0, 0), (0, 1)): den}
 
         with pytest.raises(InvariantViolation):
-            automorphisms._hom_extend(desk, moved_x_image, x1_images, d_images.__getitem__)(w)
+            automorphisms._hom_extend(desk, moved_x_image, x1_images, d_images)(w)
         with pytest.raises(InvariantViolation):
-            automorphisms._hom_extend(desk, fixed, [desk.x_poly(1) * desk.d(1)],
-                                      d_images.__getitem__)(w)
+            automorphisms._hom_extend(desk, fixed, [desk.x_poly(1) * desk.d(1)], d_images)(w)
 
     def test_substituted_seam_changes_every_family(self, sig, monkeypatch):
         """The seam the tests above substitute reaches every family: an
@@ -1191,11 +1189,11 @@ class TestHomExtend:
         tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
         u = InnerExp(random_A_element(sig, rng))
         v = ShiftV(sig, random_shift_vector(sig, rng))
-        functional = FunctionalAut.from_aut(NormalFormAut(tau, u, v, 1))
-        functional.as_normal_form()
+        # a presentation's map is its decomposition
+        presented = decompose_automorphism(FunctionalAut.from_aut(NormalFormAut(tau, u, v, 1)))
         third = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
         families = [tau, u, v, NormalFormAut(tau, u, v, 0), NormalFormAut(tau, u, v, 1),
-                    functional]
+                    presented]
         if sig.ell == 2:
             families.append(iso_search_bounded(sig, third, trials=1).iso)
         w = random_element(sig, rng, max_level=2)
@@ -1208,11 +1206,12 @@ class TestHomExtend:
 
         for phi in families:
             image = phi.apply(w)
-            assert verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE).passed
+            verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE)
             with monkeypatch.context() as mp:
                 mp.setattr(automorphisms, "_hom_extend", plus_one)
                 assert phi.apply(w) != image, phi
-                assert not verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE).passed
+                with pytest.raises(HomomorphismCounterexample):
+                    verify_automorphism(phi, trials=3, seed=45, mode=MODE_LIE)
 
 
 def _assert_canonical(e):

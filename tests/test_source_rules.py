@@ -206,3 +206,21 @@ def test_lattice_data_have_no_fraction_inverse():
     trees = {mod: ast.parse(text) for mod, text in texts.items()}
     assert sum((_used_names(tree) for tree in trees.values()), Counter())["mat_det"] == 0
     assert "mat_det" in {name for name, _ in _definitions(trees["linalg"])}
+
+
+def test_one_apply_for_every_table_map():
+    """Every homomorphism family applies the same way: in ``automorphisms``
+    only the shared base ``_TableMap`` and ``Sigma1``, which has no table,
+    define ``apply``, and ``_hom_extend`` is called only from the
+    ``image_function`` methods of the four table maps."""
+    path = Path(weyltype.__file__).parent / "automorphisms.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = list(_definitions(tree))
+    assert sorted(qual for qual, _ in defs if qual.endswith(".apply")) == [
+        "Sigma1.apply", "_TableMap.apply"]
+    callers = {qual for qual, node in defs if not isinstance(node, ast.ClassDef)
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == "_hom_extend"}
+    assert callers == {f"{family}.image_function"
+                       for family in ("TauAut", "InnerExp", "ShiftV", "NormalFormAut")}

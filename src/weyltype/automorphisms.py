@@ -127,7 +127,7 @@ def generator_element(sig: Signature, key: tuple) -> Element:
     return _from_ints(sig, 1, {m: 1})
 
 
-def _gen_label(key: tuple) -> str:
+def generator_label(key: tuple) -> str:
     kind = key[0]
     if kind == "one":
         return "one"
@@ -258,6 +258,40 @@ def _tau_table(tau: "TauAut"):
     return x_image, x1_images, d_images
 
 
+def _combinations(sig: Signature, scaled: tuple, elems: list) -> list[Element]:
+    """sum_p K[p][q] elems[p] / den for each column q of a matrix (den, K),
+    on integer numerators over one common denominator."""
+    den, k = scaled
+    common = lcm(*(e.den for e in elems))
+    out = []
+    for q in range(len(k[0])):
+        num: dict = {}
+        for row, e in zip(k, elems):
+            c = row[q] * (common // e.den)
+            if c:
+                for m, n in e.num.items():
+                    num[m] = num.get(m, 0) + c * n
+        out.append(_from_ints(sig, den * common, num))
+    return out
+
+
+def _table_images(out_sig: Signature, table, sign: int = 1) -> dict:
+    """The images of the generating set read off a generator table, keyed
+    in ``generator_keys`` order: the unit goes to ``sign``, x^{+-b_k} and
+    x^{1_[p]} to ``sign`` times their entries and d_q to its entry."""
+    x_image, x1_images, d_images = table
+    ell = out_sig.ell
+    images = {("one",): out_sig.scalar(1)}
+    for k in range(1, ell + 1):
+        for s in (1, -1):
+            images[("x", k, s)] = _from_ints(out_sig, *x_image(unit_index(ell, k, s)))
+    images.update((("xi", p), e) for p, e in enumerate(x1_images, 1))
+    if sign < 0:
+        images = {key: -e for key, e in images.items()}
+    images.update((("d", q), e) for q, e in enumerate(d_images, 1))
+    return images
+
+
 # ---------------------------------------------------------------------------
 # the four families
 # ---------------------------------------------------------------------------
@@ -363,15 +397,16 @@ class TauAut(_TableMap):
         """``image(w)``, the extension of the generator table."""
         return _hom_extend(self.target, *self._table())
 
+    def generator_images(self) -> dict:
+        """The images of the generating set, keyed in ``generator_keys``
+        order and read off the table, with no extension."""
+        return _table_images(self.target, self._table())
+
     def generator_table(self) -> dict:
         """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
-        x_image, x1_images, d_images = self._table()
-        ell = self.signature.ell
-        table = {f"x+{k}": _from_ints(self.target, *x_image(unit_index(ell, k)))
-                 for k in range(1, ell + 1)}
-        table.update((f"xi{p}", e) for p, e in enumerate(x1_images, 1))
-        table.update((f"d{q}", e) for q, e in enumerate(d_images, 1))
-        return table
+        # every key but the unit and the x^{-b_k}, whose last entry is -1
+        return {generator_label(key): e for key, e in self.generator_images().items()
+                if key != ("one",) and key[-1] != -1}
 
     def inverse(self) -> "TauAut":
         """(G^{-1}, f') from target to signature: N and N^{-1} swap, the rows
@@ -540,9 +575,9 @@ def _normal_form_table(nf: "NormalFormAut"):
     """
     tau, sig, v = nf.tau, nf.signature, nf.v.v
     x_image, x1_images, d_images = tau._table()
-    tau_u = tau.apply(nf.u.u)
-    x1_images = [e + sig.scalar(v[p]) for p, e in enumerate(x1_images)]
-    d_images = [e - acted + sig.scalar(v[q] if q >= sig.ell1 else 0)
+    tau_u = nf.tau_u()
+    x1_images = [e + sig.scalar(v[p]) if v[p] else e for p, e in enumerate(x1_images)]
+    d_images = [e - acted + sig.scalar(v[q]) if q >= sig.ell1 and v[q] else e - acted
                 for q, (e, acted) in enumerate(zip(d_images, act_each_on_A(d_images, tau_u)))]
     return x_image, x1_images, d_images
 
@@ -553,8 +588,8 @@ class NormalFormAut(_TableMap):
 
     After the twist it is one algebra homomorphism, applied through one
     extension of its composite generator table (``_normal_form_table``),
-    built on first use and kept.  The fields are frozen, so the kept table
-    always matches them.
+    built on first use and kept, as is tau(u), the one extension the table
+    needs.  The fields are frozen, so what is kept always matches them.
     """
 
     tau: TauAut
@@ -563,6 +598,7 @@ class NormalFormAut(_TableMap):
     eps: int = 0
     mode: str = MODE_LIE
     _images: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _tau_u: Element | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sig = self.tau.signature
@@ -586,6 +622,12 @@ class NormalFormAut(_TableMap):
             object.__setattr__(self, "_images", _normal_form_table(self))
         return self._images
 
+    def tau_u(self) -> Element:
+        """tau(u), an element of A: each d_q image subtracts a derivative of it."""
+        if self._tau_u is None:
+            object.__setattr__(self, "_tau_u", self.tau.apply(self.u.u))
+        return self._tau_u
+
     def image_function(self):
         """``image(w)``: the twist, if any, then the extension of the
         composite table."""
@@ -601,17 +643,7 @@ class NormalFormAut(_TableMap):
         d_q, so the unit goes to (-1)^eps, x^{+-b_k} and x^{1_[p]} to (-1)^eps
         times their table entries, and d_q to its entry: each is what
         ``apply`` returns on that generator, with no extension."""
-        sig = self.signature
-        x_image, x1_images, d_images = self._table()
-        sign = -1 if self.eps else 1
-        images = {("one",): sig.scalar(sign)}
-        for k in range(1, sig.ell + 1):
-            for s in (1, -1):
-                x = _from_ints(sig, *x_image(unit_index(sig.ell, k, s)))
-                images[("x", k, s)] = x.scale(sign)
-        images.update((("xi", p), e.scale(sign)) for p, e in enumerate(x1_images, 1))
-        images.update((("d", q), e) for q, e in enumerate(d_images, 1))
-        return images
+        return _table_images(self.signature, self._table(), -1 if self.eps else 1)
 
     @classmethod
     def identity(cls, sig: Signature, mode: str = MODE_LIE) -> "NormalFormAut":
@@ -704,8 +736,21 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
 
     With sigma_1^2 = 1, a . b is the twist-free law applied to a and to b,
     with b's u and v conjugated when a.eps = 1, followed by
-    sigma_1^(a.eps xor b.eps).  The result is checked on the generating
-    set: its table images must equal a applied to b's table images.
+    sigma_1^(a.eps xor b.eps).
+
+    The result is checked on the generating set: its table images must equal
+    a(b(g)).  For the unit, x^{+-b_k} and x^{1_[p]}, b(g) is a scalar, a
+    monomial or affine in the x^{1_[p]}, and a is applied to it.  For d_q,
+    b(d_q) = sum_p G_b[p][q] (d_p - [d_p, T]) + v_q [q > l1] with
+    T = tau_b(u_b) (``_normal_form_table``).  a is linear, preserves the
+    bracket in both modes and sends 1 to (-1)^eps_a, so with W = a(T) in A,
+
+        a(b(d_q)) = sum_p G_b[p][q] (a(d_p) - [a(d_p), W]) + (-1)^eps_a v_q [q > l1].
+
+    a(d_p) is read off a's table; it is tau_a(d_p) plus an element of A,
+    which commutes with W, so [a(d_p), W] = tau_a(d_p)(W).  The d-images
+    thus cost one extension, of T (the size of u_b), and one pass of the l
+    derivations tau_a(d_p) over W, not an extension of each b(d_q).
     """
     if a.signature != b.signature:
         raise SignatureMismatch("normal forms belong to different algebras")
@@ -722,11 +767,23 @@ def compose_normal_forms(a: NormalFormAut, b: NormalFormAut) -> NormalFormAut:
     v = ShiftV(sig, tuple(x + y for x, y in zip(moved_shift.v, v_b)))
     mode = a.mode if a.mode == b.mode else MODE_LIE
     result = NormalFormAut(tau, InnerExp(u_elem), v, a.eps ^ b.eps, mode)
-    b_images = b.generator_images()
+
     a_image = a.image_function()
+    expected = {key: a_image(image) for key, image in b.generator_images().items()
+                if key[0] != "d"}
+    # a(d_p) is a's table entry, as sigma_1 fixes d_p, and tau_a(d_p) its level-1
+    # part; one combination takes G_b of the a(d_p) and -G_b of the brackets
+    brackets = act_each_on_A(a.tau._table()[2], a_image(b.tau_u()))
+    den, g_b = b.tau.scaled_G
+    images = _combinations(sig, (den, g_b + tuple(tuple(-x for x in row) for row in g_b)),
+                           list(a._table()[2]) + brackets)
+    sign = -1 if a.eps else 1
+    for q, image in enumerate(images):
+        shift = sign * b.v.v[q] if q >= sig.ell1 else 0
+        expected[("d", q + 1)] = image + sig.scalar(shift) if shift else image
     for key, image in result.generator_images().items():
-        if image != a_image(b_images[key]):
-            raise InvariantViolation(f"group law violated on generator {_gen_label(key)}")
+        if image != expected[key]:
+            raise InvariantViolation(f"group law violated on generator {generator_label(key)}")
     return result
 
 
@@ -776,15 +833,16 @@ class FunctionalAut:
         return {
             "mode": self.mode,
             "signature": self.signature.to_dict(),
-            "images": {_gen_label(k): element_to_dict(e)
-                       for k, e in sorted(self.images.items(), key=lambda kv: _gen_label(kv[0]))},
+            "images": {generator_label(k): element_to_dict(e)
+                       for k, e in sorted(self.images.items(),
+                                          key=lambda kv: generator_label(kv[0]))},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FunctionalAut":
         data = object_from_json(data, "automorphism")
         sig = Signature.from_dict(field_from_json(data, "signature", "automorphism"))
-        keys = {_gen_label(k): k for k in generator_keys(sig)}
+        keys = {generator_label(k): k for k in generator_keys(sig)}
         given = object_from_json(field_from_json(data, "images", "automorphism"), "images")
         for label in given:
             if label not in keys:
@@ -912,11 +970,9 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     # U off d_r(U), combinations of the A-parts by G^{-1}; al != 0 in its first graded slot
     first = {al: next(k for k, g in enumerate(sig.lattice.grades(al)) if g)
              for al in {m.alpha for a in a_parts for m in a.num} if al != zero}
-    den, g_inv = back.scaled_G
     u_terms: dict = {}
-    for r in range(ell):
-        d_r = sum((a.scale(Fraction(-g_inv[q][r], den)) for q, a in enumerate(a_parts)), sig.zero())
-        for (al, i, _), c in d_r.terms.items():
+    for r, combination in enumerate(_combinations(sig, back.scaled_G, a_parts)):
+        for (al, i, _), c in (-combination).terms.items():
             if al == zero:
                 key = (zero, i[:r] + (i[r] + 1,) + i[r + 1:])
                 u_terms[key] = u_terms.get(key, 0) + c / (sum(i) + 1)
@@ -965,7 +1021,7 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     result = NormalFormAut(tau, InnerExp(u), ShiftV(sig, v), eps, phi.mode)
     for key, image in result.generator_images().items():
         if image != phi.images[key]:
-            raise NotAnAutomorphism(f"normal form disagrees on generator {_gen_label(key)}")
+            raise NotAnAutomorphism(f"normal form disagrees on generator {generator_label(key)}")
     return result
 
 

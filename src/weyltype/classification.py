@@ -3,9 +3,28 @@
 A finitely generated nondegenerate Gamma in Q^l is free of rank l, so two
 algebras are isomorphic exactly when (l1, l2) agree.  The decision builds the
 block matrix G that carries one E1-adapted lattice basis onto the other and
-certifies it with the verifier.  The isomorphism is sigma_tau between two
-algebras, a ``TauAut`` whose target is the second one; the verifier checks its
-generator table and runs its product law through ``verify_automorphism``.
+certifies it.  The isomorphism is sigma_tau between two algebras, a
+``TauAut`` whose target is the second one.
+
+The certificate is the presentation.  W(l1, l2, Gamma) is generated by
+x^{+-b_k}, x^{1_[p]} and d_q, subject to: A is commutative,
+x^{b_k} x^{-b_k} = 1, [d_p, d_q] = 0, [d_p, x^{1_[q]}] = delta_pq and
+[d_p, x^{b_k}] = (b_k)_p x^{b_k}.  Take images D_p of the d_p, and images
+of the x^alpha and x^{1_[p]} that lie in A, with a multiplicative x-image
+(sigma_tau's x^a -> f(a) x^{a G^{-1}} is one by construction).  A is the
+Laurent polynomials in the x^{b_k} times the polynomials in the x^{1_[p]},
+and the images commute in A, so with x^{b_k} x^{-b_k} = 1 they define an
+algebra map phi on A.  For each p, a -> [D_p, phi(a)] and
+a -> phi(d_p(a)) are derivations along phi that the relations make agree
+on the generators of A, so they agree on all of A.  W is free as a left
+A-module on the d^mu, with d_p a = a d_p + d_p(a), so with commuting D_p
+the ordered product a d^mu -> phi(a) D^mu, which is the extension
+``_hom_extend``, is a homomorphism.  These O(l^2) relations, checked
+exactly on the generator table, therefore prove the product law for every
+pair of elements.  The lattice motion N of a ``TauAut`` is unimodular, so
+the map has the inverse (G^{-1}, f') and is an isomorphism.  Random product
+trials add nothing to this proof; ``iso_verify(..., trials=N)`` still runs
+N of them through ``verify_automorphism``, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +41,7 @@ from .algebra import (
     filtration_data,
     unit_index,
 )
-from .automorphisms import MODE_ASSOC, TauAut, verify_automorphism
+from .automorphisms import MODE_ASSOC, TauAut, generator_label, verify_automorphism
 from .errors import (
     HomomorphismCounterexample,
     InvariantViolation,
@@ -51,37 +70,50 @@ class IsoCandidate:
     f: Character
 
 
-def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
-               trials: int = 100, seed: int = 0) -> TauAut:
-    """Build sigma_tau from src to dst for the candidate and check it exactly.
+def _certify_relations(src: Signature, dst: Signature, images: dict) -> None:
+    """Check the defining relations of W(src) on the images of its
+    generators (keyed as ``generator_keys``), with brackets in W(dst).
 
-    Checks the duality relations on the generator table and, through
-    ``verify_automorphism``, the multiplicative law on ``trials`` random
-    products; raises on any violation.
-    """
-    iso = TauAut(src, cand.G, cand.f, dst)
-    table = iso.generator_table()
-
-    one = dst.one()
+    Raises HomomorphismCounterexample at the first relation that fails,
+    with the generator images it relates as a and b (a times b for the
+    inverse pair, the bracket [a, b] otherwise) and both sides."""
+    for key, image in images.items():
+        if key[0] in ("x", "xi") and not image.in_A():
+            raise HomomorphismCounterexample(f"image of {generator_label(key)} is not in A",
+                                             a=image)
+    one, zero = dst.one(), dst.zero()
+    for k in range(1, src.ell + 1):
+        a, b = images[("x", k, 1)], images[("x", k, -1)]
+        lhs = a * b
+        if lhs != one:
+            raise HomomorphismCounterexample(
+                f"relation x+{k} * x-{k} = 1 fails", a=a, b=b, lhs=lhs, rhs=one)
     for p in range(1, src.ell + 1):
-        d_image = table[f"d{p}"]
-        for q in range(1, src.ell1 + 1):
-            acted = act_on_A(d_image, table[f"xi{q}"])
-            expected = one.scale(1 if p == q else 0)
-            if acted != expected:
-                raise HomomorphismCounterexample(
-                    f"duality fails on d{p}, x^(1_[{q}])",
-                    lhs=acted, rhs=expected)
-        for k in range(1, src.ell + 1):
-            x_image = table[f"x+{k}"]
-            lhs = act_on_A(d_image, x_image)
-            grade = src.lattice.ambient(unit_index(src.ell, k))[p - 1]
-            rhs = x_image.scale(grade)
+        relations = [(("d", q), zero) for q in range(p + 1, src.ell + 1)]
+        relations += [(("xi", q), one if p == q else zero) for q in range(1, src.ell1 + 1)]
+        relations += [(("x", k, 1), images[("x", k, 1)].scale(row[p - 1]))
+                      for k, row in enumerate(src.lattice.basis, 1)]
+        a = images[("d", p)]
+        for key, rhs in relations:
+            b = images[key]
+            lhs = a.bracket(b)
             if lhs != rhs:
                 raise HomomorphismCounterexample(
-                    f"derivation action fails on d{p}, basis row {k}",
-                    lhs=lhs, rhs=rhs)
+                    f"relation [d{p}, {generator_label(key)}] fails", a=a, b=b, lhs=lhs, rhs=rhs)
 
+
+def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
+               trials: int = 0, seed: int = 0) -> TauAut:
+    """Build sigma_tau from src to dst for the candidate and certify it.
+
+    The certificate is the defining relations of W(src) on the generator
+    table (module docstring): they prove that the table's extension is a
+    homomorphism, and the lattice check of ``TauAut`` that it is invertible.
+    ``trials`` > 0 adds that many sampled products through
+    ``verify_automorphism``.  Raises on any violation.
+    """
+    iso = TauAut(src, cand.G, cand.f, dst)
+    _certify_relations(src, dst, iso.generator_images())
     if trials > 0:
         verify_automorphism(iso, trials, seed, MODE_ASSOC)
     return iso
@@ -108,13 +140,12 @@ class IsoSearchResult:
         return out
 
 
-def iso_search_bounded(src: Signature, dst: Signature,
-                       trials: int = 20) -> IsoSearchResult:
+def iso_search_bounded(src: Signature, dst: Signature) -> IsoSearchResult:
     """Decide isomorphism: ``impossible`` when (l1, l2) differ, else ``found``
     with G = A_dst^{-1} A_src from E1-adapted bases (so Gamma_src . G^{-1} =
-    Gamma_dst), certified by ``iso_verify``; a rejected G raises
-    InvariantViolation, chained to the check's error (``__cause__``), which
-    keeps any counterexample."""
+    Gamma_dst), certified by the defining relations (``iso_verify`` with no
+    sampled products); a rejected G raises InvariantViolation, chained to the
+    check's error (``__cause__``), which keeps any counterexample."""
     if (src.ell1, src.ell2) != (dst.ell1, dst.ell2):
         return IsoSearchResult(
             "impossible",
@@ -127,7 +158,7 @@ def iso_search_bounded(src: Signature, dst: Signature,
         G = BlockMatrix(src.ell1, src.ell2,
                         [[Fraction(dst.lattice.denominator * x, den) for x in row] for row in g])
         cand = IsoCandidate(G, Character.trivial(src.lattice))
-        iso = iso_verify(src, dst, cand, trials=trials)
+        iso = iso_verify(src, dst, cand)
     except WeylError as exc:
         raise InvariantViolation(
             f"adapted-basis certificate rejected: {type(exc).__name__}: {exc}") from exc

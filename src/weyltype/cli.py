@@ -150,12 +150,16 @@ def _require_signature(args) -> Signature:
     return _signature_from_file(args.config)
 
 
-def _load_automorphism(path: str, mode: str | None):
-    """Either file form; --mode, when given, replaces the file's "mode"."""
+def _load_automorphism(path: str, mode: str | None, sig: Signature | None):
+    """Either file form; --mode, when given, replaces the file's "mode", and
+    the algebra of --config, when given as ``sig``, must be the file's."""
     data = _read_json_object(path)
     if mode is not None:
         data["mode"] = mode
-    return (FunctionalAut if "images" in data else NormalFormAut).from_dict(data)
+    aut = (FunctionalAut if "images" in data else NormalFormAut).from_dict(data)
+    if sig is not None and aut.signature != sig:
+        raise WeylError("automorphism file and --config disagree on the algebra")
+    return aut
 
 
 def _as_normal_form(aut) -> NormalFormAut:
@@ -271,11 +275,15 @@ def _dispatch(args) -> int:
 
 
 def _dispatch_aut(args) -> int:
+    # apply needs --config to parse its expression; compose and decompose
+    # check their files against it when it is given
     if args.aut_command == "apply":
         sig = _require_signature(args)
-        aut = _load_automorphism(args.aut, args.mode)
-        if aut.signature != sig:
-            raise WeylError("automorphism file and --config disagree on the algebra")
+    else:
+        sig = _signature_from_file(args.config) if args.config else None
+
+    if args.aut_command == "apply":
+        aut = _load_automorphism(args.aut, args.mode, sig)
         w = parse_and_eval(args.expr, sig)
         result = _as_normal_form(aut).apply(w)
         _emit(args, {"ok": True, "element": element_to_dict(result),
@@ -283,14 +291,14 @@ def _dispatch_aut(args) -> int:
         return 0
 
     if args.aut_command == "compose":
-        a = _as_normal_form(_load_automorphism(args.a, args.mode))
-        b = _as_normal_form(_load_automorphism(args.b, args.mode))
+        a = _as_normal_form(_load_automorphism(args.a, args.mode, sig))
+        b = _as_normal_form(_load_automorphism(args.b, args.mode, sig))
         composed = compose_normal_forms(a, b).to_dict()
         _emit(args, {"ok": True, "aut": composed}, json.dumps(composed, indent=2))
         return 0
 
     if args.aut_command == "decompose":
-        aut = _load_automorphism(args.aut, args.mode)
+        aut = _load_automorphism(args.aut, args.mode, sig)
         if isinstance(aut, NormalFormAut):
             aut = FunctionalAut.from_aut(aut)
         nf = decompose_automorphism(aut).to_dict()

@@ -26,6 +26,7 @@ from weyltype import (
 from weyltype import automorphisms, classification, linalg
 from weyltype.algebra import Element, Monomial, unit_index
 from weyltype.automorphisms import generator_element, generator_keys
+from weyltype.automorphisms import MODE_ASSOC, verify_automorphism
 from weyltype.errors import (
     BlockShapeViolation,
     HomomorphismCounterexample,
@@ -34,6 +35,7 @@ from weyltype.errors import (
     NondegenerateViolation,
     NotInFD,
     SignatureMismatch,
+    WeylError,
     ZeroElement,
 )
 from weyltype.sampling import random_aut2, random_character, random_element, random_fd_element
@@ -129,6 +131,10 @@ def _random_lattice(rng, ell):
 
 _TAU_TABLE = automorphisms._tau_table
 THIRD = Signature(1, 1, Lattice(2, [(1, 0), (0, Fraction(1, 3))]))
+# the dense (4, 0) pair of the CI step "Dense rank-4 iso": two draws of
+# _random_lattice(random.Random(DENSE_SEED), 4); 20 sampled products on its
+# map take seconds, the relation certificate milliseconds
+DENSE_SEED = 4
 
 
 class TestIsoSearch:
@@ -174,10 +180,10 @@ class TestIsoSearch:
             ell1, ell2 = splits[n % len(splits)]
             src = Signature(ell1, ell2, _random_lattice(rng, ell1 + ell2))
             dst = Signature(ell1, ell2, _random_lattice(rng, ell1 + ell2))
-            # generator relations only in the decision; the product law is
-            # re-checked once per pair (one random product at l1 = 4 can
-            # take seconds when the M block is dense)
-            result = iso_search_bounded(src, dst, trials=0)
+            # the decision is certified by the defining relations alone; the
+            # product law is re-checked once per pair (one random product at
+            # l1 = 4 can take seconds when the M block is dense)
+            result = iso_search_bounded(src, dst)
             assert result.status == "found", (n, src.lattice, dst.lattice)
             assert result.tried == 1
             iso_verify(src, dst, result.candidate, trials=1, seed=n + 1)
@@ -239,13 +245,107 @@ class TestBrokenCertificate:
         assert "InvariantViolation" in payload["error"]
 
 
+def _x_off_character(tau):
+    """x^a -> f(a) x^{2 a G^{-1}}: multiplicative, but the d-images act on
+    each x-image by twice the character (b_k)_p of its source point."""
+    x_image, x1_images, d_images = _TAU_TABLE(tau)
+
+    def doubled_point(al):
+        den, num = x_image(al)
+        return den, {Monomial(tuple(2 * n for n in m.alpha), m.i, m.mu): c
+                     for m, c in num.items()}
+
+    return doubled_point, x1_images, d_images
+
+
+def _x_not_inverse(tau):
+    """x^a -> 2 f(a) x^{a G^{-1}} for a != 0, so x(b) x(-b) = 4."""
+    x_image, x1_images, d_images = _TAU_TABLE(tau)
+
+    def doubled_coefficient(al):
+        den, num = x_image(al)
+        return den, ({m: 2 * c for m, c in num.items()} if any(al) else num)
+
+    return doubled_coefficient, x1_images, d_images
+
+
+def _xi_with_d(tau):
+    x_image, x1_images, d_images = _TAU_TABLE(tau)
+    return x_image, [x1_images[0] + d_images[0]] + x1_images[1:], d_images
+
+
+def _d_not_commuting(tau):
+    """d1 -> tau(d1) + tau(x^{b_1}), which d2 moves on desk, as (b_1)_2 = 1/2."""
+    x_image, x1_images, d_images = _TAU_TABLE(tau)
+    den, num = x_image(unit_index(tau.signature.ell, 1))
+    x = Element(tau.target, {m: Fraction(c, den) for m, c in num.items()})
+    return x_image, x1_images, [d_images[0] + x] + d_images[1:]
+
+
+def _d_scaled(tau):
+    x_image, x1_images, d_images = _TAU_TABLE(tau)
+    return x_image, x1_images, d_images[:-1] + [d_images[-1].scale(2)]
+
+
+MUTATED_RELATIONS = pytest.mark.parametrize("builder, message", [
+    (_x_off_character, r"relation \[d1, x\+1\] fails"),
+    (_x_not_inverse, r"relation x\+1 \* x-1 = 1 fails"),
+    (_xi_with_d, r"image of xi1 is not in A"),
+    (_d_not_commuting, r"relation \[d1, d2\] fails"),
+    (_d_scaled, r"relation \[d2, x\+1\] fails"),
+], ids=["x-off-character", "x-not-inverse", "xi-with-d", "d-not-commuting", "d-scaled"])
+
+
+class TestRelationCertificate:
+    """The decision's certificate is the presentation: each relation family,
+    broken in the table, is refused with no sampled product, and on valid
+    candidates it agrees with the sampled product law."""
+
+    @pytest.fixture()
+    def candidate(self, desk):
+        return iso_search_bounded(desk, THIRD).candidate
+
+    @MUTATED_RELATIONS
+    def test_refused_without_trials(self, desk, candidate, monkeypatch, builder, message):
+        monkeypatch.setattr(automorphisms, "_tau_table", builder)
+        with pytest.raises(HomomorphismCounterexample, match=f"^{message}$") as info:
+            iso_verify(desk, THIRD, candidate, trials=0)
+        assert info.value.a is not None and info.value.trial is None
+        with pytest.raises(InvariantViolation) as info:
+            iso_search_bounded(desk, THIRD)
+        assert isinstance(info.value.__cause__, HomomorphismCounterexample)
+        # the sampled product law refuses the same table
+        with pytest.raises(WeylError):
+            verify_automorphism(TauAut(desk, candidate.G, candidate.f, THIRD), 20, 0, MODE_ASSOC)
+
+    @pytest.mark.parametrize("name", ["desk", "rank3", "rank4"])
+    def test_agrees_with_sampled_law_on_valid_candidates(self, name, request):
+        sig = request.getfixturevalue(name)
+        rng = random.Random(80)
+        for t in range(3):
+            cand = IsoCandidate(random_aut2(sig, rng), random_character(sig.lattice, rng))
+            iso = iso_verify(sig, sig, cand)
+            verify_automorphism(iso, 20, t, MODE_ASSOC)
+
+    def test_decision_runs_no_sampled_product(self, desk, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decision sampled a product")
+
+        monkeypatch.setattr(classification, "verify_automorphism", refuse)
+        monkeypatch.setattr(automorphisms, "verify_automorphism", refuse)
+        rng = random.Random(DENSE_SEED)
+        dense = [Signature(4, 0, _random_lattice(rng, 4)) for _ in range(2)]
+        for src, dst in ((desk, THIRD), dense):
+            assert iso_search_bounded(src, dst).status == "found"
+
+
 class TestCrossSignatureTau:
     """An iso map is sigma_tau with a target algebra: its inverse maps back,
     and its group law checks which algebra each side lives on."""
 
     @pytest.fixture()
     def iso(self, desk):
-        G = iso_search_bounded(desk, THIRD, trials=1).candidate.G
+        G = iso_search_bounded(desk, THIRD).candidate.G
         f = random_character(desk.lattice, random.Random(70))
         return iso_verify(desk, THIRD, IsoCandidate(G, f), trials=1)
 
@@ -305,7 +405,7 @@ class TestCrossSignatureTau:
 
         monkeypatch.setattr(automorphisms, "_hom_extend", perturbed)
         cand = IsoCandidate(iso.G, iso.f)
-        # the duality checks read the generator table and still pass
+        # the relation certificate reads the generator table and still passes
         iso_verify(desk, THIRD, cand, trials=0)
         with pytest.raises(HomomorphismCounterexample,
                            match=r"^product law fails at trial \d+ \(mode=assoc, seed=5\)$") as info:

@@ -17,6 +17,7 @@ from weyltype import (
     element_from_dict,
     element_to_dict,
 )
+from weyltype import automorphisms
 from weyltype.automorphisms import (
     MODE_ASSOC,
     MODE_LIE,
@@ -26,11 +27,9 @@ from weyltype.automorphisms import (
     generator_element,
     generator_keys,
     random_normal_form_aut,
-    verify_automorphism,
 )
 from weyltype.cli import _signature_from_file, run_command
-from weyltype.errors import HomomorphismCounterexample
-from weyltype.expressions import MAX_NESTING, MAX_POWER, parse_and_eval
+from weyltype.expressions import MAX_NESTING, MAX_POWER, format_element, parse_and_eval
 from weyltype.rationals import rational_str
 from weyltype.sampling import desk_signature
 
@@ -377,6 +376,29 @@ class TestAut:
         else:
             assert captured.out == ""
 
+    @pytest.mark.parametrize("form", ["normal-form", "images"])
+    def test_config_of_another_algebra_is_refused(self, tmp_path, capsys, form):
+        """Every aut subcommand checks --config against the files' algebra."""
+        sig = desk_signature()
+        nf = random_normal_form_aut(sig, random.Random(6))
+        data = nf.to_dict() if form == "normal-form" else FunctionalAut.from_aut(nf).to_dict()
+        aut = tmp_path / "aut.json"
+        aut.write_text(json.dumps(data))
+        rank3 = tmp_path / "rank3.json"
+        rank3.write_text(json.dumps({"ell1": 1, "ell2": 2, "gamma_generators": [
+            ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1/2", "1/2", "0"]]}))
+        desk = tmp_path / "desk.json"
+        desk.write_text(json.dumps(DESK_CONFIG))
+        commands = (["apply", "--aut", str(aut), "d1"],
+                    ["compose", "--a", str(aut), "--b", str(aut)],
+                    ["decompose", "--aut", str(aut)])
+        for command in commands:
+            assert run_command(["aut", command[0], "--config", str(rank3), *command[1:]]) == 1
+            assert capsys.readouterr().err == \
+                "WeylError: automorphism file and --config disagree on the algebra\n"
+            assert run_command(["aut", command[0], "--config", str(desk), *command[1:]]) == 0
+            capsys.readouterr()
+
     def test_missing_file_exits_2(self, config_file, capsys):
         assert run_command(["aut", "apply", "--config", config_file,
                             "--aut", "/nonexistent.json", "d1"]) == 2
@@ -421,35 +443,32 @@ class TestIso:
 
     def test_failed_product_law_prints_replayable_counterexample(self, scaled_pair, capsys,
                                                                  monkeypatch):
-        """With a defect injected into the map (images of level >= 2
-        doubled), the --json error envelope keeps the trial and the elements,
-        and a, b read back from it reproduce the printed mismatch."""
-        maps = []
-        original = TauAut.image_function
+        """With a defect injected into the table (every d-image doubled), the
+        --json error envelope names the failed defining relation and keeps
+        its two generator images as a and b with both sides, and
+        ``weyl bracket`` on a, b in the target algebra reproduces the
+        printed left side."""
+        real = automorphisms._tau_table
 
-        def defective(self):
-            maps.append(self)
-            image = original(self)
-            return lambda w: image(w).scale(2) if (w.max_level() or 0) >= 2 else image(w)
+        def doubled_d(tau):
+            x_image, x1_images, d_images = real(tau)
+            return x_image, x1_images, [d.scale(2) for d in d_images]
 
-        monkeypatch.setattr(TauAut, "image_function", defective)
+        monkeypatch.setattr(automorphisms, "_tau_table", doubled_d)
         assert run_command(["iso", *scaled_pair, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["error"].startswith("InvariantViolation: adapted-basis certificate")
+        assert payload["error"] == ("InvariantViolation: adapted-basis certificate rejected: "
+                                    "HomomorphismCounterexample: relation [d1, x+1] fails")
         ce = payload["counterexample"]
-        assert set(ce) == {"trial", "a", "b", "lhs", "rhs"}
-        a, b = element_from_dict(ce["a"]), element_from_dict(ce["b"])
-        phi = maps[-1]
-        lhs, rhs = phi.apply(a * b), phi.apply(a) * phi.apply(b)
-        assert lhs != rhs
-        assert lhs == element_from_dict(ce["lhs"])
-        assert rhs == element_from_dict(ce["rhs"])
-        # the trial number replays the same pair from the check's seed
-        with pytest.raises(HomomorphismCounterexample) as info:
-            verify_automorphism(phi, ce["trial"], seed=0, mode=MODE_ASSOC)
-        assert info.value.trial == ce["trial"]
-        assert (info.value.a, info.value.b) == (a, b)
+        assert set(ce) == {"a", "b", "lhs", "rhs"}
+        a, b, lhs, rhs = (element_from_dict(ce[name]) for name in ("a", "b", "lhs", "rhs"))
+        assert a.bracket(b) == lhs != rhs
+        dst = scaled_pair[scaled_pair.index("--dst") + 1]
+        assert run_command(["bracket", "--json", "--config", dst,
+                            format_element(a), format_element(b)]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        assert element_from_dict(replayed["element"]) == lhs
 
     def test_bound_flag_is_usage_error(self, scaled_pair, capsys):
         assert run_command(["iso", "--bound", "1", *scaled_pair]) == 2

@@ -57,7 +57,6 @@ more than they save.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, product as _cartesian
 from math import comb, gcd, lcm, prod
@@ -150,19 +149,33 @@ def monomial_sort_key(m: Monomial):
     return (m.alpha, multi_index_key(m.i), multi_index_key(m.mu))
 
 
-@dataclass(frozen=True)
 class Signature:
-    """The triple (l1, l2, Gamma) identifying one algebra."""
+    """The triple (l1, l2, Gamma) identifying one algebra; immutable."""
 
-    ell1: int
-    ell2: int
-    lattice: Lattice
+    __slots__ = ("ell1", "ell2", "lattice")
 
-    def __post_init__(self):
-        if self.ell1 < 0 or self.ell2 < 0 or self.ell1 + self.ell2 < 1:
+    def __init__(self, ell1: int, ell2: int, lattice: Lattice):
+        if ell1 < 0 or ell2 < 0 or ell1 + ell2 < 1:
             raise DimensionMismatch("need l1, l2 >= 0 with l1 + l2 >= 1")
-        if self.lattice.ambient_dim != self.ell1 + self.ell2:
+        if lattice.ambient_dim != ell1 + ell2:
             raise DimensionMismatch("lattice ambient dimension must equal l1 + l2")
+        for name, value in zip(self.__slots__, (ell1, ell2, lattice)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self is other or ((self.ell1, self.ell2, self.lattice)
+                                 == (other.ell1, other.ell2, other.lattice))
+
+    def __hash__(self):
+        return hash((self.ell1, self.ell2, self.lattice))
+
+    def __repr__(self):
+        return f"Signature(ell1={self.ell1!r}, ell2={self.ell2!r}, lattice={self.lattice!r})"
 
     @property
     def ell(self) -> int:

@@ -53,7 +53,6 @@ table images on every generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -582,36 +581,47 @@ def _normal_form_table(nf: "NormalFormAut"):
     return x_image, x1_images, d_images
 
 
-@dataclass(frozen=True)
 class NormalFormAut(_TableMap):
     """The factored automorphism sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 
     After the twist it is one algebra homomorphism, applied through one
     extension of its composite generator table (``_normal_form_table``),
     built on first use and kept, as is tau(u), the one extension the table
-    needs.  The fields are frozen, so what is kept always matches them.
+    needs.  The fields cannot be assigned, so what is kept always matches them.
     """
 
-    tau: TauAut
-    u: InnerExp
-    v: ShiftV
-    eps: int = 0
-    mode: str = MODE_LIE
-    _images: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _tau_u: Element | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("tau", "u", "v", "eps", "mode", "_images", "_tau_u")
 
-    def __post_init__(self):
-        sig = self.tau.signature
-        if self.tau.target != sig:
+    def __init__(self, tau: TauAut, u: InnerExp, v: ShiftV, eps: int = 0, mode: str = MODE_LIE):
+        sig = tau.signature
+        if tau.target != sig:
             raise SignatureMismatch("sigma_tau of a normal form must map the algebra to itself")
-        if self.u.signature != sig or self.v.signature != sig:
+        if u.signature != sig or v.signature != sig:
             raise SignatureMismatch("normal form factors disagree on the algebra")
-        if self.eps not in (0, 1):
+        if eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
-        if self.mode not in (MODE_LIE, MODE_ASSOC):
+        if mode not in (MODE_LIE, MODE_ASSOC):
             raise ValueError("mode must be 'lie' or 'assoc'")
-        if self.eps == 1 and self.mode == MODE_ASSOC:
+        if eps == 1 and mode == MODE_ASSOC:
             raise NotAnAutomorphism("associative-mode data decomposes with the order-2 twist")
+        for name, value in zip(self.__slots__, (tau, u, v, eps, mode, None, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalFormAut):
+            return NotImplemented
+        return ((self.tau, self.u, self.v, self.eps, self.mode)
+                == (other.tau, other.u, other.v, other.eps, other.mode))
+
+    def __hash__(self):
+        return hash((self.tau, self.u, self.v, self.eps, self.mode))
+
+    def __repr__(self):
+        return (f"NormalFormAut(tau={self.tau!r}, u={self.u!r}, v={self.v!r}, "
+                f"eps={self.eps!r}, mode={self.mode!r})")
 
     @property
     def signature(self) -> Signature:

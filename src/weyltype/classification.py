@@ -29,8 +29,8 @@ N of them through ``verify_automorphism``, as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import (
@@ -38,6 +38,7 @@ from .algebra import (
     Monomial,
     Signature,
     act_on_A,
+    element_to_dict,
     filtration_data,
     unit_index,
 )
@@ -51,6 +52,7 @@ from .errors import (
     ZeroElement,
 )
 from .lattice import BlockMatrix, Character, adapted_basis
+from .rationals import rational_str
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +64,7 @@ def signature_invariants(sig: Signature):
     return (sig.ell1, sig.ell2, sig.lattice.basis)
 
 
-@dataclass(frozen=True)
-class IsoCandidate:
+class IsoCandidate(NamedTuple):
     """A block matrix G plus a character on the source lattice."""
 
     G: BlockMatrix
@@ -119,8 +120,7 @@ def iso_verify(src: Signature, dst: Signature, cand: IsoCandidate,
     return iso
 
 
-@dataclass
-class IsoSearchResult:
+class IsoSearchResult(NamedTuple):
     status: str                      # "found" (G certified) | "impossible" ((l1, l2) differ)
     candidate: IsoCandidate | None = None
     iso: TauAut | None = None
@@ -128,8 +128,6 @@ class IsoSearchResult:
     tried: int = 0                   # certificates verified: 1, or 0 for "impossible"
 
     def to_dict(self) -> dict:
-        from .rationals import rational_str
-
         out = {"status": self.status, "tried": self.tried, "reason": self.reason}
         if self.candidate is not None:
             out["certificate"] = {
@@ -211,8 +209,7 @@ def faithfulness_witness(sig: Signature, u: Element):
 # adjoint behavior
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdBehavior:
+class AdBehavior(NamedTuple):
     """Syntactic class of ad(w): locally nilpotent on A, locally finite on
     D + A, or wild, together with a probe trace for wild elements."""
 
@@ -221,8 +218,6 @@ class AdBehavior:
     trace: list | None = None
 
     def to_dict(self) -> dict:
-        from .algebra import element_to_dict
-
         out: dict = {"tag": self.tag}
         if self.probe is not None:
             out["probe"] = element_to_dict(self.probe)

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage or
-parse errors.  ``WEYL_SEED`` is the seed fallback when --seed is absent.
+parse errors, 3 standard output could not be written (a closed pipe, a full
+disk).  ``WEYL_SEED`` is the seed fallback when --seed is absent.
 Identical argv plus seed produce byte-identical output.
+
+Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -12,26 +15,14 @@ import json
 import os
 import sys
 
-from .algebra import Signature, element_to_dict
-from .automorphisms import (
-    MODE_ASSOC,
-    MODE_LIE,
-    FunctionalAut,
-    NormalFormAut,
-    compose_normal_forms,
-    decompose_automorphism,
-)
-from .classification import iso_search_bounded
 from .errors import (DimensionMismatch, EmptyGenerators, ExpressionError,
                      HomomorphismCounterexample, NondegenerateViolation, NotMember, WeylError)
-from .expressions import format_element, parse_and_eval
-from .lattice import Lattice
 from .rationals import field_from_json, int_from_json, list_from_json, vector_from_json
-from .selftest import SUITES, run_suites
-from .sampling import desk_signature
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+OUTPUT_FAILED = 3
+MODES = ("lie", "assoc")  # automorphisms.MODE_LIE and MODE_ASSOC, without loading it
 
 
 class CliUsageError(WeylError):
@@ -47,17 +38,21 @@ def _read_json_object(path: str) -> dict:
             data[key] = value
         return data
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
-        except RecursionError:
-            raise ValueError(f"{path} nests JSON too deeply") from None
+    except OSError:
+        raise CliUsageError(f"cannot read {path}") from None
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} holds a JSON {type(data).__name__}, expected an object")
     return data
 
 
-def _signature_from_file(path: str) -> Signature:
+def _signature_from_file(path: str):
+    from .algebra import Signature
+    from .lattice import Lattice
     data = _read_json_object(path)
     ell1, ell2 = (int_from_json(field_from_json(data, key, "config"), key)
                   for key in ("ell1", "ell2"))
@@ -94,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="signature config JSON: ell1, ell2, gamma_generators")
-    common.add_argument("--mode", choices=(MODE_LIE, MODE_ASSOC), default=None,
+    common.add_argument("--mode", choices=MODES, default=None,
                         help="which homomorphism semantics automorphism "
                              "subcommands verify against")
     common.add_argument("--seed", type=int, default=None,
@@ -134,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", parents=[common],
                             help="run the property suites")
-    p_self.add_argument("--suite", choices=sorted(SUITES), default=None)
+    p_self.add_argument("--suite", help="run this suite only (default: all)")
 
     p_export = sub.add_parser("export", parents=[common],
                               help="serialize an expression")
@@ -143,16 +138,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_signature(args) -> Signature:
+def _require_signature(args):
     if not args.config:
         raise CliUsageError(
             "this command needs --config FILE (no implicit default algebra)")
     return _signature_from_file(args.config)
 
 
-def _load_automorphism(path: str, mode: str | None, sig: Signature | None):
+def _load_automorphism(path: str, mode: str | None, sig):
     """Either file form; --mode, when given, replaces the file's "mode", and
     the algebra of --config, when given as ``sig``, must be the file's."""
+    from .automorphisms import FunctionalAut, NormalFormAut
     data = _read_json_object(path)
     if mode is not None:
         data["mode"] = mode
@@ -162,17 +158,15 @@ def _load_automorphism(path: str, mode: str | None, sig: Signature | None):
     return aut
 
 
-def _as_normal_form(aut) -> NormalFormAut:
+def _as_normal_form(aut):
+    from .automorphisms import NormalFormAut, decompose_automorphism
     if isinstance(aut, NormalFormAut):
         return aut
     return decompose_automorphism(aut)
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json_output:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2) if args.json_output else text)
 
 
 def run_command(argv) -> int:
@@ -193,9 +187,6 @@ def run_command(argv) -> int:
     except CliUsageError as exc:
         _print_error(args, str(exc))
         return USAGE_ERROR
-    except OSError as exc:
-        _print_error(args, f"cannot read {exc.filename}")
-        return USAGE_ERROR
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         _print_error(args, f"bad input: {exc}")
         return USAGE_ERROR
@@ -211,6 +202,7 @@ def _counterexample(exc: WeylError) -> dict | None:
     ce = exc.__cause__
     if not isinstance(ce, HomomorphismCounterexample):
         return None
+    from .algebra import element_to_dict
     out = {} if ce.trial is None else {"trial": ce.trial}
     for name in ("a", "b", "lhs", "rhs"):
         element = getattr(ce, name)
@@ -232,6 +224,8 @@ def _dispatch(args) -> int:
     command = args.command
     if command in ("eval", "bracket", "export"):
         sig = _require_signature(args)
+        from .algebra import element_to_dict
+        from .expressions import format_element, parse_and_eval
         if command == "bracket":
             result = parse_and_eval(args.expr1, sig).bracket(parse_and_eval(args.expr2, sig))
         else:
@@ -245,6 +239,7 @@ def _dispatch(args) -> int:
         return _dispatch_aut(args)
 
     if command == "iso":
+        from .classification import iso_search_bounded
         src = _signature_from_file(args.src)
         dst = _signature_from_file(args.dst)
         result = iso_search_bounded(src, dst)
@@ -257,6 +252,12 @@ def _dispatch(args) -> int:
         return 0
 
     if command == "selftest":
+        from .sampling import desk_signature
+        from .selftest import SUITES, run_suites
+        if args.suite not in (None, *SUITES):
+            choices = ", ".join(map(repr, sorted(SUITES)))
+            raise CliUsageError(f"weyl selftest: error: argument --suite: invalid choice: "
+                                f"{args.suite!r} (choose from {choices})")
         sig = (_signature_from_file(args.config)
                if args.config else desk_signature())
         names = [args.suite] if args.suite else None
@@ -277,11 +278,11 @@ def _dispatch(args) -> int:
 def _dispatch_aut(args) -> int:
     # apply needs --config to parse its expression; compose and decompose
     # check their files against it when it is given
-    if args.aut_command == "apply":
-        sig = _require_signature(args)
-    else:
-        sig = _signature_from_file(args.config) if args.config else None
-
+    sig = _require_signature(args) if args.aut_command == "apply" or args.config else None
+    from .algebra import element_to_dict
+    from .automorphisms import (FunctionalAut, NormalFormAut, compose_normal_forms,
+                                decompose_automorphism)
+    from .expressions import format_element, parse_and_eval
     if args.aut_command == "apply":
         aut = _load_automorphism(args.aut, args.mode, sig)
         w = parse_and_eval(args.expr, sig)
@@ -309,7 +310,14 @@ def _dispatch_aut(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # stdout: run_command reports unreadable files itself
+        print(f"cannot write output: {exc.strerror}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        code = OUTPUT_FAILED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

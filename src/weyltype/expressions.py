@@ -23,8 +23,8 @@ lattice raises NotMember before any syntax error further right.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element, Signature
 from .errors import DimensionError, ExpressionError, ExprSyntaxError
@@ -47,8 +47,7 @@ def _label(kind: str) -> str:
     return _KIND_LABELS.get(kind, kind)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int

@@ -8,9 +8,9 @@ The default algebra is W(1, 1, Gamma) with Gamma generated by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import (
@@ -64,8 +64,7 @@ from .sampling import (
 )
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -528,10 +527,15 @@ class TestNormalFormApply:
 
     def test_fields_are_frozen(self, desk):
         nf = random_normal_form_aut(desk, random.Random(43))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        u, eps = nf.u, nf.eps
+        with pytest.raises(AttributeError):
             nf.u = InnerExp.identity(desk)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             nf.eps = 1 - nf.eps
+        assert (nf.u, nf.eps) == (u, eps)
+        with pytest.raises(AttributeError):
+            desk.ell1 = 2
+        assert (desk.ell1, desk.ell2) == (1, 1)
 
     def test_table_built_once(self, rank3, monkeypatch):
         """Ten applies build the table once, with one pass of the l

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weyltype
 from weyltype import (
     BlockMatrix,
     Character,
@@ -32,6 +36,7 @@ from weyltype.cli import _signature_from_file, run_command
 from weyltype.expressions import MAX_NESTING, MAX_POWER, format_element, parse_and_eval
 from weyltype.rationals import rational_str
 from weyltype.sampling import desk_signature
+from weyltype.selftest import SUITES
 
 
 DESK_CONFIG = {
@@ -518,7 +523,9 @@ class TestSelftest:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_command(["selftest", "--suite", "nope"]) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "weyl selftest: error: argument --suite: invalid choice: 'nope' (choose " in err
+        assert all(repr(name) in err for name in SUITES)
 
 
 def _nf_file(edit):
@@ -932,3 +939,75 @@ class TestFuzz:
             codes.append(code)
         # the grammar reaches every outcome
         assert set(codes) == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the `weyl` process: what each command loads, and a stdout that fails
+# ---------------------------------------------------------------------------
+
+SRC_DIR = str(Path(weyltype.__file__).parents[1])
+# runs `weyl` as the console script does, then prints the loaded module names
+# on stderr; -S keeps site-packages hooks from loading modules of their own
+WEYL_PROBE = ("import json, sys\nfrom weyltype.cli import main\ntry:\n    main()\n"
+              "finally:\n    sys.stderr.write('\\n' + json.dumps(sorted(sys.modules)))\n")
+
+
+def _weyl(argv, stdout=subprocess.PIPE):
+    """Run `weyl argv` in a fresh interpreter: (exit code, stdout, stderr, the
+    set of loaded module names)."""
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run([sys.executable, "-S", "-c", WEYL_PROBE, *argv], env=env,
+                          stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    err, _, modules = proc.stderr.rpartition("\n")
+    return proc.returncode, proc.stdout, err, set(json.loads(modules))
+
+
+class TestStartup:
+    @pytest.fixture()
+    def files(self, tmp_path, config_file):
+        aut = tmp_path / "id.json"
+        aut.write_text(json.dumps(NormalFormAut.identity(desk_signature()).to_dict()))
+        return {"cfg": config_file, "aut": str(aut)}
+
+    @pytest.mark.parametrize("command, argv, loaded, absent", [
+        ("eval", ["eval", "--config", "{cfg}", "d1"], ["algebra", "expressions"],
+         ["automorphisms", "classification", "sampling", "selftest"]),
+        ("aut", ["aut", "apply", "--config", "{cfg}", "--aut", "{aut}", "d1"],
+         ["automorphisms"], ["classification", "selftest"]),
+        ("iso", ["iso", "--src", "{cfg}", "--dst", "{cfg}"], ["classification"], ["selftest"]),
+        ("missing-config", ["eval", "d1"], [], ["algebra"]),
+    ])
+    def test_each_command_loads_only_what_it_runs(self, files, command, argv, loaded,
+                                                  absent):
+        code, _, err, modules = _weyl([arg.format(**files) for arg in argv])
+        assert code == (2 if command == "missing-config" else 0), err
+        assert {f"weyltype.{m}" for m in loaded} <= modules
+        assert not {f"weyltype.{m}" for m in absent} & modules
+        assert not {"dataclasses", "inspect"} & modules
+
+    def test_mode_names_are_the_automorphism_modes(self):
+        from weyltype import cli
+
+        assert cli.MODES == (MODE_LIE, MODE_ASSOC)
+
+
+class TestOutputFailure:
+    """A stdout that refuses writes is reported on stderr alone, with exit 3."""
+
+    def test_closed_pipe(self, config_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err, _ = _weyl(["eval", "--config", config_file, "d1"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (3, "cannot write output: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]))
+    def test_full_device(self, config_file, json_flag):
+        with open("/dev/full", "w") as full:
+            code, _, err, _ = _weyl(["eval", "--config", config_file, "d1", *json_flag],
+                                    stdout=full)
+        assert (code, err) == (3, "cannot write output: No space left on device\n")

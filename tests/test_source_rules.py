@@ -12,7 +12,8 @@ Every module-level function or class, and every method that is not a
 dunder, must be reachable by name: referenced somewhere in the package
 outside its own body, named by the benchmark harness in ``perfbench/``, or
 exported in ``weyltype.__all__``.  A helper nothing calls is deleted, not
-kept.
+kept.  The interpreter calls a module-level ``__getattr__`` (PEP 562) as it
+calls a dunder method, so that one hook is exempt too.
 """
 
 import ast
@@ -88,11 +89,11 @@ def test_broad_except_checker_sees_every_form():
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each module-level function or class and each
-    non-dunder method."""
+    """(qualified name, node) of each module-level function or class but the
+    PEP 562 hook ``__getattr__``, and each non-dunder method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, defs):
+        if not isinstance(node, defs) or node.name == "__getattr__":
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
@@ -146,9 +147,12 @@ def test_unreferenced_checker_sees_every_form():
               "    def fill(self):\n        pass\n"
               "    def spare(self):\n        return self.spare()\n"),
         "b": "from .a import used\nused()\nBox()\n",
+        "c": ("def __getattr__(name):\n    return _load(name)\n"
+              "def _load(name):\n    pass\n"
+              "def _spare_helper():\n    pass\n"),
     }
     assert _unreferenced(sources, "target a:harness_only", ["exported"]) == [
-        "a:unused", "a:Box.spare"]
+        "a:unused", "a:Box.spare", "c:_spare_helper"]
 
 
 # the integer exact core: these functions run on integer numerators only, so

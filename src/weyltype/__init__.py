@@ -12,7 +12,7 @@ _MODULE_OF = {name: module for module, names in {
     "algebra": """Element FiltrationData Monomial Signature act_on_A alternating_binomial_sum
                   derivation_apply element_from_dict element_to_dict filtration_data
                   multi_binomial total_order_cmp""",
-    "automorphisms": """FunctionalAut InnerExp NormalFormAut ShiftV Sigma1 TauAut apply_sigma1
+    "automorphisms": """FunctionalAut InnerExp NormalFormAut ShiftV TauAut apply_sigma1
                         compose_normal_forms conjugated_shift decompose_automorphism
                         verify_automorphism""",
     "classification": """AdBehavior IsoCandidate classify_ad_behavior faithfulness_witness

@@ -362,9 +362,6 @@ class Element:
     def in_A(self) -> bool:
         return not any(any(m.mu) for m in self.num)
 
-    def in_FD(self) -> bool:
-        return not any(any(m.alpha) or any(m.i) for m in self.num)
-
     def constant_coefficient(self) -> Fraction:
         z = (0,) * self.signature.ell
         return Fraction(self.num.get(Monomial(z, z, z), 0), self.den)

@@ -1,30 +1,32 @@
 """Automorphism families of the algebra, their normal form and decomposition.
 
-Four families generate everything:
+Three families and the order-2 twist generate everything:
 
 * ``TauAut``       -- lattice symmetry plus character twist, tau = (G, f);
 * ``InnerExp``     -- exp(ad u) for u in the commutative part A;
 * ``ShiftV``       -- affine shift of the polynomial and derivation generators;
-* ``Sigma1``       -- the order-2 twist x^{a,i} d^mu -> -(-d)^mu . x^{a,i},
+* ``apply_sigma1`` -- the order-2 twist x^{a,i} d^mu -> -(-d)^mu . x^{a,i},
                       a bracket automorphism only.
 
-The first three, and the normal form below, are table maps: algebra
-homomorphisms fixed by the images of x^alpha, x^{1_[p]} and d_q, which all
-apply one way.  Each ``image_function`` hands its table (the x-image
-function and the lists of the x^{1_[p]} and d_q images) to the one
-extension ``_hom_extend``, and the one ``apply``, on their shared base
-``_TableMap``, is that function on one element.  Every table sends x^alpha
-and x^{1_[p]} into A, so the image of x^{alpha,i} d^mu factors as
-A(alpha,i) . D(mu), an element of A times the product of the d_q-image
-powers; an image function builds each power and each D(mu) once for all the
-elements it maps, and attaches the A-part by an integer convolution.  The
-product-law check ``verify_automorphism``, which raises
-HomomorphismCounterexample at the first pair that breaks the law, and the
-group law's certificate each hold one image function across their elements,
-and no object keeps one.  sigma_tau and the normal form keep their table
-from the first apply on.  exp(ad u) is the table d_q -> d_q + [u, d_q] with
-A fixed, not a series; each of its image functions builds the l images in
-one pass of the d_q over u.
+Every automorphism is a table map, ``_TableMap``: an algebra homomorphism
+fixed by the images of x^alpha, x^{1_[p]} and d_q, after the twist when its
+``eps`` is 1.  A family supplies only ``_table()``, its generator table (the
+x-image function and the lists of the x^{1_[p]} and d_q images); the base
+alone applies it.  Its ``image_function`` is the twist, if any, then the one
+extension ``_hom_extend`` of the table, ``apply`` is that function on one
+element, and ``generator_images`` reads the images of the generating set
+off the table, with no extension.  The twist alone is the normal form with
+identity factors and eps = 1.  Every table sends x^alpha and x^{1_[p]} into
+A, so the image of x^{alpha,i} d^mu factors as A(alpha,i) . D(mu), an
+element of A times the product of the d_q-image powers; an image function
+builds each power and each D(mu) once for all the elements it maps, and
+attaches the A-part by an integer convolution.  The product-law check
+``verify_automorphism``, which raises HomomorphismCounterexample at the
+first pair that breaks the law, and the group law's certificate each hold
+one image function across their elements, and no object keeps one.
+sigma_tau and the normal form keep their table from the first apply on.
+exp(ad u) is the table d_q -> d_q + [u, d_q] with A fixed, not a series;
+each of its tables is built in one pass of the d_q over u.
 
 ``TauAut`` is the only (G, f) map; with another target algebra it is the
 isomorphism W(l1, l2, Gamma) -> W(l1, l2, Gamma . G^{-1}) that
@@ -38,11 +40,10 @@ elements.
 
 A ``NormalFormAut`` is the composite sigma_tau . sigma_u . sigma_v . sigma_1^eps.
 After the twist it is one homomorphism: the form keeps one composite
-generator table and applies it in one pass of the extension.  Its images
-of the generating set are read off that table (``generator_images``), with
-no extension at all.  ``compose_normal_forms`` is the one group law: it
-composes any two normal forms symbolically, the twist included, since
-conjugation by sigma_1 maps each family to itself.
+generator table and applies it in one pass of the extension.
+``compose_normal_forms`` is the one group law: it composes any two normal
+forms symbolically, the twist included, since conjugation by sigma_1 maps
+each family to itself.
 ``FunctionalAut`` is a presentation, the images of the generating set, and
 does not apply.  ``decompose_automorphism`` is the one way from it to a map:
 it recovers the factored form from those images alone, reads every factor
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from . import linalg
@@ -274,7 +274,7 @@ def _combinations(sig: Signature, scaled: tuple, elems: list) -> list[Element]:
     return out
 
 
-def _table_images(out_sig: Signature, table, sign: int = 1) -> dict:
+def _table_images(out_sig: Signature, table, sign: int) -> dict:
     """The images of the generating set read off a generator table, keyed
     in ``generator_keys`` order: the unit goes to ``sign``, x^{+-b_k} and
     x^{1_[p]} to ``sign`` times their entries and d_q to its entry."""
@@ -292,19 +292,55 @@ def _table_images(out_sig: Signature, table, sign: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the four families
+# the twist and the one protocol of every automorphism
 # ---------------------------------------------------------------------------
 
+def apply_sigma1(sig: Signature, w: Element) -> Element:
+    """x^{a,i} d^mu -> -(-d)^mu . x^{a,i}, extended linearly.
+
+    Preserves the bracket, squares to the identity, and is not an
+    automorphism of the associative product.
+    """
+    if w.signature != sig:
+        raise SignatureMismatch("element belongs to a different algebra")
+    return _antinormal(_from_ints(sig, w.den, {m: n if sum(m.mu) % 2 else -n
+                                               for m, n in w.num.items()}))
+
+
 class _TableMap:
-    """A homomorphism fixed by its generator table: ``image_function()``
-    extends the table, and ``apply`` is that function on one element."""
+    """sigma_1^eps followed by the homomorphism fixed by a generator table
+    from ``signature`` into ``target``.  A family supplies only
+    ``_table()``; ``image_function()`` extends the table, and ``apply`` is
+    that function on one element.  The defaults eps = 0 and target =
+    signature are overridden by the fields of the normal form and sigma_tau."""
 
     __slots__ = ()
+    eps = 0
+
+    @property
+    def target(self) -> Signature:
+        return self.signature
 
     def apply(self, w: Element) -> Element:
         if w.signature != self.signature:
             raise SignatureMismatch("element belongs to a different algebra")
         return self.image_function()(w)
+
+    def image_function(self):
+        """``image(w)``: the twist, if any, then the extension of the table."""
+        extend = _hom_extend(self.target, *self._table())
+        if not self.eps:
+            return extend
+        sig = self.signature
+        return lambda w: extend(apply_sigma1(sig, w))
+
+    def generator_images(self) -> dict:
+        """The images of the generating set, keyed in ``generator_keys`` order
+        and read off the table.  sigma_1 negates A and fixes each d_q, so the
+        unit goes to (-1)^eps, x^{+-b_k} and x^{1_[p]} to (-1)^eps times their
+        table entries, and d_q to its entry: each is what ``apply`` returns on
+        that generator, with no extension."""
+        return _table_images(self.target, self._table(), -1 if self.eps else 1)
 
 
 class TauAut(_TableMap):
@@ -392,15 +428,6 @@ class TauAut(_TableMap):
             self._images = _tau_table(self)
         return self._images
 
-    def image_function(self):
-        """``image(w)``, the extension of the generator table."""
-        return _hom_extend(self.target, *self._table())
-
-    def generator_images(self) -> dict:
-        """The images of the generating set, keyed in ``generator_keys``
-        order and read off the table, with no extension."""
-        return _table_images(self.target, self._table())
-
     def generator_table(self) -> dict:
         """Images of x^{b_k}, x^{1_[p]} and d_q, keyed x+k, xi<p>, d<q>."""
         # every key but the unit and the x^{-b_k}, whose last entry is -1
@@ -465,15 +492,14 @@ class InnerExp(_TableMap):
         self.signature = u.signature
         self.u = u.without_constant()
 
-    def image_function(self):
-        """``image(w)``, the extension of the table.  The table is not kept:
-        one pass of the d_q over u builds every d_q(u), as for a normal
-        form's table."""
+    def _table(self):
+        """Built on each call, not kept: one pass of the d_q over u builds
+        every d_q(u), as for a normal form's table."""
         sig = self.signature
         x1_images = [generator_element(sig, ("xi", p)) for p in range(1, sig.ell1 + 1)]
         d_gens = [generator_element(sig, ("d", q)) for q in range(1, sig.ell + 1)]
         d_images = [d - acted for d, acted in zip(d_gens, act_each_on_A(d_gens, self.u))]
-        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images)
+        return _fixed_x_image(sig), x1_images, d_images
 
     @classmethod
     def identity(cls, sig: Signature) -> "InnerExp":
@@ -501,15 +527,15 @@ class ShiftV(_TableMap):
         self.signature = signature
         self.v = vv
 
-    def image_function(self):
-        """``image(w)``, the extension of the shifted generator table."""
+    def _table(self):
+        """The shifted generator table, built on each call."""
         sig = self.signature
         x1_images = [generator_element(sig, ("xi", p + 1)) + sig.scalar(self.v[p])
                      for p in range(sig.ell1)]
         d_images = [generator_element(sig, ("d", q + 1)) + sig.scalar(self.v[q])
                     if q >= sig.ell1 else generator_element(sig, ("d", q + 1))
                     for q in range(sig.ell)]
-        return _hom_extend(sig, _fixed_x_image(sig), x1_images, d_images)
+        return _fixed_x_image(sig), x1_images, d_images
 
     def inverse(self) -> "ShiftV":
         return ShiftV(self.signature, tuple(-x for x in self.v))
@@ -525,33 +551,6 @@ class ShiftV(_TableMap):
 
     def __repr__(self):
         return f"ShiftV({', '.join(map(rational_str, self.v))})"
-
-
-def apply_sigma1(sig: Signature, w: Element) -> Element:
-    """x^{a,i} d^mu -> -(-d)^mu . x^{a,i}, extended linearly.
-
-    Preserves the bracket, squares to the identity, and is not an
-    automorphism of the associative product.
-    """
-    if w.signature != sig:
-        raise SignatureMismatch("element belongs to a different algebra")
-    return _antinormal(_from_ints(sig, w.den, {m: n if sum(m.mu) % 2 else -n
-                                               for m, n in w.num.items()}))
-
-
-class Sigma1:
-    """Callable wrapper so the twist composes uniformly with the families."""
-
-    __slots__ = ("signature",)
-
-    def __init__(self, signature: Signature):
-        self.signature = signature
-
-    def image_function(self):
-        return partial(apply_sigma1, self.signature)
-
-    def apply(self, w: Element) -> Element:
-        return apply_sigma1(self.signature, w)
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +636,6 @@ class NormalFormAut(_TableMap):
         if self._tau_u is None:
             object.__setattr__(self, "_tau_u", self.tau.apply(self.u.u))
         return self._tau_u
-
-    def image_function(self):
-        """``image(w)``: the twist, if any, then the extension of the
-        composite table."""
-        extend = _hom_extend(self.signature, *self._table())
-        if not self.eps:
-            return extend
-        sig = self.signature
-        return lambda w: extend(apply_sigma1(sig, w))
-
-    def generator_images(self) -> dict:
-        """The images of the generating set, keyed in ``generator_keys`` order
-        and read off the composite table.  sigma_1 negates A and fixes each
-        d_q, so the unit goes to (-1)^eps, x^{+-b_k} and x^{1_[p]} to (-1)^eps
-        times their table entries, and d_q to its entry: each is what
-        ``apply`` returns on that generator, with no extension."""
-        return _table_images(self.signature, self._table(), -1 if self.eps else 1)
 
     @classmethod
     def identity(cls, sig: Signature, mode: str = MODE_LIE) -> "NormalFormAut":
@@ -1035,11 +1017,9 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
     return result
 
 
-def random_normal_form_aut(sig: Signature, rng: random.Random,
-                           mode: str = MODE_LIE) -> NormalFormAut:
+def random_normal_form_aut(sig: Signature, rng: random.Random) -> NormalFormAut:
     """A random factored automorphism for round-trip and group-law checks."""
     tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
     u = InnerExp(random_A_element(sig, rng))
     v = ShiftV(sig, random_shift_vector(sig, rng))
-    eps = rng.randint(0, 1) if mode == MODE_LIE else 0
-    return NormalFormAut(tau, u, v, eps, mode)
+    return NormalFormAut(tau, u, v, rng.randint(0, 1))

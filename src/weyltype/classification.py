@@ -46,7 +46,6 @@ from .automorphisms import MODE_ASSOC, TauAut, generator_label, verify_automorph
 from .errors import (
     HomomorphismCounterexample,
     InvariantViolation,
-    NotInFD,
     SignatureMismatch,
     WeylError,
     ZeroElement,
@@ -182,19 +181,20 @@ def _simplex(ell: int, bound: int):
 
 
 def faithfulness_witness(sig: Signature, u: Element):
-    """A lattice point alpha with u(x^alpha) != 0 for nonzero u in F[D].
+    """A lattice point alpha with u(x^alpha) != 0 for any nonzero u.
 
     Walks alpha = sum n_q b_q over the simplex n >= 0, |n| <= level(u) in
-    graded lexicographic order.  u acts on x^alpha by a nonzero polynomial
-    of degree at most L = level(u) in n, and no such polynomial vanishes on
+    graded lexicographic order.  Group the terms of u by their A-monomial
+    x^{al,i}.  On the probe x^{n.B} a group acts by a polynomial of degree
+    at most L = level(u) in n times x^{al + n.B, i}, and at least one
+    group's polynomial is nonzero.  Distinct groups land on distinct
+    monomials, and no nonzero polynomial of degree at most L vanishes on
     that whole simplex, so at most C(L + l, l) points are probed.
     """
     if u.signature != sig:
         raise SignatureMismatch("element belongs to a different algebra")
     if u.is_zero:
         raise ZeroElement("the zero element acts trivially everywhere")
-    if not u.in_FD():
-        raise NotInFD("witness search expects a pure derivation polynomial")
     degree = u.max_level()
     zero = (0,) * sig.ell
     for n in _simplex(sig.ell, degree):

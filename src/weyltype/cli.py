@@ -84,54 +84,70 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise CliUsageError(f"{self.prog}: error: {message}")
 
+    def _print_message(self, message, file=None):
+        # argparse drops the OSError of a refused write; the help text on a
+        # stdout that refuses it is an output failure, as for every command
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="signature config JSON: ell1, ell2, gamma_generators")
-    common.add_argument("--mode", choices=MODES, default=None,
-                        help="which homomorphism semantics automorphism "
-                             "subcommands verify against")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (fallback: WEYL_SEED, then 0)")
-    common.add_argument("--json", action="store_true", dest="json_output",
-                        help="machine-readable JSON on stdout")
+    config = _option("--config", metavar="FILE",
+                     help="signature config JSON: ell1, ell2, gamma_generators")
+    mode = _option("--mode", choices=MODES, default=None,
+                   help="replaces the automorphism files' \"mode\"; in assoc mode a map "
+                        "with the order-2 twist is refused")
+    seed = _option("--seed", type=int, default=None,
+                   help="seed for randomized checks (fallback: WEYL_SEED, then 0)")
+    json_output = _option("--json", action="store_true", dest="json_output",
+                          help="machine-readable JSON on stdout")
+    expression = [config, json_output]
+    automorphism = [config, mode, json_output]
 
     parser = _ArgumentParser(prog="weyl",
                              description="exact Weyl-type algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=expression,
                             help="evaluate an expression, print the canonical form")
     p_eval.add_argument("expr")
 
-    p_br = sub.add_parser("bracket", parents=[common],
+    p_br = sub.add_parser("bracket", parents=expression,
                           help="bracket of two expressions")
     p_br.add_argument("expr1")
     p_br.add_argument("expr2")
 
-    # no common options here: the subcommand's defaults would overwrite them
+    # no options here: the subcommand's defaults would overwrite them
     p_aut = sub.add_parser("aut", help="automorphism operations")
     aut_sub = p_aut.add_subparsers(dest="aut_command", required=True)
-    p_apply = aut_sub.add_parser("apply", parents=[common])
+    p_apply = aut_sub.add_parser("apply", parents=automorphism)
     p_apply.add_argument("--aut", required=True, metavar="FILE")
     p_apply.add_argument("expr")
-    p_compose = aut_sub.add_parser("compose", parents=[common])
+    p_compose = aut_sub.add_parser("compose", parents=automorphism)
     p_compose.add_argument("--a", required=True, metavar="FILE")
     p_compose.add_argument("--b", required=True, metavar="FILE")
-    p_decompose = aut_sub.add_parser("decompose", parents=[common])
+    p_decompose = aut_sub.add_parser("decompose", parents=automorphism)
     p_decompose.add_argument("--aut", required=True, metavar="FILE")
 
-    p_iso = sub.add_parser("iso", parents=[common],
+    p_iso = sub.add_parser("iso", parents=[json_output],
                            help="decide isomorphism between two configs")
     p_iso.add_argument("--src", required=True, metavar="CFG")
     p_iso.add_argument("--dst", required=True, metavar="CFG")
 
-    p_self = sub.add_parser("selftest", parents=[common],
+    p_self = sub.add_parser("selftest", parents=[config, seed, json_output],
                             help="run the property suites")
     p_self.add_argument("--suite", help="run this suite only (default: all)")
 
-    p_export = sub.add_parser("export", parents=[common],
+    p_export = sub.add_parser("export", parents=expression,
                               help="serialize an expression")
     p_export.add_argument("--format", choices=("json",), required=True)
     p_export.add_argument("expr")

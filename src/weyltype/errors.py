@@ -37,10 +37,6 @@ class NotInA(WeylError):
     """An element required to have no derivation part has one."""
 
 
-class NotInFD(WeylError):
-    """An element required to be a pure derivation polynomial is not."""
-
-
 class ZeroElement(WeylError):
     """The zero element was passed where a nonzero one is required."""
 

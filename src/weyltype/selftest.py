@@ -29,8 +29,8 @@ from .automorphisms import (
     MODE_LIE,
     FunctionalAut,
     InnerExp,
+    NormalFormAut,
     ShiftV,
-    Sigma1,
     TauAut,
     apply_sigma1,
     compose_normal_forms,
@@ -149,7 +149,7 @@ def suite_reordering(sig: Signature, seed: int) -> SuiteResult:
 
 def suite_sigma1(sig: Signature, seed: int) -> SuiteResult:
     rng = random.Random(seed)
-    twist = Sigma1(sig)
+    twist = NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig), ShiftV.identity(sig), 1)
     try:
         verify_automorphism(twist, trials=100, seed=seed, mode=MODE_LIE)
     except HomomorphismCounterexample as exc:

@@ -308,7 +308,8 @@ class TestIntegerKernel:
         others = [a for a in (random_element(sig, rng, max_level=3) for _ in range(12))
                   if any(any(m.alpha) or any(m.i) for m in a.terms)][:4]
         mixed = [d + o for d, o in zip(in_FD, others)] + [o + d for d, o in zip(in_FD, others)]
-        assert all(not b.in_FD() and any(not any(m.alpha) and not any(m.i) for m in b.terms)
+        assert all(any(any(m.alpha) or any(m.i) for m in b.terms)
+                   and any(not any(m.alpha) and not any(m.i) for m in b.terms)
                    for b in mixed)
         for b in in_FD + mixed:
             for a in elems:
@@ -422,7 +423,7 @@ class TestPackedKernel:
         in_A = _wide_element(sig, rng, 6, max_level=0)
         in_FD = Element(sig, {Monomial(zero, zero, m.mu): F(k + 1, 2)
                               for k, m in enumerate(_wide_element(sig, rng, 6, max_level=5).num)})
-        assert in_A.in_A() and in_FD.in_FD()
+        assert in_A.in_A() and not any(any(m.alpha) or any(m.i) for m in in_FD.terms)
         general = _wide_element(sig, rng, 5, max_level=4)
         for a in (in_A, in_A + general, in_FD):
             for b in (in_FD, general + in_FD, in_A):

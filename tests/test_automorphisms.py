@@ -15,7 +15,6 @@ from weyltype import (
     Lattice,
     NormalFormAut,
     ShiftV,
-    Sigma1,
     Signature,
     TauAut,
     apply_sigma1,
@@ -55,6 +54,11 @@ from weyltype.sampling import (
 )
 
 from conftest import fraction_inverse
+
+
+def _twist(sig):
+    """sigma_1 alone: the normal form with identity factors and eps = 1."""
+    return NormalFormAut(TauAut.identity(sig), InnerExp.identity(sig), ShiftV.identity(sig), 1)
 
 
 def _ad_series(u, w):
@@ -422,6 +426,17 @@ class TestSigma1:
                 want = want + d_mu * Element(sig, {Monomial(al, i, zero): 1})
             assert apply_sigma1(sig, w) == want
 
+    @pytest.mark.parametrize("fixture", ("desk", "rank3", "rank4"))
+    def test_twisted_identity_normal_form_is_the_twist(self, request, fixture):
+        """The normal form with identity factors and eps = 1 applies as
+        apply_sigma1, through its table after the twist."""
+        sig = request.getfixturevalue(fixture)
+        rng = random.Random(14)
+        twist = _twist(sig)
+        for w in [sig.one()] + [random_element(sig, rng, max_terms=4, max_level=3)
+                                for _ in range(10)]:
+            assert twist.apply(w) == apply_sigma1(sig, w)
+
     def test_order_two(self, desk):
         rng = random.Random(11)
         for _ in range(25):
@@ -429,14 +444,14 @@ class TestSigma1:
             assert apply_sigma1(desk, apply_sigma1(desk, w)) == w
 
     def test_bracket_mode_passes(self, desk):
-        verify_automorphism(Sigma1(desk), trials=100, seed=12, mode=MODE_LIE)
+        verify_automorphism(_twist(desk), trials=100, seed=12, mode=MODE_LIE)
 
     def test_associative_mode_fails_on_squared_derivation(self, desk):
         d1 = desk.d(1)
         assert apply_sigma1(desk, d1 * d1) == -(d1 * d1)
         assert apply_sigma1(desk, d1) * apply_sigma1(desk, d1) == d1 * d1
         with pytest.raises(HomomorphismCounterexample) as info:
-            verify_automorphism(Sigma1(desk), trials=100, seed=12, mode=MODE_ASSOC)
+            verify_automorphism(_twist(desk), trials=100, seed=12, mode=MODE_ASSOC)
         assert info.value.lhs != info.value.rhs
 
 
@@ -592,14 +607,18 @@ class TestNormalFormApply:
     @pytest.mark.parametrize("eps", [0, 1])
     @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
     def test_generator_images_match_apply(self, sig_name, eps, request):
+        """Every map reads its generator images off its table through the one
+        inherited ``generator_images``: a normal form, each of its factors and
+        the twist alone."""
         sig = request.getfixturevalue(sig_name)
         rng = random.Random(50 + eps)
         for _ in range(3):
             nf = _draw_normal_form(sig, rng, eps)
-            images = nf.generator_images()
-            assert list(images) == generator_keys(sig)
-            for key, image in images.items():
-                _same(image, nf.apply(generator_element(sig, key)))
+            for phi in (nf, nf.tau, nf.u, nf.v, _twist(sig)):
+                images = phi.generator_images()
+                assert list(images) == generator_keys(sig)
+                for key, image in images.items():
+                    _same(image, phi.apply(generator_element(sig, key)))
 
 
 class TestComposeNormalForms:
@@ -722,7 +741,7 @@ class TestInnerConjugation:
         # the twist negates the commutative part, so it conjugates
         # exp(ad u) to exp(ad -u)
         rng = random.Random(19)
-        twist = Sigma1(desk)
+        twist = _twist(desk)
         for _ in range(5):
             u = random_A_element(desk, rng)
             sigma_u = InnerExp(u)
@@ -739,7 +758,7 @@ class TestTwistConjugation:
     def test_identities(self, sig_name, request):
         sig = request.getfixturevalue(sig_name)
         rng = random.Random(40)
-        twist = Sigma1(sig)
+        twist = _twist(sig)
         for _ in range(3):
             tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
             u = random_A_element(sig, rng)
@@ -759,10 +778,10 @@ class TestVerify:
 
     def test_report_counterexample_fields(self, desk):
         with pytest.raises(HomomorphismCounterexample) as info:
-            verify_automorphism(Sigma1(desk), trials=50, seed=20, mode=MODE_ASSOC)
+            verify_automorphism(_twist(desk), trials=50, seed=20, mode=MODE_ASSOC)
         ce = info.value
         assert str(ce) == f"product law fails at trial {ce.trial} (mode=assoc, seed=20)"
-        twist = Sigma1(desk)
+        twist = _twist(desk)
         assert twist.apply(ce.a * ce.b) == ce.lhs
         assert twist.apply(ce.a) * twist.apply(ce.b) == ce.rhs
 
@@ -1241,7 +1260,7 @@ class TestIntegerForm:
         elems = [random_element(sig, rng, max_level=2, max_i=2, coord_bound=1)
                  for _ in range(200)]
         tau = TauAut(sig, _aut2_generators(sig)[-1], random_character(sig.lattice, rng))
-        families = [tau, tau.inverse(), Sigma1(sig),
+        families = [tau, tau.inverse(), _twist(sig),
                     InnerExp(random_A_element(sig, rng, max_i=2, coord_bound=1)),
                     ShiftV(sig, random_shift_vector(sig, rng))]
         targets = [random_A_element(sig, rng, max_i=2, coord_bound=1) for _ in range(10)]

@@ -33,14 +33,13 @@ from weyltype.errors import (
     InvariantViolation,
     LatticeNotMapped,
     NondegenerateViolation,
-    NotInFD,
     SignatureMismatch,
     WeylError,
     ZeroElement,
 )
 from weyltype.sampling import random_aut2, random_character, random_element, random_fd_element
 
-from conftest import fraction_inverse
+from conftest import fraction_inverse, oracle_act, simplex_probes
 
 
 class TestSignatureInvariants:
@@ -433,9 +432,21 @@ class TestFaithfulnessWitness:
         with pytest.raises(ZeroElement):
             faithfulness_witness(w01, w01.zero())
 
-    def test_non_fd_rejected(self, w01):
-        with pytest.raises(NotInFD):
-            faithfulness_witness(w01, w01.x((1,)))
+    def test_mixed_elements_witnessed(self, request):
+        """Elements with an A-part, alone or beside a derivation polynomial,
+        get a witness too: the first simplex point, in the search order, on
+        which the independent oracle sees them act."""
+        for name in ("desk", "rank3", "rank4"):
+            sig = request.getfixturevalue(name)
+            rng = random.Random(5)
+            for _ in range(10):
+                a_part = sig.zero()
+                while not any(any(m.alpha) or any(m.i) for m in a_part.terms):
+                    a_part = random_element(sig, rng, max_terms=5, max_level=4)
+                for u in (a_part, a_part + random_fd_element(sig, rng)):
+                    ((n, _),) = next(probe for probe in simplex_probes(sig.ell, u.max_level())
+                                     if oracle_act(u, probe))
+                    assert faithfulness_witness(sig, u) == sig.lattice.ambient(n)
 
     def test_dual_basis_polynomial(self, desk):
         # d = 2 d_1 pairs to 1 with the first canonical row (1/2, 1/2) and to 0

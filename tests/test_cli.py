@@ -917,8 +917,11 @@ class TestFuzz:
             argv = ["aut", "decompose", "--aut", aut]
         else:
             argv = ["aut", "compose", "--a", aut, "--b", rng.choice(own["auts"])]
-        if rng.random() < 0.3:
-            argv += ["--mode", rng.choice([MODE_LIE, MODE_ASSOC])]
+        # drawn for every command, so the stream of draws stays the same, and
+        # given only to the aut commands, the ones that read it
+        mode = rng.choice([MODE_LIE, MODE_ASSOC]) if rng.random() < 0.3 else None
+        if mode and argv[0] == "aut":
+            argv += ["--mode", mode]
         if rng.random() < 0.5:
             argv.append("--json")
         return argv
@@ -952,10 +955,15 @@ WEYL_PROBE = ("import json, sys\nfrom weyltype.cli import main\ntry:\n    main()
               "finally:\n    sys.stderr.write('\\n' + json.dumps(sorted(sys.modules)))\n")
 
 
-def _weyl(argv, stdout=subprocess.PIPE):
+def _weyl(argv, stdout=subprocess.PIPE, unbuffered=None):
     """Run `weyl argv` in a fresh interpreter: (exit code, stdout, stderr, the
-    set of loaded module names)."""
+    set of loaded module names).  ``unbuffered`` sets (True) or unsets
+    (False) PYTHONUNBUFFERED; None keeps the caller's."""
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run([sys.executable, "-S", "-c", WEYL_PROBE, *argv], env=env,
                           stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
                           text=True, timeout=120)
@@ -963,13 +971,15 @@ def _weyl(argv, stdout=subprocess.PIPE):
     return proc.returncode, proc.stdout, err, set(json.loads(modules))
 
 
-class TestStartup:
-    @pytest.fixture()
-    def files(self, tmp_path, config_file):
-        aut = tmp_path / "id.json"
-        aut.write_text(json.dumps(NormalFormAut.identity(desk_signature()).to_dict()))
-        return {"cfg": config_file, "aut": str(aut)}
+@pytest.fixture()
+def desk_files(tmp_path, config_file):
+    """The desk config and the identity normal form, for argv templates."""
+    aut = tmp_path / "id.json"
+    aut.write_text(json.dumps(NormalFormAut.identity(desk_signature()).to_dict()))
+    return {"cfg": config_file, "aut": str(aut)}
 
+
+class TestStartup:
     @pytest.mark.parametrize("command, argv, loaded, absent", [
         ("eval", ["eval", "--config", "{cfg}", "d1"], ["algebra", "expressions"],
          ["automorphisms", "classification", "sampling", "selftest"]),
@@ -978,9 +988,9 @@ class TestStartup:
         ("iso", ["iso", "--src", "{cfg}", "--dst", "{cfg}"], ["classification"], ["selftest"]),
         ("missing-config", ["eval", "d1"], [], ["algebra"]),
     ])
-    def test_each_command_loads_only_what_it_runs(self, files, command, argv, loaded,
+    def test_each_command_loads_only_what_it_runs(self, desk_files, command, argv, loaded,
                                                   absent):
-        code, _, err, modules = _weyl([arg.format(**files) for arg in argv])
+        code, _, err, modules = _weyl([arg.format(**desk_files) for arg in argv])
         assert code == (2 if command == "missing-config" else 0), err
         assert {f"weyltype.{m}" for m in loaded} <= modules
         assert not {f"weyltype.{m}" for m in absent} & modules
@@ -1011,3 +1021,50 @@ class TestOutputFailure:
             code, _, err, _ = _weyl(["eval", "--config", config_file, "d1", *json_flag],
                                     stdout=full)
         assert (code, err) == (3, "cannot write output: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+    @pytest.mark.parametrize("argv", (["--help"], ["eval", "--help"], ["aut", "apply", "--help"]),
+                             ids=" ".join)
+    def test_help_into_full_device(self, argv, unbuffered):
+        """argparse drops a refused write of the help text; with unbuffered
+        stdout the write fails inside it, and must still exit 3."""
+        with open("/dev/full", "w") as full:
+            code, _, err, _ = _weyl(argv, stdout=full, unbuffered=unbuffered)
+        assert (code, err) == (3, "cannot write output: No space left on device\n")
+
+
+# each subcommand takes exactly the options it reads: these are the ones it
+# does not, each refused like any unknown option
+UNREAD_OPTIONS = [
+    (["iso", "--src", "{cfg}", "--dst", "{cfg}"], option)
+    for option in (["--config", "{cfg}"], ["--mode", "lie"], ["--seed", "3"])
+] + [
+    (command, option)
+    for command in (["eval", "--config", "{cfg}", "d1"],
+                    ["bracket", "--config", "{cfg}", "d1", "d2"],
+                    ["export", "--config", "{cfg}", "--format", "json", "d1"])
+    for option in (["--mode", "lie"], ["--seed", "3"])
+] + [
+    (["aut", "apply", "--config", "{cfg}", "--aut", "{aut}", "d1"], ["--seed", "3"]),
+    (["aut", "compose", "--a", "{aut}", "--b", "{aut}"], ["--seed", "3"]),
+    (["aut", "decompose", "--aut", "{aut}"], ["--seed", "3"]),
+    (["selftest", "--suite", "parser"], ["--mode", "lie"]),
+]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv, option", UNREAD_OPTIONS,
+                             ids=[" ".join([*(w for w in a[:2] if w[0] != "-"), o[0]])
+                                  for a, o in UNREAD_OPTIONS])
+    def test_unread_option_is_refused(self, desk_files, capsys, argv, option):
+        argv = [arg.format(**desk_files) for arg in argv + ["--json"]]
+        option = [arg.format(**desk_files) for arg in option]
+        assert run_command(argv) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert run_command(argv + option) == 2
+        captured = capsys.readouterr()
+        message = json.loads(captured.out)
+        assert message["ok"] is False
+        assert message["error"].endswith("error: unrecognized arguments: " + " ".join(option))
+        assert captured.err.endswith(message["error"] + "\n")

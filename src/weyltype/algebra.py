@@ -27,6 +27,13 @@ brackets only.  The action on A, u d^mu . v -> u d^mu(v), is the single
 term lam = mu; ``act_on_A`` runs it as a loop of its own over the same
 d^lam tables and the same denominator.
 
+The d^lam tables outlive the call that builds them: each Signature keeps one
+private cache that maps a right factor x^{al,i} to its tables, and the
+products, brackets, ``act_each_on_A`` and the twist's ``_antinormal`` all
+read it.  It holds at most ``D_LAM_TABLES`` tables and empties whole when a
+new one would pass that bound.  A stored table is an immutable tuple, so no
+result depends on what the cache holds.
+
 A left term with mu = 0 needs no Leibniz sum: u . v d^nu = (uv) d^nu, so
 the kernel attaches it by a plain convolution of numerators (``_convolve``),
 the same loop the homomorphic extension of ``automorphisms`` uses.  A right
@@ -59,7 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice, product as _cartesian
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, inf, lcm, prod
 from operator import add, lshift, sub
 from typing import NamedTuple
 
@@ -150,16 +157,18 @@ def monomial_sort_key(m: Monomial):
 
 
 class Signature:
-    """The triple (l1, l2, Gamma) identifying one algebra; immutable."""
+    """The triple (l1, l2, Gamma) identifying one algebra; immutable.  It also
+    carries the product kernel's d^lam cache (``_TableCache``), which its
+    equality, hash, repr and ``to_dict`` ignore."""
 
-    __slots__ = ("ell1", "ell2", "lattice")
+    __slots__ = ("ell1", "ell2", "lattice", "_tables")
 
     def __init__(self, ell1: int, ell2: int, lattice: Lattice):
         if ell1 < 0 or ell2 < 0 or ell1 + ell2 < 1:
             raise DimensionMismatch("need l1, l2 >= 0 with l1 + l2 >= 1")
         if lattice.ambient_dim != ell1 + ell2:
             raise DimensionMismatch("lattice ambient dimension must equal l1 + l2")
-        for name, value in zip(self.__slots__, (ell1, ell2, lattice)):
+        for name, value in zip(self.__slots__, (ell1, ell2, lattice, _TableCache())):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -401,33 +410,80 @@ def _from_ints(sig: Signature, den: int, num: dict) -> Element:
 # derivation actions and the product
 # ---------------------------------------------------------------------------
 
-def _d_lam(sig: Signature, memo: dict, grade, i0, lam) -> dict:
-    """d^lam(x^{al,i0}) as {i: n}, the coefficient of x^{al,i} being n / D^|lam|.
+# The most d^lam tables one Signature's cache holds; a store past it empties
+# the cache whole.  On the desk selftest, whose kernel calls need 7,157
+# distinct tables, this bound cuts the tables built from 91,652 (one memo per
+# call) to 23,082 and adds about 0.9 MB to its peak memory; 4,096 built 13,556
+# but added 1.1 MB.
+D_LAM_TABLES = 3072
+
+
+class _TableCache:
+    """The d^lam tables of one Signature, shared by every kernel call on it.
+
+    ``entries`` maps a right factor (al, i) to its (grade, caps, {lam: table})
+    and ``size`` counts the tables stored since the cache was last emptied.
+    ``_d_lam`` empties it (a fresh ``entries``; no stored table changes)
+    before a store would pass ``D_LAM_TABLES``, so ``size`` bounds what it
+    holds.  Equality, hash, repr and ``to_dict`` of a Signature ignore it."""
+
+    __slots__ = ("entries", "size")
+
+    def __init__(self):
+        self.entries: dict = {}
+        self.size = 0
+
+
+def _right_factor(sig: Signature, al, i) -> tuple:
+    """(grade, caps, {lam: d^lam table}) of a right factor x^{al,i}, from the
+    signature's cache.
+
+    ``grade`` is D * ambient(al).  d_p^k(x^{al,i}) vanishes past the
+    polynomial index when the grading eigenvalue is zero, so the expansion is
+    capped there; a graded slot has no cap."""
+    entry = sig._tables.entries.get((al, i))
+    if entry is None:
+        grade = sig.lattice.grades(al)
+        caps = tuple(inf if g else (i[p] if p < sig.ell1 else 0) for p, g in enumerate(grade))
+        entry = sig._tables.entries[(al, i)] = (grade, caps, {})
+    return entry
+
+
+def _d_lam(sig: Signature, tables: dict, grade, i0, lam) -> tuple:
+    """d^lam(x^{al,i0}) as ((i, n), ...), the coefficient of x^{al,i} being
+    n / D^|lam|.
 
     With ``grade`` = D * ambient(al), d_p multiplies n by grade[p] and lowers
-    i_p with the factor i_p * D.  ``memo`` holds the tables of this one
-    x^{al,i0}, keyed by lam."""
-    table = memo.get(lam)
+    i_p with the factor i_p * D.  ``tables`` is x^{al,i0}'s {lam: table} from
+    ``_right_factor``, which every kernel call shares, so a table is a tuple:
+    no caller can change it, and at desk, where half the tables hold one
+    pair, a one-pair tuple takes 104 bytes against a dict's 224 (CPython
+    3.11)."""
+    table = tables.get(lam)
     if table is not None:
         return table
     if not any(lam):
-        table = {i0: 1}
+        table = ((i0, 1),)
     else:
         p = next(idx for idx, v in enumerate(lam) if v)
         lower = lam[:p] + (lam[p] - 1,) + lam[p + 1:]
-        prev = memo.get(lower)
+        prev = tables.get(lower)
         if prev is None:
-            prev = _d_lam(sig, memo, grade, i0, lower)
+            prev = _d_lam(sig, tables, grade, i0, lower)
         g, lowers, D = grade[p], p < sig.ell1, sig.lattice.denominator
         table = {}
-        for i, n in prev.items():
+        for i, n in prev:
             if g:
                 table[i] = table.get(i, 0) + n * g
             if lowers and i[p]:
                 low = i[:p] + (i[p] - 1,) + i[p + 1:]
                 table[low] = table.get(low, 0) + n * i[p] * D
-        table = {i: n for i, n in table.items() if n}
-    memo[lam] = table
+        table = tuple((i, n) for i, n in table.items() if n)
+    cache = sig._tables
+    if cache.size >= D_LAM_TABLES:
+        cache.entries, cache.size = {}, 0
+    cache.size += 1
+    tables[lam] = table
     return table
 
 
@@ -443,18 +499,7 @@ def _convolve(out: dict, al, i, n: int, terms) -> None:
         out[key] = out.get(key, 0) + n * n2
 
 
-def _right_term(sig: Signature, memo: dict, al, i, top: int) -> tuple:
-    """(grade, caps, d^lam tables) of a right factor x^{al,i} outside F[D].
-
-    ``memo`` maps (al, i) to the tables shared by both passes of a bracket.
-    d_p^k(x^{al,i}) vanishes past the polynomial index when the grading
-    eigenvalue is zero, so the expansion is capped there."""
-    grade = sig.lattice.grades(al)
-    caps = tuple(top if g else (i[p] if p < sig.ell1 else 0) for p, g in enumerate(grade))
-    return grade, caps, memo.setdefault((al, i), {})
-
-
-def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
+def _accumulate(out: dict, sig: Signature, a_num: dict, b_num: dict,
                 powers: list, bracket: bool, scale: int = 1) -> None:
     """Add scale * a . b to ``out`` as numerators over D^top
     (top = len(powers) - 1, at least the level of a).
@@ -481,7 +526,7 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                     if not bracket:
                         b_terms.append((al, i, mu, n, None, None, None))
                     continue
-                b_terms.append((al, i, mu, n, *_right_term(sig, memo, al, i, top)))
+                b_terms.append((al, i, mu, n, *_right_factor(sig, al, i)))
         for al2, i2, mu2, n2, grade, caps, tables in b_terms:
             mu12 = tuple(map(add, mu1, mu2))
             n12 = n1 * n2
@@ -496,12 +541,12 @@ def _accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
                     continue
                 mu_out = tuple(map(sub, mu12, lam))
                 base = n12 * prod(map(comb, mu1, lam)) * powers[top - sum(lam)]
-                for i, n in table.items():
+                for i, n in table:
                     key = Monomial(alpha, tuple(map(add, i1, i)), mu_out)
                     out[key] = out.get(key, 0) + base * n
 
 
-def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num: dict,
+def _packed_accumulate(out: dict, sig: Signature, a_num: dict, b_num: dict,
                        powers: list, bracket: bool, shifts: range, bias: int,
                        scale: int = 1) -> None:
     """``_accumulate`` on packed keys: ``out`` maps packed monomials to numerators.
@@ -530,7 +575,7 @@ def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num
                     prepared.append((k2, n2, None, None, None, None, None))
                 else:
                     prepared.append((k2 - sum(map(lshift, i2, i_shifts)), n2, i2,
-                                     *_right_term(sig, memo, al2, i2, top), {}))
+                                     *_right_factor(sig, al2, i2), {}))
         plan = []
         lam_lists: dict = {}
         for k2, n2, i2, grade, caps, tables, packed in prepared:
@@ -549,7 +594,7 @@ def _packed_accumulate(out: dict, memo: dict, sig: Signature, a_num: dict, b_num
                     base = k2 - sum(map(lshift, lam, mu_shifts))
                     table = packed[lam] = [
                         (base + sum(map(lshift, i, i_shifts)), n2 * n)
-                        for i, n in _d_lam(sig, tables, grade, i2, lam).items()]
+                        for i, n in _d_lam(sig, tables, grade, i2, lam)]
                 plan.append((f, table))
         return plan
 
@@ -578,7 +623,7 @@ PACKED_PAIRS = 32
 
 def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
     """a . b; with ``bracket`` a . b - b . a in one pass, over
-    a.den * b.den * D^max(top_a, top_b) and with one d^lam memo."""
+    a.den * b.den * D^max(top_a, top_b)."""
     a._require_same(b)
     sig = a.signature
     if not a.num or not b.num:
@@ -586,11 +631,10 @@ def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
     top = max(a.max_level(), b.max_level()) if bracket else a.max_level()
     powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
-    memo: dict = {}
     if len(a.num) * len(b.num) * (1 + bracket) < PACKED_PAIRS:
-        _accumulate(out, memo, sig, a.num, b.num, powers, bracket)
+        _accumulate(out, sig, a.num, b.num, powers, bracket)
         if bracket:
-            _accumulate(out, memo, sig, b.num, a.num, powers, bracket, scale=-1)
+            _accumulate(out, sig, b.num, a.num, powers, bracket, scale=-1)
         return _from_ints(sig, a.den * b.den * powers[top], out)
     ell = sig.ell
     # every output field lies in [-2 hi, 2 hi] (alpha) or [0, 2 hi] (i, mu)
@@ -598,9 +642,9 @@ def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
     width = max((4 * hi).bit_length(), 1)
     shifts = range(0, 3 * ell * width, width)
     bias = sum((2 * hi) << s for s in shifts[:ell])
-    _packed_accumulate(out, memo, sig, a.num, b.num, powers, bracket, shifts, bias)
+    _packed_accumulate(out, sig, a.num, b.num, powers, bracket, shifts, bias)
     if bracket:
-        _packed_accumulate(out, memo, sig, b.num, a.num, powers, bracket, shifts, bias, scale=-1)
+        _packed_accumulate(out, sig, b.num, a.num, powers, bracket, shifts, bias, scale=-1)
     return _from_ints(sig, a.den * b.den * powers[top],
                       _unpack(out, ell, width, 2 * hi))
 
@@ -651,8 +695,8 @@ def act_each_on_A(ws: list, a: Element) -> list[Element]:
 
     The action of w is the lam = mu term of the product w . a, over
     w.den * a.den * D^top with top the level of w.  Each term x^{al,i} of a
-    gets one d^lam memo, shared by every mu of every w, so each of its
-    tables is built once."""
+    reads its d^lam tables from the signature's cache, shared by every mu of
+    every w and by later calls, so each table is built once."""
     for w in ws:
         w._require_same(a)
     if not a.in_A():
@@ -664,15 +708,15 @@ def act_each_on_A(ws: list, a: Element) -> list[Element]:
              for w, top in zip(ws, tops)]
     outs: list = [{} for _ in ws]
     for (al2, i2, mu2), n2 in a.num.items():
-        grade, memo = sig.lattice.grades(al2), {}
+        grade, _, tables = _right_factor(sig, al2, i2)
         for left, out in zip(lefts, outs):
             for (al1, i1, mu1), n1 in left:
-                table = memo.get(mu1)
+                table = tables.get(mu1)
                 if table is None:
-                    table = _d_lam(sig, memo, grade, i2, mu1)
+                    table = _d_lam(sig, tables, grade, i2, mu1)
                 if table:
                     alpha, f = tuple(map(add, al1, al2)), n1 * n2
-                    for i, n in table.items():
+                    for i, n in table:
                         key = Monomial(alpha, tuple(map(add, i1, i)), mu2)
                         out[key] = out.get(key, 0) + f * n
     return [_from_ints(sig, w.den * a.den * D ** top, out)
@@ -682,8 +726,10 @@ def act_each_on_A(ws: list, a: Element) -> list[Element]:
 def _antinormal(w: Element) -> Element:
     """The sum of c d^mu . x^{al,i} over the terms c x^{al,i} d^mu of w.  Each
     term is one kernel pair, below ``PACKED_PAIRS``, so all run on the tuple
-    path over one d^lam memo (one ``_mul_elements`` per distinct mu loses the
-    memo and took about 25 % longer on the desk selftest's twists)."""
+    path into one numerator dict.  The plain form, one ``_mul_elements`` per
+    distinct mu summed as Elements, reads the same cached tables but took
+    about 15 % more CPU on the desk ``sigma1`` suite (median 0.152 against
+    0.132 s over 6 alternating runs), from its per-call set-up and sums."""
     sig = w.signature
     if w.is_zero:
         return w
@@ -691,9 +737,8 @@ def _antinormal(w: Element) -> Element:
     top = w.max_level()
     powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
-    memo: dict = {}
     for (al, i, mu), n in w.num.items():
-        _accumulate(out, memo, sig, {Monomial(zero, zero, mu): n}, {Monomial(al, i, zero): 1},
+        _accumulate(out, sig, {Monomial(zero, zero, mu): n}, {Monomial(al, i, zero): 1},
                     powers, False)
     return _from_ints(sig, w.den * powers[top], out)
 

@@ -26,6 +26,7 @@ from weyltype.errors import (
     NotMember,
     SignatureMismatch,
 )
+from weyltype.automorphisms import apply_sigma1, random_normal_form_aut
 from weyltype.sampling import random_element, random_fd_element
 
 from conftest import oracle_bracket_is, oracle_product_is
@@ -263,7 +264,7 @@ class TestIntegerKernel:
                 _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
 
     def test_action_of_many_in_one_pass(self, case):
-        """act_each_on_A, which shares each d^lam memo across its elements,
+        """act_each_on_A, which shares each d^lam table across its elements,
         gives each action with the terms in act_on_A's order."""
         sig, elems = case
         rng = random.Random(22)
@@ -469,6 +470,13 @@ class TestPackedKernel:
             _same(derivation_apply(sig, lam, a), _ref_act_on_A(d_lam, a))
 
 
+@pytest.fixture(params=("tuple", "packed"))
+def path(request, monkeypatch):
+    """Each kernel path in turn, whatever the size of the product."""
+    monkeypatch.setattr(algebra, "PACKED_PAIRS", 10 ** 9 if request.param == "tuple" else 0)
+    return request.param
+
+
 # (pairs, highest level) per fixture; a pair of level-2 elements already
 # needs C(4 + l, l) probes, 70 at rank 4
 ORACLE_DRAWS = {"desk": (100, 3), "rank3": (100, 2), "rank4": (40, 2)}
@@ -478,11 +486,6 @@ class TestOperatorOracle:
     """The kernel against the operator oracle of conftest, which decides a
     product or a bracket through the action on A alone, on both kernel
     paths."""
-
-    @pytest.fixture(params=("tuple", "packed"))
-    def path(self, request, monkeypatch):
-        monkeypatch.setattr(algebra, "PACKED_PAIRS", 10 ** 9 if request.param == "tuple" else 0)
-        return request.param
 
     @pytest.mark.parametrize("sig_name", sorted(ORACLE_DRAWS))
     def test_products_and_brackets(self, sig_name, path, request):
@@ -516,6 +519,133 @@ class TestOperatorOracle:
                     assert not holds(a, b, Element(sig, num)), num
                 mutants += len(changed)
         assert mutants >= 100
+
+
+def _cold(sig):
+    """An equal signature with its own, empty d^lam cache."""
+    return Signature(sig.ell1, sig.ell2, sig.lattice)
+
+
+def _cache_size(sig) -> int:
+    return sum(len(tables) for _, _, tables in sig._tables.entries.values())
+
+
+def _fill_until_evicted(sig):
+    """Act with every d^mu, |mu| <= 4, on batches of right factors the cache
+    has never seen, until it empties once; it never holds more than its
+    bound meanwhile."""
+    zero = (0,) * sig.ell
+    w = Element(sig, {Monomial(zero, zero, mu): 1
+                      for mu in cartesian(range(5), repeat=sig.ell) if sum(mu) <= 4})
+    start = sig._tables.entries
+    for batch in range(algebra.D_LAM_TABLES):
+        a = Element(sig, {Monomial((1000 + 40 * batch + k,) + (7,) * (sig.ell - 1),
+                                   tuple(k % 3 if p < sig.ell1 else 0 for p in range(sig.ell)),
+                                   zero): 1 for k in range(40)})
+        act_each_on_A([w], a)
+        assert sig._tables.size <= algebra.D_LAM_TABLES
+        assert _cache_size(sig) <= sig._tables.size
+        if sig._tables.entries is not start:
+            return
+    pytest.fail("the cache never emptied")
+
+
+def _ref_sigma1(w):
+    """apply_sigma1 on the Fraction reference: the sum of
+    -(-1)^|mu| c d^mu . x^{al,i} over the terms c x^{al,i} d^mu of w."""
+    sig, zero = w.signature, (0,) * w.signature.ell
+    out = sig.zero()
+    for (al, i, mu), c in w.terms.items():
+        d_mu = Element(sig, {Monomial(zero, zero, mu): c if sum(mu) % 2 else -c})
+        out = out + _ref_mul(d_mu, Element(sig, {Monomial(al, i, zero): 1}))
+    return out
+
+
+class TestTableCache:
+    """The d^lam tables shared by every kernel call on one Signature: a
+    bounded cache whose state never shows in a result."""
+
+    def test_never_holds_more_than_its_bound(self, desk):
+        sig = _cold(desk)
+        _fill_until_evicted(sig)
+        assert _cache_size(sig) <= sig._tables.size <= algebra.D_LAM_TABLES
+
+    def test_signatures_keep_their_value_semantics(self, desk):
+        sig = _cold(desk)
+        _fill_until_evicted(sig)
+        assert sig == desk and hash(sig) == hash(desk) and repr(sig) == repr(desk)
+        assert sig.to_dict() == desk.to_dict()
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_cold_warm_and_evicted_caches_agree(self, sig_name, path, request, monkeypatch):
+        """Products, brackets, act_each_on_A and apply_sigma1 on a cold cache,
+        checked against the oracles, then repeated on the warm cache, after
+        an eviction and with a bound of two tables, which empties the cache
+        inside every call: equal Elements with the same term order."""
+        sig = _cold(request.getfixturevalue(sig_name))
+        rng = random.Random(70 + sorted(ORACLE_DRAWS).index(sig_name))
+        pairs = [tuple(random_element(sig, rng, max_terms=6, max_level=2) for _ in range(2))
+                 for _ in range(4)]
+        targets = [random_element(sig, rng, max_terms=4, max_level=0) for _ in range(3)]
+        ws = [a for a, _ in pairs]
+
+        def run():
+            out = []
+            for a, b in pairs:
+                out += [a * b, a.bracket(b), apply_sigma1(sig, a)]
+            for x in targets:
+                out += act_each_on_A(ws, x)
+            return out
+
+        cold = run()
+        for k, (a, b) in enumerate(pairs):
+            ab, bracket, twisted = cold[3 * k:3 * k + 3]
+            assert oracle_product_is(a, b, ab)
+            assert oracle_bracket_is(a, b, bracket)
+            _same(twisted, _ref_sigma1(a))
+        acted = iter(cold[3 * len(pairs):])
+        for x in targets:
+            for w in ws:
+                got, wx = next(acted), w * x
+                assert oracle_product_is(w, x, wx)
+                _same(got, Element(sig, {m: c for m, c in wx.terms.items() if not any(m.mu)}))
+        warm = run()
+        _fill_until_evicted(sig)
+        evicted = run()
+        monkeypatch.setattr(algebra, "D_LAM_TABLES", 2)
+        tiny = run()
+        for results in (warm, evicted, tiny):
+            assert results == cold
+            assert [list(e.num) for e in results] == [list(e.num) for e in cold]
+
+    def test_consumers_leave_tables_unchanged(self, rank3):
+        """Snapshot the cache, run products, brackets, actions, the twist and
+        normal-form applies on both kernel paths: every table is an
+        immutable tuple, and each snapshot table, whether still cached or
+        since evicted, is still the one its {lam: table} holds."""
+        sig = _cold(rank3)
+        rng = random.Random(80)
+        draw = [random_element(sig, rng, max_terms=8, max_level=3) for _ in range(6)]
+        for a, b in zip(draw, draw[1:]):
+            a * b, a.bracket(b), apply_sigma1(sig, a)
+        snapshot = {(key, lam): (tables, table)
+                    for key, (_, _, tables) in sig._tables.entries.items()
+                    for lam, table in tables.items()}
+        assert snapshot
+        nf = random_normal_form_aut(sig, rng)
+        for a in draw + [random_element(sig, rng, max_terms=2, max_level=3) for _ in range(6)]:
+            for b in draw:
+                a * b, a.bracket(b), b * a
+            apply_sigma1(sig, a)
+            nf.apply(a)
+            act_each_on_A(draw, random_element(sig, rng, max_terms=5, max_level=0))
+        for (_, lam), (tables, table) in snapshot.items():
+            assert tables[lam] is table
+        for key, (_, _, tables) in sig._tables.entries.items():
+            for lam, table in tables.items():
+                assert type(table) is tuple and all(type(pair) is tuple for pair in table)
+                if (key, lam) in snapshot:
+                    assert table is snapshot[key, lam][1]
 
 
 class TestBracket:

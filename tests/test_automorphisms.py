@@ -570,19 +570,21 @@ class TestNormalFormApply:
         assert [len(ws) for ws in calls] == [rank3.ell]
 
     def test_table_builds_each_d_lam_table_once(self, rank4, monkeypatch):
-        """The l derivation images share one d^lam memo per term of tau(u):
-        the table builds call ``_d_lam`` once per distinct (grade, i, lam)."""
+        """The l derivation images read each term of tau(u)'s d^lam tables
+        from the signature's cache: on a cold cache, the table builds call
+        ``_d_lam`` once per distinct (grade, i, lam)."""
         real = algebra._d_lam
         calls = []
 
-        def counted(sig, memo, grade, i0, lam):
+        def counted(sig, tables, grade, i0, lam):
             calls.append((grade, i0, lam))
-            return real(sig, memo, grade, i0, lam)
+            return real(sig, tables, grade, i0, lam)
 
         monkeypatch.setattr(algebra, "_d_lam", counted)
         rng = random.Random(5)
         for eps in (0, 1):
-            nf = _draw_normal_form(rank4, rng, eps)
+            sig = Signature(rank4.ell1, rank4.ell2, rank4.lattice)
+            nf = _draw_normal_form(sig, rng, eps)
             calls.clear()
             automorphisms._normal_form_table(nf)
             assert calls and len(calls) == len(set(calls))

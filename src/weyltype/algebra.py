@@ -60,6 +60,15 @@ in the same order, so they give the same Element with the same term order;
 a product whose term pairs (|a| * |b|, twice for a bracket) number fewer
 than ``PACKED_PAIRS`` keeps the tuple path, where packing and decoding cost
 more than they save.
+
+Every builder of result keys shares their parts: within one call (one
+product, one ``act_each_on_A``, one image of ``automorphisms._hom_extend``)
+each distinct alpha, i and mu tuple is built once and held by every output
+key with that value, and each Monomial is built by ``tuple.__new__``.  The
+packed path decodes each field value once; the tuple path, the action and
+the attach keep a per-call memo, ``seen``, that maps an operand pair to its
+sum and a part value to its one tuple (``_shared_sum``).  No memo outlives
+its call.
 """
 
 from __future__ import annotations
@@ -150,6 +159,9 @@ class Monomial(NamedTuple):
     alpha: tuple[int, ...]  # coordinates w.r.t. the canonical lattice basis
     i: tuple[int, ...]      # polynomial part, zero past slot l1
     mu: tuple[int, ...]     # derivation exponents
+
+
+_new_tuple = tuple.__new__  # builds a Monomial without NamedTuple's Python-level __new__
 
 
 def monomial_sort_key(m: Monomial):
@@ -487,20 +499,36 @@ def _d_lam(sig: Signature, tables: dict, grade, i0, lam) -> tuple:
     return table
 
 
-def _convolve(out: dict, al, i, n: int, terms) -> None:
+def _shared_sum(seen: dict, x, y) -> tuple:
+    """x + y componentwise, as the one tuple of that value in ``seen``, which
+    then also maps the pair (x, y) to it.  Pairs and values share the dict:
+    a pair of tuples never equals a tuple of ints."""
+    s = tuple(map(add, x, y))
+    s = seen[x, y] = seen.setdefault(s, s)
+    return s
+
+
+def _convolve(out: dict, al, i, n: int, terms, seen: dict) -> None:
     """Add n * x^{al,i} . t for every (t, n_t) in ``terms`` to ``out``.
 
     Left multiplication by an element of A has no Leibniz part:
     x^{al,i} . x^{al2,i2} d^mu = x^{al+al2, i+i2} d^mu, so the numerators
     just multiply.  The product kernel and ``_hom_extend`` both attach
-    their A-parts through this one loop."""
+    their A-parts through this one loop.  ``seen`` is the caller's memo of
+    key parts, one per call of the caller: it maps an operand pair (al, al2)
+    or (i, i2) to its sum and each part value to its one tuple, so an update
+    whose pairs it knows builds no part tuple, and the output keys share
+    their parts with every other key built under the same memo."""
+    get = seen.get
     for (al2, i2, mu2), n2 in terms:
-        key = Monomial(tuple(map(add, al, al2)), tuple(map(add, i, i2)), mu2)
+        key = _new_tuple(Monomial, (get((al, al2)) or _shared_sum(seen, al, al2),
+                                    get((i, i2)) or _shared_sum(seen, i, i2),
+                                    seen.setdefault(mu2, mu2)))
         out[key] = out.get(key, 0) + n * n2
 
 
 def _accumulate(out: dict, sig: Signature, a_num: dict, b_num: dict,
-                powers: list, bracket: bool, scale: int = 1) -> None:
+                powers: list, bracket: bool, seen: dict, scale: int = 1) -> None:
     """Add scale * a . b to ``out`` as numerators over D^top
     (top = len(powers) - 1, at least the level of a).
 
@@ -510,14 +538,16 @@ def _accumulate(out: dict, sig: Signature, a_num: dict, b_num: dict,
     lam = 0, so x^{al,i} d^mu . d^nu = x^{al,i} d^{mu+nu} is attached
     directly, without grades, caps or d^lam tables.  With ``bracket`` every
     lam = 0 term is left out, the two cases above included, since those
-    cancel between a . b and b . a."""
+    cancel between a . b and b . a.  ``seen`` is ``_convolve``'s memo of key
+    parts, one per kernel call."""
     top = len(powers) - 1
+    get = seen.get
     b_terms = None
     for (al1, i1, mu1), n1 in a_num.items():
         n1 *= scale
         if not any(mu1):
             if not bracket:
-                _convolve(out, al1, i1, n1 * powers[top], b_num.items())
+                _convolve(out, al1, i1, n1 * powers[top], b_num.items(), seen)
             continue
         if b_terms is None:
             b_terms = []
@@ -529,20 +559,23 @@ def _accumulate(out: dict, sig: Signature, a_num: dict, b_num: dict,
                 b_terms.append((al, i, mu, n, *_right_factor(sig, al, i)))
         for al2, i2, mu2, n2, grade, caps, tables in b_terms:
             mu12 = tuple(map(add, mu1, mu2))
+            alpha = get((al1, al2)) or _shared_sum(seen, al1, al2)
             n12 = n1 * n2
             if grade is None:
-                key = Monomial(al1, i1, mu12)
+                key = _new_tuple(Monomial, (alpha, get((i1, i2)) or _shared_sum(seen, i1, i2),
+                                            seen.setdefault(mu12, mu12)))
                 out[key] = out.get(key, 0) + n12 * powers[top]
                 continue
-            alpha = tuple(map(add, al1, al2))
             for lam in islice(_bounded_multi_indices(map(min, mu1, caps)), bracket, None):
                 table = _d_lam(sig, tables, grade, i2, lam)
                 if not table:
                     continue
                 mu_out = tuple(map(sub, mu12, lam))
+                mu_out = seen.setdefault(mu_out, mu_out)
                 base = n12 * prod(map(comb, mu1, lam)) * powers[top - sum(lam)]
                 for i, n in table:
-                    key = Monomial(alpha, tuple(map(add, i1, i)), mu_out)
+                    key = _new_tuple(Monomial, (alpha, get((i1, i)) or _shared_sum(seen, i1, i),
+                                                mu_out))
                     out[key] = out.get(key, 0) + base * n
 
 
@@ -632,9 +665,10 @@ def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
     powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
     if len(a.num) * len(b.num) * (1 + bracket) < PACKED_PAIRS:
-        _accumulate(out, sig, a.num, b.num, powers, bracket)
+        seen: dict = {}
+        _accumulate(out, sig, a.num, b.num, powers, bracket, seen)
         if bracket:
-            _accumulate(out, sig, b.num, a.num, powers, bracket, scale=-1)
+            _accumulate(out, sig, b.num, a.num, powers, bracket, seen, scale=-1)
         return _from_ints(sig, a.den * b.den * powers[top], out)
     ell = sig.ell
     # every output field lies in [-2 hi, 2 hi] (alpha) or [0, 2 hi] (i, mu)
@@ -647,9 +681,6 @@ def _mul_elements(a: Element, b: Element, bracket: bool = False) -> Element:
         _packed_accumulate(out, sig, b.num, a.num, powers, bracket, shifts, bias, scale=-1)
     return _from_ints(sig, a.den * b.den * powers[top],
                       _unpack(out, ell, width, 2 * hi))
-
-
-_new_tuple = tuple.__new__  # builds a Monomial without NamedTuple's Python-level __new__
 
 
 def _unpack(out: dict, ell: int, width: int, offset: int) -> dict:
@@ -707,17 +738,21 @@ def act_each_on_A(ws: list, a: Element) -> list[Element]:
     lefts = [[(m, n * D ** (top - sum(m.mu))) for m, n in w.num.items()]
              for w, top in zip(ws, tops)]
     outs: list = [{} for _ in ws]
+    seen: dict = {}
+    get = seen.get
     for (al2, i2, mu2), n2 in a.num.items():
         grade, _, tables = _right_factor(sig, al2, i2)
+        mu2 = seen.setdefault(mu2, mu2)
         for left, out in zip(lefts, outs):
             for (al1, i1, mu1), n1 in left:
                 table = tables.get(mu1)
                 if table is None:
                     table = _d_lam(sig, tables, grade, i2, mu1)
                 if table:
-                    alpha, f = tuple(map(add, al1, al2)), n1 * n2
+                    alpha, f = get((al1, al2)) or _shared_sum(seen, al1, al2), n1 * n2
                     for i, n in table:
-                        key = Monomial(alpha, tuple(map(add, i1, i)), mu2)
+                        key = _new_tuple(Monomial, (alpha, get((i1, i)) or _shared_sum(seen, i1, i),
+                                                    mu2))
                         out[key] = out.get(key, 0) + f * n
     return [_from_ints(sig, w.den * a.den * D ** top, out)
             for w, top, out in zip(ws, tops, outs)]
@@ -737,9 +772,10 @@ def _antinormal(w: Element) -> Element:
     top = w.max_level()
     powers = [sig.lattice.denominator ** k for k in range(top + 1)]
     out: dict = {}
+    seen: dict = {}
     for (al, i, mu), n in w.num.items():
         _accumulate(out, sig, {Monomial(zero, zero, mu): n}, {Monomial(al, i, zero): 1},
-                    powers, False)
+                    powers, False, seen)
     return _from_ints(sig, w.den * powers[top], out)
 
 

@@ -81,12 +81,9 @@ from .errors import (
     SignatureMismatch,
     SingularMatrix,
 )
-from .expressions import format_element
 from .lattice import BlockMatrix, Character, lattice_motion
 from .rationals import (as_fraction, field_from_json, int_from_json, list_from_json,
                         object_from_json, rational_str, vector_from_json)
-from .sampling import (random_A_element, random_aut2, random_character, random_element,
-                       random_shift_vector)
 
 MODE_LIE = "lie"
 MODE_ASSOC = "assoc"
@@ -158,7 +155,9 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_images):
 
     The x-images per lattice point, the image powers and each D(mu) are
     built once for every element the function is applied to, and live only
-    as long as the caller holds the function.
+    as long as the caller holds the function.  Each image call passes one
+    memo of key parts to all its convolutions and drops it on return, so the
+    keys of one image share their alpha, i and mu tuples.
     """
     ell, ell1 = out_sig.ell, out_sig.ell1
     powers: dict = {}
@@ -183,6 +182,7 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_images):
             raise InvariantViolation(f"the table's image of generator {gen} is not in A")
 
     def image(w: Element) -> Element:
+        seen: dict = {}
         parts = []
         for (al, i, mu), n in w.num.items():
             x = x_parts.get(al)
@@ -198,7 +198,7 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_images):
                         require_A(xi.num, ("xi", p + 1))
                     prod_num: dict = {}
                     for (al1, i1, _), n1 in a_num.items():
-                        _convolve(prod_num, al1, i1, n1, xi.num.items())
+                        _convolve(prod_num, al1, i1, n1, xi.num.items(), seen)
                     den, a_num = den * xi.den, prod_num
             d_mu = d_parts.get(mu)
             if d_mu is None:
@@ -213,7 +213,7 @@ def _hom_extend(out_sig: Signature, x_image, x1_images, d_images):
         for n, den, a_num, d_num in parts:
             scale = n * (common // den)
             for (al, i, _), n_a in a_num.items():
-                _convolve(out, al, i, scale * n_a, d_num.items())
+                _convolve(out, al, i, scale * n_a, d_num.items(), seen)
         return _from_ints(out_sig, w.den * common, out)
 
     return image
@@ -857,6 +857,7 @@ def verify_automorphism(phi, trials: int, seed: int, mode: str | None = None) ->
     the first pair that breaks it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    from .sampling import random_element
     sig = phi.signature
     mode = mode if mode is not None else getattr(phi, "mode", MODE_LIE)
     rng = random.Random(seed)
@@ -1003,6 +1004,7 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
         extra = {m: c for m, c in image.terms.items()
                  if m.alpha != zero or sum(m.i) > 1 or m.mu != zero}
         if extra:
+            from .expressions import format_element
             raise NotAnAutomorphism(
                 f"image of x^{{1_[{p}]}} has stray terms {format_element(Element(sig, extra))}")
         v[p - 1] = c0 * image.constant_coefficient()
@@ -1019,6 +1021,7 @@ def decompose_automorphism(phi: FunctionalAut) -> NormalFormAut:
 
 def random_normal_form_aut(sig: Signature, rng: random.Random) -> NormalFormAut:
     """A random factored automorphism for round-trip and group-law checks."""
+    from .sampling import random_A_element, random_aut2, random_character, random_shift_vector
     tau = TauAut(sig, random_aut2(sig, rng), random_character(sig.lattice, rng))
     u = InnerExp(random_A_element(sig, rng))
     v = ShiftV(sig, random_shift_vector(sig, rng))

@@ -295,11 +295,11 @@ def _dispatch_aut(args) -> int:
     # apply needs --config to parse its expression; compose and decompose
     # check their files against it when it is given
     sig = _require_signature(args) if args.aut_command == "apply" or args.config else None
-    from .algebra import element_to_dict
     from .automorphisms import (FunctionalAut, NormalFormAut, compose_normal_forms,
                                 decompose_automorphism)
-    from .expressions import format_element, parse_and_eval
     if args.aut_command == "apply":
+        from .algebra import element_to_dict
+        from .expressions import format_element, parse_and_eval
         aut = _load_automorphism(args.aut, args.mode, sig)
         w = parse_and_eval(args.expr, sig)
         result = _as_normal_form(aut).apply(w)

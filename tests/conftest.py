@@ -106,13 +106,18 @@ def oracle_act(w, poly: dict) -> dict:
                           for p in range(len(al))]
         return points[al]
 
+    # d^mu(f) per distinct mu, as d_p of d^{mu - e_p}(f): the d_p commute
+    derived_by_mu = {(0,) * len(basis[0]): poly}
+
+    def derived(mu):
+        if mu not in derived_by_mu:
+            p = next(p for p, k in enumerate(mu) if k)
+            derived_by_mu[mu] = _derive(point, derived(mu[:p] + (mu[p] - 1,) + mu[p + 1:]), p)
+        return derived_by_mu[mu]
+
     out: dict = {}
     for m, c in w.terms.items():
-        derived = poly
-        for p, k in enumerate(m.mu):
-            for _ in range(k):
-                derived = _derive(point, derived, p)
-        for (al, j), q in derived.items():
+        for (al, j), q in derived(m.mu).items():
             key = (tuple(x + y for x, y in zip(m.alpha, al)),
                    tuple(x + y for x, y in zip(m.i, j)))
             out[key] = out.get(key, 0) + c * q
@@ -152,3 +157,14 @@ def oracle_bracket_is(a, b, c) -> bool:
         if {key: q for key, q in diff.items() if q} != oracle_act(c, f):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# shared key parts
+# ---------------------------------------------------------------------------
+
+def key_parts_shared(e) -> bool:
+    """Every key part value of e is one object: all keys with the same alpha
+    hold the same alpha tuple, and likewise for i and mu."""
+    return all(len({id(part) for part in parts}) == len(set(parts))
+               for parts in zip(*e.num))

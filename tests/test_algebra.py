@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product as cartesian
+from math import comb
 
 import pytest
 
@@ -29,7 +30,7 @@ from weyltype.errors import (
 from weyltype.automorphisms import apply_sigma1, random_normal_form_aut
 from weyltype.sampling import random_element, random_fd_element
 
-from conftest import oracle_bracket_is, oracle_product_is
+from conftest import key_parts_shared, oracle_bracket_is, oracle_product_is
 
 
 class TestMultiBinomial:
@@ -339,6 +340,24 @@ WIDE_CASES = {
 WIDE_SHAPES = ((1, 1, 8), (1, 20, 8), (3, 5, 8), (4, 4, 8), (5, 7, 8), (6, 6, 8), (20, 20, 3))
 
 
+# The operator oracle's cost grows as its probe count C(L + l, l), L the sum
+# of the two levels, times |a| * |b|; a wide pair up to this bound is also
+# checked against it, the rest against the Fraction reference alone
+ORACLE_WORK = 4000
+
+
+def _oracle_agrees(path, a, b, product, bracket) -> bool:
+    """a . b = product and [a, b] = bracket by the operator oracle, on the
+    tuple and the packed path for a pair within ORACLE_WORK; True without a
+    check otherwise (the default path repeats one of the two on the same
+    pairs)."""
+    level = (a.max_level() or 0) + (b.max_level() or 0)
+    if (path == "default"
+            or comb(level + a.signature.ell, level) * len(a.num) * len(b.num) > ORACLE_WORK):
+        return True
+    return oracle_product_is(a, b, product) and oracle_bracket_is(a, b, bracket)
+
+
 def _wide_element(sig, rng, terms, coord=2 ** 40, max_i=40, max_level=8):
     """Exactly ``terms`` terms with lattice coordinates in [-coord, coord]
     (a third of them at +-coord), polynomial indices up to ``max_i`` and
@@ -360,7 +379,9 @@ class TestPackedKernel:
     """The kernel on wide integers: lattice coordinates up to 2^40 (packed
     fields wider than a machine word, keys of hundreds of bits), polynomial
     indices up to 40 and levels up to 8, against the Fraction reference, on
-    the tuple path, the packed path and the default cut-over between them."""
+    the tuple path, the packed path and the default cut-over between them,
+    and against the operator oracle where its probes run quickly
+    (``ORACLE_WORK``)."""
 
     @pytest.fixture(params=("tuple", "packed", "default"))
     def path(self, request, monkeypatch):
@@ -393,6 +414,7 @@ class TestPackedKernel:
             diff = ab - ba
             _same(a.bracket(b), diff)
             _same(b.bracket(a), -diff)
+            assert _oracle_agrees(path, a, b, got, a.bracket(b))
 
     def test_extreme_coordinates_fill_the_field(self, wide, path):
         """Terms at +2^40 and -2^40 in every slot: the products reach alpha
@@ -413,6 +435,7 @@ class TestPackedKernel:
             _same(got, want)
             assert list(got.num) == list(want.num)
             _same(x.bracket(y), want - _ref_mul(y, x))
+            assert _oracle_agrees(path, x, y, got, x.bracket(y))
 
     def test_level_zero_left_and_fd_right_terms(self, wide, path):
         """Left terms with mu = 0 (the convolution) and right terms in F[D],
@@ -432,6 +455,7 @@ class TestPackedKernel:
                 _same(got, ab)
                 assert list(got.num) == list(ab.num)
                 _same(a.bracket(b), ab - ba)
+                assert _oracle_agrees(path, a, b, got, a.bracket(b))
 
     def test_single_field_wider_than_64_bits(self, wide, path):
         sig, _, seed = wide
@@ -440,6 +464,7 @@ class TestPackedKernel:
         b = _wide_element(sig, rng, 7, coord=2 ** 66, max_i=3, max_level=3)
         _same(a * b, _ref_mul(a, b))
         _same(a.bracket(b), _ref_mul(a, b) - _ref_mul(b, a))
+        assert _oracle_agrees(path, a, b, a * b, a.bracket(b))
 
     def test_brackets_that_cancel(self, wide, path):
         sig, _, seed = wide
@@ -519,6 +544,30 @@ class TestOperatorOracle:
                     assert not holds(a, b, Element(sig, num)), num
                 mutants += len(changed)
         assert mutants >= 100
+
+
+class TestSharedKeyParts:
+    """A result's keys share their parts: within one kernel call each
+    distinct alpha, i and mu tuple is built once, on both kernel paths and in
+    the action."""
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_products_and_brackets(self, sig_name, path, request):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(70)
+        for _ in range(10):
+            a, b = (random_element(sig, rng, max_terms=4, max_level=2) for _ in range(2))
+            for got in (a * b, a.bracket(b), (a * b) * (b * a)):
+                assert key_parts_shared(got)
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_action_of_many_in_one_pass(self, sig_name, request):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(71)
+        ws = [random_element(sig, rng, max_terms=4, max_level=2) for _ in range(3)]
+        a = random_element(sig, rng, max_terms=5, max_level=0)
+        for got in act_each_on_A(ws, a):
+            assert key_parts_shared(got)
 
 
 def _cold(sig):

@@ -53,7 +53,7 @@ from weyltype.sampling import (
     random_shift_vector,
 )
 
-from conftest import fraction_inverse
+from conftest import fraction_inverse, key_parts_shared
 
 
 def _twist(sig):
@@ -1247,6 +1247,21 @@ def _assert_canonical(e):
     assert type(e.den) is int and e.den > 0
     assert all(type(n) is int and n != 0 for n in e.num.values())
     assert gcd(e.den, *e.num.values()) == 1
+
+
+class TestSharedKeyParts:
+    """An image's keys share their parts: one image call builds each distinct
+    alpha, i and mu tuple once, through the attach of every A-part."""
+
+    @pytest.mark.parametrize("sig_name", ["desk", "rank3", "rank4"])
+    def test_normal_form_and_inner_images(self, sig_name, request):
+        sig = request.getfixturevalue(sig_name)
+        rng = random.Random(72)
+        for eps in (0, 1):
+            nf = _draw_normal_form(sig, rng, eps)
+            for w in [random_element(sig, rng, max_terms=3, max_level=3) for _ in range(3)]:
+                for got in (nf.apply(w), nf.u.apply(w)):
+                    assert key_parts_shared(got)
 
 
 class TestIntegerForm:

@@ -985,8 +985,13 @@ class TestStartup:
          ["automorphisms", "classification", "sampling", "selftest"]),
         ("aut", ["aut", "apply", "--config", "{cfg}", "--aut", "{aut}", "d1"],
          ["automorphisms"], ["classification", "selftest"]),
-        ("iso", ["iso", "--src", "{cfg}", "--dst", "{cfg}"], ["classification"], ["selftest"]),
+        ("iso", ["iso", "--src", "{cfg}", "--dst", "{cfg}"], ["classification"],
+         ["expressions", "sampling", "selftest"]),
         ("missing-config", ["eval", "d1"], [], ["algebra"]),
+        ("aut-compose", ["aut", "compose", "--a", "{aut}", "--b", "{aut}"], ["automorphisms"],
+         ["classification", "expressions", "sampling", "selftest"]),
+        ("aut-decompose", ["aut", "decompose", "--aut", "{aut}"], ["automorphisms"],
+         ["classification", "expressions", "sampling", "selftest"]),
     ])
     def test_each_command_loads_only_what_it_runs(self, desk_files, command, argv, loaded,
                                                   absent):

@@ -168,7 +168,8 @@ def test_unreferenced_checker_sees_every_form():
 # they neither build a Fraction nor read the Fraction view ``.terms``
 INTEGER_CORE = {
     "algebra": ("_accumulate", "_convolve", "_d_lam", "_mul_elements", "_packed_accumulate",
-                "_right_factor", "_unpack", "act_each_on_A", "act_on_A", "derivation_apply"),
+                "_right_factor", "_shared_sum", "_unpack", "act_each_on_A", "act_on_A",
+                "derivation_apply"),
     "automorphisms": ("_hom_extend",),
     "lattice": ("adapted_basis",),
     "linalg": ("integer_det_adjugate", "integer_product", "hermite_normal_form"),
